@@ -19,7 +19,7 @@ from .cutoff import CutoffConfig, grad_energy, phi, verify_assumptions
 from .fem import DofMap, Field, TraceField, assemble_interface_mass, assemble_mass, assemble_stiffness
 from .harness import ConvergenceTable, StudyConfig, energy_audit, rates, run_study
 from .meshing import CoupledMesh, InterfaceGeometry, slanted_interface_mesh, uniform_split_mesh, validate
-from .sparse import SolveReport, SparseMatrix, from_triplets, solve_general, solve_spd, spmv
+from .sparse import Factorization, factorize, from_triplets
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, sparse
 from .fem import DofMap, Field, TraceField
@@ -116,13 +117,15 @@ def ddt2(v_next, v_cur, v_prev, dt):
     return (v_next - 2.0 * v_cur + v_prev) / dt**2
 
 
-def _lifted_interface_matrix(M_if: sparse.SparseMatrix, interface_dofs, n_dofs):
-    """R^T M_if R as a matrix over subdomain dofs (R is the nodal trace map)."""
-    rows_if = np.repeat(np.arange(M_if.n_rows), np.diff(M_if.row_offsets))
-    r = interface_dofs[rows_if]
-    c = interface_dofs[M_if.col_indices]
+def _lifted_interface_matrix(M_if, row_index, col_index, n_rows, n_cols):
+    """M_if with rows and columns renumbered; index -1 drops the row or column.
+
+    With the nodal trace map R of a subdomain on both sides this is R^T M_if R.
+    """
+    m = M_if.tocoo()
+    r, c = row_index[m.row], col_index[m.col]
     keep = (r >= 0) & (c >= 0)
-    return sparse.from_triplets(n_dofs, n_dofs, (r[keep], c[keep], M_if.values[keep]))
+    return sparse.from_triplets(n_rows, n_cols, (r[keep], c[keep], m.data[keep]))
 
 
 class CoupledOperators:
@@ -142,16 +145,16 @@ class CoupledOperators:
         self.if_x1, self.if_x2 = ifc[:, 0].copy(), ifc[:, 1].copy()
         self.n_if = mesh.interface_nodes.size
 
-        T_f = _lifted_interface_matrix(self.M_if, self.dof_f.interface_dofs, self.dof_f.n_dofs)
-        T_s = _lifted_interface_matrix(self.M_if, self.dof_s.interface_dofs, self.dof_s.n_dofs)
+        idof_f, idof_s = self.dof_f.interface_dofs, self.dof_s.interface_dofs
+        n_f, n_s = self.dof_f.n_dofs, self.dof_s.n_dofs
+        T_f = _lifted_interface_matrix(self.M_if, idof_f, idof_f, n_f, n_f)
+        T_s = _lifted_interface_matrix(self.M_if, idof_s, idof_s, n_s, n_s)
         k, dt, a = params.k, params.dt, params.alpha
         if k == 1:
-            A_s = sparse.combine([(1.0 / dt, self.M_s), (params.nu_s, self.K_s), (a, T_s)])
+            A_s = (1.0 / dt) * self.M_s + params.nu_s * self.K_s + a * T_s
         else:
-            A_s = sparse.combine(
-                [(2.0 / dt**2, self.M_s), (params.nu_s / 2.0, self.K_s), (a / dt, T_s)]
-            )
-        A_f = sparse.combine([(1.0 / dt, self.M_f), (params.nu_f, self.K_f), (a, T_f)])
+            A_s = (2.0 / dt**2) * self.M_s + (params.nu_s / 2.0) * self.K_s + (a / dt) * T_s
+        A_f = (1.0 / dt) * self.M_f + params.nu_f * self.K_f + a * T_f
         self._solid = sparse.factorize(A_s)
         self._fluid = sparse.factorize(A_f)
         self._monolithic = None  # built on first use
@@ -197,20 +200,20 @@ def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
     g_D = ops.interface_values(sources.g_D, t_next)
     g_N = ops.interface_values(sources.g_N, t_next)
     u_tr = ops.trace(state.u)
-    robin = sparse.spmv(M_if, a * (u_tr + g_D) - state.lam.coefficients + g_N)
+    robin = M_if @ (a * (u_tr + g_D) - state.lam.coefficients + g_N)
 
     if k == 1:
-        rhs = sparse.spmv(M_s, w_n) / dt + ops.lift(ops.dof_s, robin)
+        rhs = M_s @ w_n / dt + ops.lift(ops.dof_s, robin)
         rhs += ops.load_s(sources.f_s, t_next)
         w_next = ops._solid.solve(rhs)
         q_next = w_next
     else:
         w_tr = ops.trace(state.w)
         rhs = (
-            (2.0 / dt**2) * sparse.spmv(M_s, w_n)
-            + (2.0 / dt) * sparse.spmv(M_s, q_n)
-            - (params.nu_s / 2.0) * sparse.spmv(K_s, w_n)
-            + ops.lift(ops.dof_s, (a / dt) * sparse.spmv(M_if, w_tr) + robin)
+            (2.0 / dt**2) * (M_s @ w_n)
+            + (2.0 / dt) * (M_s @ q_n)
+            - (params.nu_s / 2.0) * (K_s @ w_n)
+            + ops.lift(ops.dof_s, (a / dt) * (M_if @ w_tr) + robin)
         )
         if sources.f_s is not None:
             # midpoint forcing matches the w^{n+1/2} bracket
@@ -230,8 +233,8 @@ def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
     else:
         w_dot_tr = (ops.trace(w_next) - ops.trace(state.w)) / dt
     lam_n = state.lam.coefficients
-    rhs = sparse.spmv(ops.M_f, state.u.coefficients) / dt + ops.lift(
-        ops.dof_f, sparse.spmv(ops.M_if, lam_n + a * (w_dot_tr - g_D))
+    rhs = ops.M_f @ state.u.coefficients / dt + ops.lift(
+        ops.dof_f, ops.M_if @ (lam_n + a * (w_dot_tr - g_D))
     )
     rhs += ops.load_f(sources.f_f, t_next)
     u_next = ops._fluid.solve(rhs)
@@ -249,8 +252,8 @@ def advance(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
     return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_next)
 
 
-def _quad_form(A: sparse.SparseMatrix, x: np.ndarray) -> float:
-    return float(x @ sparse.spmv(A, x))
+def _quad_form(A: sp.csr_array, x: np.ndarray) -> float:
+    return float(x @ (A @ x))
 
 
 def energy_Z(params: SchemeParams, ops: CoupledOperators, state: SchemeState) -> float:
@@ -300,6 +303,13 @@ def initial_state(case, mesh: CoupledMesh, ops: CoupledOperators) -> SchemeState
     return SchemeState(0, u0, w0, q0, lambda0_from_exact(case, mesh))
 
 
+def _check_finite(state: SchemeState) -> None:
+    """Raise FloatingPointError naming the step and the first non-finite field."""
+    for name in ("u", "w", "q", "lam"):
+        if not np.isfinite(getattr(state, name).coefficients).all():
+            raise FloatingPointError(f"non-finite {name} at step {state.step_index}")
+
+
 def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
         initial: SchemeState, ops: CoupledOperators | None = None,
         callback: Callable | None = None) -> tuple[SchemeState, EnergyLedger]:
@@ -311,6 +321,7 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
     ledger = EnergyLedger(Z=[energy_Z(params, ops, state)], S=[])
     for _ in range(params.n_steps):
         new = advance(params, ops, state, sources)
+        _check_finite(new)
         ledger.S.append(energy_S(params, ops, state, new))
         ledger.Z.append(energy_Z(params, ops, new))
         state = new
@@ -336,54 +347,24 @@ def _monolithic_system(ops: CoupledOperators):
     n_s, n_f = ops.dof_s.n_dofs, ops.dof_f.n_dofs
     free_if = np.flatnonzero((ops.dof_s.interface_dofs >= 0) & (ops.dof_f.interface_dofs >= 0))
     n_l = free_if.size
-    off_u, off_l = n_s, n_s + n_f
 
     if k == 1:
-        A_s = sparse.combine([(1.0 / dt, ops.M_s), (params.nu_s, ops.K_s)])
+        A_s = (1.0 / dt) * ops.M_s + params.nu_s * ops.K_s
         constraint_scale = 1.0
     else:
-        A_s = sparse.combine([(2.0 / dt**2, ops.M_s), (params.nu_s / 2.0, ops.K_s)])
+        A_s = (2.0 / dt**2) * ops.M_s + (params.nu_s / 2.0) * ops.K_s
         constraint_scale = 2.0 / dt
-    A_f = sparse.combine([(1.0 / dt, ops.M_f), (params.nu_f, ops.K_f)])
+    A_f = (1.0 / dt) * ops.M_f + params.nu_f * ops.K_f
 
-    rows, cols, vals = [], [], []
-
-    def put(A, r0, c0, scale=1.0):
-        r = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
-        rows.append(r + r0)
-        cols.append(A.col_indices + c0)
-        vals.append(scale * A.values)
-
-    put(A_s, 0, 0)
-    put(A_f, off_u, off_u)
-
-    # coupling and constraint blocks through the interface mass matrix
+    # coupling blocks through the interface mass matrix; the constraint rows
+    # are their transposes because M_if is symmetric
     lam_index = np.full(ops.n_if, -1, dtype=np.int64)
     lam_index[free_if] = np.arange(n_l)
-    m_rows = np.repeat(np.arange(ops.n_if), np.diff(ops.M_if.row_offsets))
-    m_cols = ops.M_if.col_indices
-    m_vals = ops.M_if.values
-    for dofm, sign in ((ops.dof_s, +1.0), (ops.dof_f, -1.0)):
-        r_dof = dofm.interface_dofs[m_rows]
-        c_lam = lam_index[m_cols]
-        keep = (r_dof >= 0) & (c_lam >= 0)
-        base = 0 if dofm.subdomain == "s" else off_u
-        rows.append(r_dof[keep] + base)
-        cols.append(c_lam[keep] + off_l)
-        vals.append(sign * m_vals[keep])
-        # constraint row: M_if acting on the subdomain trace
-        r_lam = lam_index[m_rows]
-        c_dof = dofm.interface_dofs[m_cols]
-        keep = (r_lam >= 0) & (c_dof >= 0)
-        rows.append(r_lam[keep] + off_l)
-        cols.append(c_dof[keep] + base)
-        scale = constraint_scale if dofm.subdomain == "s" else 1.0
-        vals.append(sign * scale * m_vals[keep])
-
-    A = sparse.from_triplets(
-        off_l + n_l,
-        off_l + n_l,
-        (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)),
+    B_s = _lifted_interface_matrix(ops.M_if, ops.dof_s.interface_dofs, lam_index, n_s, n_l)
+    B_f = -_lifted_interface_matrix(ops.M_if, ops.dof_f.interface_dofs, lam_index, n_f, n_l)
+    A = sp.block_array(
+        [[A_s, None, B_s], [None, A_f, B_f], [constraint_scale * B_s.T, B_f.T, None]],
+        format="csr",
     )
     ops._monolithic = (sparse.factorize(A), free_if, lam_index)
     return ops._monolithic
@@ -400,20 +381,20 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
     g_N = ops.interface_values(sources.g_N, t_next)
     g_D = ops.interface_values(sources.g_D, t_next)
     if k == 1:
-        rhs_s = sparse.spmv(ops.M_s, w_n) / dt + ops.load_s(sources.f_s, t_next)
-        rhs_c = sparse.spmv(ops.M_if, g_D)
+        rhs_s = ops.M_s @ w_n / dt + ops.load_s(sources.f_s, t_next)
+        rhs_c = ops.M_if @ g_D
     else:
         rhs_s = (
-            (2.0 / dt**2) * sparse.spmv(ops.M_s, w_n)
-            + (2.0 / dt) * sparse.spmv(ops.M_s, q_n)
-            - (params.nu_s / 2.0) * sparse.spmv(ops.K_s, w_n)
+            (2.0 / dt**2) * (ops.M_s @ w_n)
+            + (2.0 / dt) * (ops.M_s @ q_n)
+            - (params.nu_s / 2.0) * (ops.K_s @ w_n)
         )
         if sources.f_s is not None:
             rhs_s += 0.5 * (ops.load_s(sources.f_s, t_next) + ops.load_s(sources.f_s, t_next - dt))
         w_tr, q_tr = ops.trace(state.w), ops.trace(state.q)
-        rhs_c = sparse.spmv(ops.M_if, g_D + (2.0 / dt) * w_tr + q_tr)
-    rhs_s += ops.lift(ops.dof_s, sparse.spmv(ops.M_if, g_N))
-    rhs_f = sparse.spmv(ops.M_f, u_n) / dt + ops.load_f(sources.f_f, t_next)
+        rhs_c = ops.M_if @ (g_D + (2.0 / dt) * w_tr + q_tr)
+    rhs_s += ops.lift(ops.dof_s, ops.M_if @ g_N)
+    rhs_f = ops.M_f @ u_n / dt + ops.load_f(sources.f_f, t_next)
 
     rhs = np.concatenate([rhs_s, rhs_f, rhs_c[free_if]])
     sol = lu.solve(rhs)
@@ -439,6 +420,7 @@ def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
     state = initial
     for _ in range(params.n_steps):
         state = monolithic_step(params, ops, state, sources, (state.step_index + 1) * params.dt)
+        _check_finite(state)
         if callback is not None:
             callback(state)
     return state

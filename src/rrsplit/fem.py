@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .meshing import CoupledMesh
-from .sparse import SparseMatrix, from_triplets
+from .sparse import from_triplets
 
 # Degree-2 rule (edge midpoints) for loads; degree-4 six-point rule for norms.
 QUAD_DEG2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -25,6 +26,9 @@ QUAD_DEG4_BARY = np.array(
     [[_a, _a, _b], [_a, _b, _a], [_b, _a, _a], [_c, _c, _d], [_c, _d, _c], [_d, _c, _c]]
 )
 QUAD_DEG4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
+
+# load-rule weights w_q phi_i(x_q), indexed [q, i]
+_LOAD_WEIGHTS = QUAD_DEG2_W[:, None] * QUAD_DEG2_BARY
 
 
 @dataclass
@@ -124,7 +128,7 @@ def element_stiffness(areas: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return areas[:, None, None] * np.einsum("tix,tjx->tij", grads, grads)
 
 
-def _scatter_blocks(blocks: np.ndarray, tris: np.ndarray, dofmap: DofMap) -> SparseMatrix:
+def _scatter_blocks(blocks: np.ndarray, tris: np.ndarray, dofmap: DofMap) -> sp.csr_array:
     dof = dofmap.node_to_dof[tris]
     rows = np.broadcast_to(dof[:, :, None], blocks.shape).ravel()
     cols = np.broadcast_to(dof[:, None, :], blocks.shape).ravel()
@@ -134,7 +138,7 @@ def _scatter_blocks(blocks: np.ndarray, tris: np.ndarray, dofmap: DofMap) -> Spa
     return from_triplets(n, n, (rows[keep], cols[keep], vals[keep]))
 
 
-def assemble_mass(mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None) -> SparseMatrix:
+def assemble_mass(mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None) -> sp.csr_array:
     """Consistent mass matrix over the free dofs of one subdomain."""
     dofmap = dofmap or build_dofmap(mesh, subdomain)
     tris = subdomain_triangles(mesh, subdomain)
@@ -144,7 +148,7 @@ def assemble_mass(mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = Non
 
 def assemble_stiffness(
     mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None
-) -> SparseMatrix:
+) -> sp.csr_array:
     """Stiffness matrix (grad, grad) over the free dofs of one subdomain."""
     dofmap = dofmap or build_dofmap(mesh, subdomain)
     tris = subdomain_triangles(mesh, subdomain)
@@ -157,7 +161,7 @@ def segment_mass(length: float) -> np.ndarray:
     return (length / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
-def assemble_interface_mass(mesh: CoupledMesh) -> SparseMatrix:
+def assemble_interface_mass(mesh: CoupledMesh) -> sp.csr_array:
     """Tridiagonal interface mass matrix over interface nodes in trace order."""
     pts = mesh.nodes[mesh.interface_nodes]
     lengths = np.sqrt(((pts[1:] - pts[:-1]) ** 2).sum(axis=1))
@@ -171,11 +175,27 @@ def assemble_interface_mass(mesh: CoupledMesh) -> SparseMatrix:
     return from_triplets(n, n, (rows, cols, vals))
 
 
-def _quad_data(mesh, subdomain, bary):
-    tris = subdomain_triangles(mesh, subdomain)
-    areas, grads = element_geometry(mesh.nodes, tris)
-    pts = np.einsum("qb,tbx->tqx", bary, mesh.nodes[tris])
-    return tris, areas, grads, pts
+def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
+    """Per-subdomain quadrature data, memoized on the mesh and built on first use.
+
+    ``rule=None`` gives (tris, areas, grads); ``rule="load"`` gives the
+    points of the degree-2 load rule. The degree-4 norm points are not
+    kept (see ``_norm_points``): they would double the memo's memory for
+    little time.
+    """
+    key = (subdomain, rule)
+    data = mesh._cache.get(key)
+    if data is None:
+        if rule is None:
+            tris = subdomain_triangles(mesh, subdomain)
+            data = (tris, *element_geometry(mesh.nodes, tris))
+        else:
+            tris = _quad_data(mesh, subdomain)[0]
+            # x and y of the points, each (3, nt)
+            data = (QUAD_DEG2_BARY @ mesh.nodes[:, 0][tris].T,
+                    QUAD_DEG2_BARY @ mesh.nodes[:, 1][tris].T)
+        mesh._cache[key] = data
+    return data
 
 
 def assemble_load(
@@ -183,16 +203,14 @@ def assemble_load(
 ) -> np.ndarray:
     """Load vector (f(., t), phi_i) with a quadrature exact for degree <= 2."""
     dofmap = dofmap or build_dofmap(mesh, subdomain)
-    tris, areas, _, pts = _quad_data(mesh, subdomain, QUAD_DEG2_BARY)
-    fvals = np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float)
-    fvals = np.broadcast_to(fvals, pts.shape[:2])
+    tris, areas, _ = _quad_data(mesh, subdomain)
+    x, y = _quad_data(mesh, subdomain, "load")
+    fvals = np.broadcast_to(np.asarray(f(x, y, t), dtype=float), x.shape)
     # b_e[i] = area * sum_q w_q f(x_q) phi_i(x_q)
-    be = areas[:, None] * np.einsum("tq,q,qi->ti", fvals, QUAD_DEG2_W, QUAD_DEG2_BARY)
-    dof = dofmap.node_to_dof[tris]
+    be = (_LOAD_WEIGHTS.T @ fvals) * areas
+    dof = dofmap.node_to_dof[tris].T
     keep = dof >= 0
-    out = np.zeros(dofmap.n_dofs)
-    np.add.at(out, dof[keep], be[keep])
-    return out
+    return np.bincount(dof[keep], weights=be[keep], minlength=dofmap.n_dofs)
 
 
 def interpolate(
@@ -219,26 +237,35 @@ def trace_restrict(field: Field) -> TraceField:
     return TraceField(vals)
 
 
+def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
+    """Weight, barycentric coordinates, x and y of each degree-4 point in turn.
+
+    Going one point at a time keeps each closure call to one value per
+    triangle, which bounds the memory the norms add on the finest mesh.
+    """
+    px, py = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
+    for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY):
+        yield w, b, px @ b, py @ b
+
+
 def l2_error(mesh: CoupledMesh, field: Field, exact, t: float) -> float:
     """L2 norm of (field - exact(., t)) over the field's subdomain (degree-4 quadrature)."""
-    tris, areas, _, pts = _quad_data(mesh, field.subdomain, QUAD_DEG4_BARY)
-    nodal = nodal_values(field)
-    uh = np.einsum("qb,tb->tq", QUAD_DEG4_BARY, nodal[tris])
-    ex = np.broadcast_to(
-        np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float), uh.shape
-    )
-    val = np.einsum("t,q,tq->", areas, QUAD_DEG4_W, (uh - ex) ** 2)
-    return float(np.sqrt(max(val, 0.0)))
+    tris, areas, _ = _quad_data(mesh, field.subdomain)
+    uh = nodal_values(field)[tris]
+    acc = np.zeros(tris.shape[0])
+    for w, b, x, y in _norm_points(mesh, tris):
+        d = uh @ b - exact(x, y, t)
+        acc += w * (d * d)
+    return float(np.sqrt(max(areas @ acc, 0.0)))
 
 
 def h1_semi_error(mesh: CoupledMesh, field: Field, exact_gradient, t: float) -> float:
     """L2 norm of grad(field) - exact_gradient(., t) over the field's subdomain."""
-    tris, areas, grads, pts = _quad_data(mesh, field.subdomain, QUAD_DEG4_BARY)
-    nodal = nodal_values(field)
-    gh = np.einsum("tbx,tb->tx", grads, nodal[tris])
-    gx, gy = exact_gradient(pts[..., 0], pts[..., 1], t)
-    shape = pts.shape[:2]
-    dx = gh[:, None, 0] - np.broadcast_to(np.asarray(gx, dtype=float), shape)
-    dy = gh[:, None, 1] - np.broadcast_to(np.asarray(gy, dtype=float), shape)
-    val = np.einsum("t,q,tq->", areas, QUAD_DEG4_W, dx**2 + dy**2)
-    return float(np.sqrt(max(val, 0.0)))
+    tris, areas, grads = _quad_data(mesh, field.subdomain)
+    ghx, ghy = np.einsum("tb,tbx->xt", nodal_values(field)[tris], grads)
+    acc = np.zeros(tris.shape[0])
+    for w, _, x, y in _norm_points(mesh, tris):
+        gx, gy = exact_gradient(x, y, t)
+        dx, dy = ghx - gx, ghy - gy
+        acc += w * (dx * dx + dy * dy)
+    return float(np.sqrt(max(areas @ acc, 0.0)))

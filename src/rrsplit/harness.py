@@ -36,6 +36,12 @@ _CSV_COLUMN = {
 }
 
 
+# What a study row can hit: bad input, a singular LU (SuperLU raises
+# RuntimeError) or a non-finite state. Anything else is a programming error
+# and propagates.
+ROW_FAILURES = (ValueError, RuntimeError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def default_output_dir() -> str:
     return os.environ.get("RRSPLIT_OUT_DIR", ".")
 
@@ -167,7 +173,7 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
         table.dts.append(dt)
         try:
             _, values, _ = _run_one(case, cfg, dt)
-        except Exception as exc:  # record the failed row, keep the sweep going
+        except ROW_FAILURES as exc:  # record the failed row, keep the sweep going
             table.failures.append((dt, repr(exc)))
             for n in norms:
                 table.errors[n].append(None)

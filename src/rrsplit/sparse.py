@@ -1,190 +1,53 @@
-"""Minimal CSR sparse linear algebra: assembly from triplets, products, solves."""
+"""Sparse assembly from triplets and cached LU factorizations on scipy CSR arrays."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DEFAULT_TOL = 1e-12
-_SYMMETRY_SAMPLES = 256
 
-
-@dataclass(frozen=True)
-class SolveReport:
-    iterations: int
-    residual_norm: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """CSR matrix. Column indices are strictly increasing within each row."""
-
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
-    def entry(self, i: int, j: int) -> float:
-        """Value stored at (i, j); 0.0 if the position is not stored."""
-        lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-        k = lo + np.searchsorted(self.col_indices[lo:hi], j)
-        if k < hi and self.col_indices[k] == j:
-            return float(self.values[k])
-        return 0.0
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        out[rows, self.col_indices] = self.values
-        return out
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
-
-
-def from_triplets(n_rows, n_cols, entries) -> SparseMatrix:
-    """Build a CSR matrix from (row, col, value) entries.
+def from_triplets(n_rows, n_cols, entries) -> sp.csr_array:
+    """Build a CSR array from (row, col, value) entries.
 
     Duplicate positions are summed. ``entries`` may be an iterable of
     triplets or a (rows, cols, values) tuple of arrays. Structural zeros
-    are kept if explicitly inserted.
+    are kept if explicitly inserted; column indices come out sorted.
     """
     if isinstance(entries, tuple) and len(entries) == 3:
         rows, cols, vals = entries
     else:
         trip = list(entries)
-        if trip:
-            rows, cols, vals = zip(*trip)
-        else:
-            rows, cols, vals = (), (), ()
+        rows, cols, vals = zip(*trip) if trip else ((), (), ())
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
     if not (rows.shape == cols.shape == vals.shape):
         raise ValueError("triplet arrays must have matching lengths")
-
     if rows.size:
         if rows.min() < 0 or rows.max() >= n_rows:
             raise IndexError("triplet row index out of range")
         if cols.min() < 0 or cols.max() >= n_cols:
             raise IndexError("triplet column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.empty(rows.size, dtype=bool)
-        first[0] = True
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(first)
-        vals = np.add.reduceat(vals, starts)
-        rows, cols = rows[starts], cols[starts]
-
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
-    return SparseMatrix(int(n_rows), int(n_cols), offsets, cols, vals)
-
-
-def spmv(A: SparseMatrix, x) -> np.ndarray:
-    """Matrix-vector product A @ x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n_cols,):
-        raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector is {x.shape}")
-    contrib = A.values * x[A.col_indices]
-    rows = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
-    return np.bincount(rows, weights=contrib, minlength=A.n_rows)
-
-
-def combine(terms) -> SparseMatrix:
-    """Weighted sum of same-shaped matrices from (coefficient, matrix) pairs."""
-    terms = list(terms)
-    n_rows, n_cols = terms[0][1].shape
-    rows, cols, vals = [], [], []
-    for coef, A in terms:
-        if A.shape != (n_rows, n_cols):
-            raise ValueError("combine requires matching shapes")
-        rows.append(np.repeat(np.arange(n_rows), np.diff(A.row_offsets)))
-        cols.append(A.col_indices)
-        vals.append(coef * A.values)
-    return from_triplets(
-        n_rows, n_cols, (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    )
+    return sp.coo_array((vals, (rows, cols)), shape=(int(n_rows), int(n_cols))).tocsr()
 
 
 class Factorization:
     """Cached sparse LU factorization; solve() is reusable across right-hand sides."""
 
-    def __init__(self, A: SparseMatrix):
+    def __init__(self, A):
         self.shape = A.shape
-        self._lu = spla.splu(A.to_scipy().tocsc())
+        self._lu = spla.splu(A.tocsc())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=np.float64))
 
 
-def factorize(A: SparseMatrix) -> Factorization:
-    if A.n_rows != A.n_cols:
+def factorize(A) -> Factorization:
+    """SuperLU factorization of a square sparse matrix (default COLAMD ordering).
+
+    A singular matrix raises RuntimeError.
+    """
+    if A.shape[0] != A.shape[1]:
         raise ValueError("factorize requires a square matrix")
     return Factorization(A)
-
-
-def _check_symmetry(A: SparseMatrix, tol: float = 1e-12) -> None:
-    # Spot check on a deterministic sample of stored entries.
-    if A.nnz == 0:
-        return
-    rows = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
-    idx = np.linspace(0, A.nnz - 1, min(_SYMMETRY_SAMPLES, A.nnz)).astype(np.int64)
-    scale = max(np.abs(A.values).max(), 1.0)
-    for k in idx:
-        i, j = int(rows[k]), int(A.col_indices[k])
-        if abs(A.values[k] - A.entry(j, i)) > tol * scale:
-            raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-
-
-def _direct_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, SolveReport]:
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.n_rows,):
-        raise ValueError("right-hand side has wrong length")
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(A.n_cols), SolveReport(0, 0.0, True)
-    try:
-        x = factorize(A).solve(b)
-    except RuntimeError:
-        # Exactly singular factorization; report the zero iterate.
-        return np.zeros(A.n_cols), SolveReport(1, b_norm, False)
-    if not np.all(np.isfinite(x)):
-        return np.zeros(A.n_cols), SolveReport(1, b_norm, False)
-    res = float(np.linalg.norm(spmv(A, x) - b))
-    return x, SolveReport(1, res, res <= tol * b_norm)
-
-
-def solve_spd(A: SparseMatrix, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, SolveReport]:
-    """Solve A x = b for symmetric positive definite A (direct factorization).
-
-    Returns (x, report); report.converged means ||Ax - b|| <= tol * ||b||.
-    """
-    if A.n_rows != A.n_cols:
-        raise ValueError("solve_spd requires a square matrix")
-    _check_symmetry(A)
-    return _direct_solve(A, b, tol)
-
-
-def solve_general(A: SparseMatrix, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, SolveReport]:
-    """Solve A x = b for a general nonsingular square A (sparse LU)."""
-    if A.n_rows != A.n_cols:
-        raise ValueError("solve_general requires a square matrix")
-    return _direct_solve(A, b, tol)

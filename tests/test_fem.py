@@ -22,7 +22,7 @@ from rrsplit.fem import (
     segment_mass,
     trace_restrict,
 )
-from rrsplit.sparse import solve_spd, spmv
+from rrsplit.sparse import factorize
 
 REF_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TRI = np.array([[0, 1, 2]])
@@ -56,13 +56,13 @@ class TestMassMatrix:
         dof = build_dofmap(mesh, "f", include_dirichlet=True)
         M = assemble_mass(mesh, "f", dof)
         ones = np.ones(dof.n_dofs)
-        assert spmv(M, ones) @ ones == pytest.approx(0.75, abs=1e-12)
+        assert (M @ ones) @ ones == pytest.approx(0.75, abs=1e-12)
 
     def test_row_sums_are_patch_area_thirds(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "s", include_dirichlet=True)
         M = assemble_mass(mesh, "s", dof)
-        row_sums = spmv(M, np.ones(dof.n_dofs))
+        row_sums = M @ np.ones(dof.n_dofs)
         areas, _ = element_geometry(mesh.nodes, mesh.triangles_s)
         patch = np.zeros(mesh.n_nodes)
         np.add.at(patch, mesh.triangles_s, (areas / 3.0)[:, None])
@@ -80,7 +80,7 @@ class TestStiffnessMatrix:
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "f", include_dirichlet=True)
         K = assemble_stiffness(mesh, "f", dof)
-        np.testing.assert_allclose(spmv(K, np.ones(dof.n_dofs)), 0.0, atol=1e-14)
+        np.testing.assert_allclose(K @ np.ones(dof.n_dofs), 0.0, atol=1e-14)
 
     def test_patch_test_linear_field(self):
         # v = x: integral of |grad v|^2 equals the subdomain area
@@ -89,7 +89,7 @@ class TestStiffnessMatrix:
             dof = build_dofmap(mesh, sub, include_dirichlet=True)
             K = assemble_stiffness(mesh, sub, dof)
             v = mesh.nodes[dof.free_nodes, 0]
-            assert v @ spmv(K, v) == pytest.approx(area, rel=1e-12)
+            assert v @ (K @ v) == pytest.approx(area, rel=1e-12)
 
     def test_symmetry(self):
         mesh = meshing.uniform_split_mesh(5)
@@ -104,9 +104,8 @@ class TestStiffnessMatrix:
         dof = build_dofmap(mesh, "f")
         K = assemble_stiffness(mesh, "f", dof)
         target = interpolate(mesh, "f", lambda x, y, t: x * (1 - x) * y, 0.0, dof)
-        b = spmv(K, target.coefficients)
-        x, rep = solve_spd(K, b)
-        assert rep.converged
+        b = K @ target.coefficients
+        x = factorize(K).solve(b)
         np.testing.assert_allclose(x, target.coefficients, atol=1e-10)
 
 
@@ -120,14 +119,14 @@ class TestInterfaceMass:
     def test_two_equal_segments_interior_diagonal(self):
         mesh = meshing.uniform_split_mesh(2)
         M = assemble_interface_mass(mesh)
-        assert M.entry(1, 1) == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert M.entry(0, 0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-        assert M.entry(0, 1) == pytest.approx(1.0 / 12.0, rel=1e-14)
+        assert M[1, 1] == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert M[0, 0] == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert M[0, 1] == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     def test_row_sums_total_interface_length(self):
         mesh = meshing.slanted_interface_mesh(1)
         M = assemble_interface_mass(mesh)
-        total = spmv(M, np.ones(M.n_cols)).sum()
+        total = (M @ np.ones(M.shape[1])).sum()
         assert total == pytest.approx(math.sqrt(1.25), abs=1e-12)
 
     def test_matches_1d_mass_on_unit_interval(self):
@@ -153,7 +152,7 @@ class TestLoad:
         dof = build_dofmap(mesh, "f", include_dirichlet=True)
         b = assemble_load(mesh, "f", lambda x, y, t: np.ones_like(x), 0.0, dof)
         M = assemble_mass(mesh, "f", dof)
-        np.testing.assert_allclose(b, spmv(M, np.ones(dof.n_dofs)), rtol=1e-13)
+        np.testing.assert_allclose(b, M @ np.ones(dof.n_dofs), rtol=1e-13)
 
 
 class TestTraceRestrict:
@@ -263,3 +262,99 @@ class TestDofMap:
         # the same interface node indexes both traces at the same slot
         xs = mesh.nodes[mesh.interface_nodes, 0]
         assert np.all(np.diff(xs) > 0)
+
+
+def _seed_quad(mesh, subdomain, bary):
+    # the per-call formulas the memoized kernels replaced, kept as the reference
+    tris = fem.subdomain_triangles(mesh, subdomain)
+    areas, grads = element_geometry(mesh.nodes, tris)
+    pts = np.einsum("qb,tbx->tqx", bary, mesh.nodes[tris])
+    return tris, areas, grads, pts
+
+
+def _seed_load(mesh, subdomain, f, t, dofmap):
+    tris, areas, _, pts = _seed_quad(mesh, subdomain, fem.QUAD_DEG2_BARY)
+    fvals = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float),
+                            pts.shape[:2])
+    be = areas[:, None] * np.einsum("tq,q,qi->ti", fvals, fem.QUAD_DEG2_W, fem.QUAD_DEG2_BARY)
+    dof = dofmap.node_to_dof[tris]
+    keep = dof >= 0
+    out = np.zeros(dofmap.n_dofs)
+    np.add.at(out, dof[keep], be[keep])
+    return out
+
+
+def _seed_l2(mesh, field, exact, t):
+    tris, areas, _, pts = _seed_quad(mesh, field.subdomain, fem.QUAD_DEG4_BARY)
+    uh = np.einsum("qb,tb->tq", fem.QUAD_DEG4_BARY, fem.nodal_values(field)[tris])
+    ex = np.broadcast_to(np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float), uh.shape)
+    return math.sqrt(np.einsum("t,q,tq->", areas, fem.QUAD_DEG4_W, (uh - ex) ** 2))
+
+
+def _seed_h1(mesh, field, exact_gradient, t):
+    tris, areas, grads, pts = _seed_quad(mesh, field.subdomain, fem.QUAD_DEG4_BARY)
+    gh = np.einsum("tbx,tb->tx", grads, fem.nodal_values(field)[tris])
+    gx, gy = exact_gradient(pts[..., 0], pts[..., 1], t)
+    val = np.einsum("t,q,tq->", areas, fem.QUAD_DEG4_W,
+                    (gh[:, None, 0] - gx) ** 2 + (gh[:, None, 1] - gy) ** 2)
+    return math.sqrt(val)
+
+
+class TestQuadratureMemo:
+    @staticmethod
+    def _setup(subdomain):
+        from rrsplit.cases import get_case
+
+        case = get_case("pp_slanted")
+        mesh = meshing.slanted_interface_mesh(3)
+        dof = build_dofmap(mesh, subdomain)
+        exact, grad, f = ((case.exact_u, case.grad_u, case.f_f) if subdomain == "f"
+                          else (case.exact_w, case.grad_w, case.f_s))
+        # a discrete field that is not the interpolant, so both norms are nonzero
+        field = interpolate(mesh, subdomain, lambda x, y, t: np.sin(3.0 * x) * y, 0.0, dof)
+        return mesh, dof, exact, grad, f, field
+
+    @pytest.mark.parametrize("subdomain", ["f", "s"])
+    def test_agrees_with_per_call_formulas(self, subdomain):
+        mesh, dof, exact, grad, f, field = self._setup(subdomain)
+        ref_b = _seed_load(mesh, subdomain, f, 0.2, dof)
+        ref_l2 = _seed_l2(mesh, field, exact, 0.2)
+        ref_h1 = _seed_h1(mesh, field, grad, 0.2)
+        for _ in range(2):  # the first call builds the memo, the second reads it
+            b = assemble_load(mesh, subdomain, f, 0.2, dof)
+            assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
+            assert l2_error(mesh, field, exact, 0.2) == pytest.approx(ref_l2, rel=1e-14)
+            assert h1_semi_error(mesh, field, grad, 0.2) == pytest.approx(ref_h1, rel=1e-14)
+
+    def test_geometry_built_once_per_subdomain(self, monkeypatch):
+        built = []
+        original = fem.element_geometry
+
+        def counting(nodes, tris):
+            built.append(tris.shape[0])
+            return original(nodes, tris)
+
+        monkeypatch.setattr(fem, "element_geometry", counting)
+        for sub in ("f", "s"):
+            mesh, dof, exact, grad, f, field = self._setup(sub)
+            for t in (0.0, 0.1, 0.2):
+                assemble_load(mesh, sub, f, t, dof)
+                l2_error(mesh, field, exact, t)
+                h1_semi_error(mesh, field, grad, t)
+            assert built == [fem.subdomain_triangles(mesh, sub).shape[0]]
+            built.clear()
+
+    def test_energy_audit_builds_no_memo(self, monkeypatch):
+        # the memo is lazy: a run without loads or norms leaves it empty
+        from rrsplit import harness
+
+        meshes = []
+        original = meshing.uniform_split_mesh
+
+        def capture(n):
+            meshes.append(original(n))
+            return meshes[-1]
+
+        monkeypatch.setattr(meshing, "uniform_split_mesh", capture)
+        harness.energy_audit(k=2, alpha=10.0, dt=2.0**-6, n_steps=4, mesh_n=8)
+        assert len(meshes) == 1 and meshes[0]._cache == {}

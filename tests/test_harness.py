@@ -94,6 +94,31 @@ class TestRunStudy:
         assert all(e is not None for e in table.errors["L2_final_U"])
 
 
+    @staticmethod
+    def _case_failing_with(exc_type):
+        # raises only while stepping: the residual check evaluates t = 0 and T
+        case = get_case("pp_conforming")
+        f_f = case.f_f
+
+        def failing(x, y, t):
+            if 0.0 < t < 0.25:
+                raise exc_type("forcing failed")
+            return f_f(x, y, t)
+
+        case.f_f = failing
+        return case
+
+    def test_row_failure_is_recorded(self):
+        table = run_study(StudyConfig(case=self._case_failing_with(ValueError),
+                                      dt_list=[0.125]))
+        assert table.errors["L2_final_U"] == [None]
+        assert table.failures == [(0.125, "ValueError('forcing failed')")]
+
+    def test_programming_error_propagates(self):
+        with pytest.raises(TypeError, match="forcing failed"):
+            run_study(StudyConfig(case=self._case_failing_with(TypeError), dt_list=[0.125]))
+
+
 class TestEnergyAudit:
     def test_k1_passes(self):
         rep = energy_audit(k=1, alpha=1.0, dt=0.1, n_steps=20, seed=5)

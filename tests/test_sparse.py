@@ -1,10 +1,9 @@
-"""Tests for the CSR core: triplet assembly, products, and solves."""
+"""Tests for the sparse layer: triplet assembly into scipy CSR, products, LU solves."""
 
 import numpy as np
 import pytest
 
-from rrsplit import sparse
-from rrsplit.sparse import from_triplets, solve_general, solve_spd, spmv
+from rrsplit.sparse import factorize, from_triplets
 
 
 def dense_of(triplets, shape):
@@ -22,7 +21,7 @@ class TestFromTriplets:
     def test_duplicates_summed(self):
         A = from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
         assert A.nnz == 1
-        assert A.entry(0, 0) == pytest.approx(3.0)
+        assert A[0, 0] == pytest.approx(3.0)
 
     def test_reference_mass_round_trip(self):
         # P1 mass matrix of the reference triangle, against dense assembly
@@ -46,21 +45,23 @@ class TestFromTriplets:
         trips = [(int(r), int(c), float(v)) for r, c, v in
                  zip(rng.integers(0, 6, 40), rng.integers(0, 5, 40), rng.standard_normal(40))]
         A = from_triplets(6, 5, trips)
-        assert A.row_offsets[0] == 0 and A.row_offsets[-1] == A.nnz
-        assert np.all(np.diff(A.row_offsets) >= 0)
+        assert A.shape == (6, 5)
+        assert A.indptr[0] == 0 and A.indptr[-1] == A.nnz
+        assert np.all(np.diff(A.indptr) >= 0)
         for i in range(6):
-            cols = A.col_indices[A.row_offsets[i]:A.row_offsets[i + 1]]
+            cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
             assert np.all(np.diff(cols) > 0)
+        np.testing.assert_allclose(A.toarray(), dense_of(trips, (6, 5)), rtol=1e-15)
 
 
 class TestSpmv:
     def test_identity(self):
         A = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
-        np.testing.assert_allclose(spmv(A, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(A @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_zero_matrix(self):
         A = from_triplets(3, 3, [])
-        np.testing.assert_allclose(spmv(A, [1.0, 2.0, 3.0]), np.zeros(3))
+        np.testing.assert_allclose(A @ np.array([1.0, 2.0, 3.0]), np.zeros(3))
 
     def test_random_against_dense(self):
         rng = np.random.default_rng(5)
@@ -69,27 +70,25 @@ class TestSpmv:
         A = from_triplets(5, 5, trips)
         x = rng.standard_normal(5)
         ref = dense_of(trips, (5, 5)) @ x
-        err = np.linalg.norm(spmv(A, x) - ref) / np.linalg.norm(ref)
+        err = np.linalg.norm(A @ x - ref) / np.linalg.norm(ref)
         assert err < 1e-14
 
     def test_dimension_mismatch(self):
         A = from_triplets(3, 2, [(0, 0, 1.0)])
         with pytest.raises(ValueError):
-            spmv(A, np.ones(3))
+            A @ np.ones(3)
 
 
 class TestSolveSpd:
+    """Symmetric positive definite systems through the cached LU."""
+
     def test_identity(self):
         A = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
-        x, rep = solve_spd(A, [4.0, 5.0])
-        np.testing.assert_allclose(x, [4.0, 5.0])
-        assert rep.converged
+        np.testing.assert_allclose(factorize(A).solve([4.0, 5.0]), [4.0, 5.0])
 
     def test_diagonal(self):
         A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 4.0)])
-        x, rep = solve_spd(A, [2.0, 4.0])
-        np.testing.assert_allclose(x, [1.0, 1.0])
-        assert rep.converged and rep.residual_norm >= 0.0
+        np.testing.assert_allclose(factorize(A).solve([2.0, 4.0]), [1.0, 1.0])
 
     def test_time_step_system_vs_dense(self):
         # (1/dt) M + nu K on a small mesh, against numpy's dense solve
@@ -97,15 +96,11 @@ class TestSolveSpd:
 
         mesh = meshing.uniform_split_mesh(3)
         dof = fem.build_dofmap(mesh, "f")
-        A = sparse.combine([
-            (10.0, fem.assemble_mass(mesh, "f", dof)),
-            (1.0, fem.assemble_stiffness(mesh, "f", dof)),
-        ])
+        A = 10.0 * fem.assemble_mass(mesh, "f", dof) + fem.assemble_stiffness(mesh, "f", dof)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(dof.n_dofs)
-        x, rep = solve_spd(A, b)
+        x = factorize(A).solve(b)
         ref = np.linalg.solve(A.toarray(), b)
-        assert rep.converged
         assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-10
 
     def test_solution_reproduces_rhs(self):
@@ -115,34 +110,27 @@ class TestSolveSpd:
         trips = [(i, j, D[i, j]) for i in range(6) for j in range(6)]
         A = from_triplets(6, 6, trips)
         b = rng.standard_normal(6)
-        x, rep = solve_spd(A, b, tol=1e-12)
-        assert rep.converged
-        assert np.linalg.norm(spmv(A, x) - b) <= 1e-12 * np.linalg.norm(b)
-
-    def test_asymmetric_rejected(self):
-        A = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
-        with pytest.raises(ValueError):
-            solve_spd(A, [1.0, 1.0])
+        lu = factorize(A)
+        for rhs in (b, 2.0 * b):  # the factorization is reused across right-hand sides
+            x = lu.solve(rhs)
+            assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_zero_rhs(self):
         A = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
-        x, rep = solve_spd(A, [0.0, 0.0])
-        np.testing.assert_allclose(x, 0.0)
-        assert rep.converged
+        np.testing.assert_allclose(factorize(A).solve([0.0, 0.0]), 0.0)
 
 
 class TestSolveGeneral:
+    """Nonsymmetric and indefinite systems through the cached LU."""
+
     def test_permutation(self):
         A = from_triplets(2, 2, [(0, 1, 1.0), (1, 0, 1.0)])
-        x, rep = solve_general(A, [1.0, 2.0])
-        np.testing.assert_allclose(x, [2.0, 1.0])
-        assert rep.converged
+        np.testing.assert_allclose(factorize(A).solve([1.0, 2.0]), [2.0, 1.0])
 
     def test_identity(self):
         A = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
         b = np.array([0.3, -1.2, 2.0])
-        x, _ = solve_general(A, b)
-        np.testing.assert_allclose(x, b)
+        np.testing.assert_allclose(factorize(A).solve(b), b)
 
     def test_saddle_vs_dense(self):
         # small symmetric indefinite block system
@@ -154,21 +142,24 @@ class TestSolveGeneral:
         trips = [(i, j, S[i, j]) for i in range(6) for j in range(6) if S[i, j] != 0.0]
         A = from_triplets(6, 6, trips)
         b = rng.standard_normal(6)
-        x, rep = solve_general(A, b)
+        x = factorize(A).solve(b)
         ref = np.linalg.solve(S, b)
-        assert rep.converged
         assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-10
 
     def test_singular_reported(self):
+        # SuperLU raises RuntimeError, which a study records as a failed row
         A = from_triplets(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
-        x, rep = solve_general(A, [1.0, 2.0])
-        assert not rep.converged
+        with pytest.raises(RuntimeError):
+            factorize(A)
 
     def test_spd_factorization_failure_reported(self):
         A = from_triplets(2, 2, [(0, 0, 0.0), (1, 1, 0.0)])
-        x, rep = solve_spd(A, [1.0, 1.0])
-        assert not rep.converged
-        np.testing.assert_allclose(x, 0.0)
+        with pytest.raises(RuntimeError):
+            factorize(A)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            factorize(from_triplets(2, 3, [(0, 0, 1.0), (1, 1, 1.0)]))
 
 
 class TestAssembledAgreement:
@@ -181,6 +172,28 @@ class TestAssembledAgreement:
         for A in (fem.assemble_mass(mesh, subdomain, dof),
                   fem.assemble_stiffness(mesh, subdomain, dof)):
             rng = np.random.default_rng(1)
-            x = rng.standard_normal(A.n_cols)
+            x = rng.standard_normal(A.shape[1])
             ref = A.toarray() @ x
-            assert np.linalg.norm(spmv(A, x) - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
+            assert np.linalg.norm(A @ x - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
+
+    @pytest.mark.parametrize("subdomain", ["f", "s"])
+    def test_assembly_matches_dense(self, subdomain):
+        # element-by-element dense assembly over the free dofs
+        from rrsplit import fem, meshing
+
+        mesh = meshing.slanted_interface_mesh(1)
+        dof = fem.build_dofmap(mesh, subdomain)
+        tris = fem.subdomain_triangles(mesh, subdomain)
+        areas, grads = fem.element_geometry(mesh.nodes, tris)
+        M_ref = np.zeros((dof.n_dofs, dof.n_dofs))
+        K_ref = np.zeros_like(M_ref)
+        for tri, m, k in zip(tris, fem.element_mass(areas), fem.element_stiffness(areas, grads)):
+            d = dof.node_to_dof[tri]
+            for a in range(3):
+                for b in range(3):
+                    if d[a] >= 0 and d[b] >= 0:
+                        M_ref[d[a], d[b]] += m[a, b]
+                        K_ref[d[a], d[b]] += k[a, b]
+        for A, ref in ((fem.assemble_mass(mesh, subdomain, dof), M_ref),
+                       (fem.assemble_stiffness(mesh, subdomain, dof), K_ref)):
+            np.testing.assert_allclose(A.toarray(), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
