@@ -187,28 +187,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     # a config file supplies defaults; explicit flags win
     if "--config" in argv:
-        idx = argv.index("--config")
-        defaults = _read_config(argv[idx + 1])
-        known = {a.dest for a in parser._actions}
-        for p in parser._subparsers._group_actions[0].choices.values():
-            for a in p._actions:
-                known.add(a.dest)
-        bad = set(defaults) - known
-        if bad:
+        defaults = _read_config(argv[argv.index("--config") + 1])
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        if bad := set(defaults) - {a.dest for p in (parser, *subparsers) for a in p._actions}:
             parser.error(f"unknown config keys: {sorted(bad)}")
-        for p in parser._subparsers._group_actions[0].choices.values():
-            for a in p._actions:
-                if a.dest in defaults:
-                    a.required = False
-            p.set_defaults(**{k: v for k, v in defaults.items()
-                              if k in {a.dest for a in p._actions}})
+        for a in (act for p in subparsers for act in p._actions if act.dest in defaults):
+            a.required, a.default = False, defaults[a.dest]
+            if a.nargs == 0:  # a store_true flag; argparse converts other defaults by type
+                if a.default.lower() not in ("true", "false"):
+                    parser.error(f"config key {a.dest}: expected true or false, got {a.default!r}")
+                a.default = a.default.lower() == "true"
     args = parser.parse_args(argv)
-    # config values arrive as strings; coerce through each action's type
-    for p in parser._subparsers._group_actions[0].choices.values():
-        for a in p._actions:
-            val = getattr(args, a.dest, None)
-            if isinstance(val, str) and a.type not in (None, str):
-                setattr(args, a.dest, a.type(val))
     try:
         handler = {
             "convergence": cmd_convergence,

@@ -16,19 +16,13 @@ import scipy.sparse as sp
 from .meshing import CoupledMesh
 from .sparse import from_triplets
 
-# Degree-2 rule (edge midpoints) for loads; degree-4 six-point rule for norms.
-QUAD_DEG2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-QUAD_DEG2_W = np.full(3, 1.0 / 3.0)
-
+# Degree-4 six-point rule for norms (loads use edge midpoints, see _load_operator).
 _a, _b = 0.445948490915965, 0.108103018168070
 _c, _d = 0.091576213509771, 0.816847572980459
 QUAD_DEG4_BARY = np.array(
     [[_a, _a, _b], [_a, _b, _a], [_b, _a, _a], [_c, _c, _d], [_c, _d, _c], [_d, _c, _c]]
 )
 QUAD_DEG4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-
-# load-rule weights w_q phi_i(x_q), indexed [q, i]
-_LOAD_WEIGHTS = QUAD_DEG2_W[:, None] * QUAD_DEG2_BARY
 
 
 @dataclass
@@ -86,9 +80,9 @@ def subdomain_triangles(mesh: CoupledMesh, subdomain: str) -> np.ndarray:
 
 def build_dofmap(mesh: CoupledMesh, subdomain: str, include_dirichlet: bool = False) -> DofMap:
     tris = subdomain_triangles(mesh, subdomain)
-    sub_nodes = np.unique(tris)
+    sub_nodes = np.flatnonzero(np.bincount(tris.ravel(), minlength=mesh.n_nodes))
     dirichlet = mesh.exterior_dirichlet_f if subdomain == "f" else mesh.exterior_dirichlet_s
-    free = sub_nodes if include_dirichlet else np.setdiff1d(sub_nodes, dirichlet)
+    free = sub_nodes if include_dirichlet else sub_nodes[~np.isin(sub_nodes, dirichlet)]
     node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
     node_to_dof[free] = np.arange(free.size)
     return DofMap(
@@ -178,24 +172,45 @@ def assemble_interface_mass(mesh: CoupledMesh) -> sp.csr_array:
 def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
     """Per-subdomain quadrature data, memoized on the mesh and built on first use.
 
-    ``rule=None`` gives (tris, areas, grads); ``rule="load"`` gives the
-    points of the degree-2 load rule. The degree-4 norm points are not
-    kept (see ``_norm_points``): they would double the memo's memory for
-    little time.
+    ``rule=None`` gives (tris, areas, grads), grads[x, i] the x component of the
+    gradient of basis i per triangle; ``rule="load"`` gives ``_load_operator``'s
+    x, y, P. Vertex coordinates and norm points are not kept: more peak memory.
     """
     key = (subdomain, rule)
     data = mesh._cache.get(key)
     if data is None:
         if rule is None:
             tris = subdomain_triangles(mesh, subdomain)
-            data = (tris, *element_geometry(mesh.nodes, tris))
+            areas, grads = element_geometry(mesh.nodes, tris)
+            data = (tris, areas, grads.transpose(2, 1, 0).copy())
         else:
-            tris = _quad_data(mesh, subdomain)[0]
-            # x and y of the points, each (3, nt)
-            data = (QUAD_DEG2_BARY @ mesh.nodes[:, 0][tris].T,
-                    QUAD_DEG2_BARY @ mesh.nodes[:, 1][tris].T)
+            data = _load_operator(mesh, *_quad_data(mesh, subdomain)[:2])
         mesh._cache[key] = data
     return data
+
+
+def _load_operator(mesh: CoupledMesh, tris: np.ndarray, areas: np.ndarray):
+    """Distinct edge midpoints x, y and the CSR operator P with load = P @ f(x, y).
+
+    The degree-2 rule weighs each edge midpoint by area/3 and the basis
+    functions of the edge's two ends by 1/2 there, so column e of P holds, in
+    the rows of the edge's ends, area/6 summed over the triangles sharing it.
+    """
+    n = mesh.n_nodes
+    # side-major keys lo * n + hi, deduplicated by sorting: np.unique is ~20x slower here
+    t0, t1, t2 = tris.T
+    key = np.concatenate([np.minimum(a, b) * n + np.maximum(a, b)
+                          for a, b in ((t0, t1), (t1, t2), (t0, t2))])
+    keys = np.sort(key)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    lo, hi = keys // n, keys % n
+    # 0.5 * (a + b) is bit-identical to the barycentric product 0.5 a + 0.5 b
+    x, y = (0.5 * (mesh.nodes[lo, c] + mesh.nodes[hi, c]) for c in (0, 1))
+    weight = np.bincount(np.searchsorted(keys, key), np.tile(areas / 6.0, 3), keys.size)
+    idx = np.int32 if max(n, 2 * keys.size) < 2**31 else np.int64
+    P = sp.csc_array((np.repeat(weight, 2), np.stack([lo, hi], 1).ravel().astype(idx),
+                      np.arange(0, 2 * keys.size + 1, 2, dtype=idx)), shape=(n, keys.size))
+    return x, y, P.tocsr()
 
 
 def assemble_load(
@@ -203,14 +218,9 @@ def assemble_load(
 ) -> np.ndarray:
     """Load vector (f(., t), phi_i) with a quadrature exact for degree <= 2."""
     dofmap = dofmap or build_dofmap(mesh, subdomain)
-    tris, areas, _ = _quad_data(mesh, subdomain)
-    x, y = _quad_data(mesh, subdomain, "load")
+    x, y, P = _quad_data(mesh, subdomain, "load")
     fvals = np.broadcast_to(np.asarray(f(x, y, t), dtype=float), x.shape)
-    # b_e[i] = area * sum_q w_q f(x_q) phi_i(x_q)
-    be = (_LOAD_WEIGHTS.T @ fvals) * areas
-    dof = dofmap.node_to_dof[tris].T
-    keep = dof >= 0
-    return np.bincount(dof[keep], weights=be[keep], minlength=dofmap.n_dofs)
+    return (P @ fvals)[dofmap.free_nodes]
 
 
 def interpolate(
@@ -238,14 +248,15 @@ def trace_restrict(field: Field) -> TraceField:
 
 
 def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
-    """Weight, barycentric coordinates, x and y of each degree-4 point in turn.
+    """Triangle block, weight, barycentric coordinates, x and y of each degree-4 point.
 
-    Going one point at a time keeps each closure call to one value per
-    triangle, which bounds the memory the norms add on the finest mesh.
+    Blocks of 16384 triangles, one point at a time, keep each closure call's
+    arrays in cache and bound the memory the norms add on the finest mesh.
     """
     px, py = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
-    for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY):
-        yield w, b, px @ b, py @ b
+    for blk in (slice(s, s + 16384) for s in range(0, len(tris), 16384)):
+        for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY):
+            yield blk, w, b, px[blk] @ b, py[blk] @ b
 
 
 def l2_error(mesh: CoupledMesh, field: Field, exact, t: float) -> float:
@@ -253,19 +264,19 @@ def l2_error(mesh: CoupledMesh, field: Field, exact, t: float) -> float:
     tris, areas, _ = _quad_data(mesh, field.subdomain)
     uh = nodal_values(field)[tris]
     acc = np.zeros(tris.shape[0])
-    for w, b, x, y in _norm_points(mesh, tris):
-        d = uh @ b - exact(x, y, t)
-        acc += w * (d * d)
+    for blk, w, b, x, y in _norm_points(mesh, tris):
+        d = uh[blk] @ b - exact(x, y, t)
+        acc[blk] += w * (d * d)
     return float(np.sqrt(max(areas @ acc, 0.0)))
 
 
 def h1_semi_error(mesh: CoupledMesh, field: Field, exact_gradient, t: float) -> float:
     """L2 norm of grad(field) - exact_gradient(., t) over the field's subdomain."""
     tris, areas, grads = _quad_data(mesh, field.subdomain)
-    ghx, ghy = np.einsum("tb,tbx->xt", nodal_values(field)[tris], grads)
+    ghx, ghy = np.einsum("bt,xbt->xt", nodal_values(field)[tris.T], grads)
     acc = np.zeros(tris.shape[0])
-    for w, _, x, y in _norm_points(mesh, tris):
+    for blk, w, _, x, y in _norm_points(mesh, tris):
         gx, gy = exact_gradient(x, y, t)
-        dx, dy = ghx - gx, ghy - gy
-        acc += w * (dx * dx + dy * dy)
+        dx, dy = ghx[blk] - gx, ghy[blk] - gy  # new arrays: gx, gy may be scalars or read-only
+        acc[blk] += w * (np.square(dx, out=dx) + np.square(dy, out=dy))
     return float(np.sqrt(max(areas @ acc, 0.0)))

@@ -11,10 +11,10 @@ def from_triplets(n_rows, n_cols, entries) -> sp.csr_array:
     """Build a CSR array from (row, col, value) entries.
 
     Duplicate positions are summed. ``entries`` may be an iterable of
-    triplets or a (rows, cols, values) tuple of arrays. Structural zeros
-    are kept if explicitly inserted; column indices come out sorted.
+    triplets or a (rows, cols, values) tuple of numpy arrays. Structural
+    zeros are kept if explicitly inserted; column indices come out sorted.
     """
-    if isinstance(entries, tuple) and len(entries) == 3:
+    if isinstance(entries, tuple) and [type(e) for e in entries] == [np.ndarray] * 3:
         rows, cols, vals = entries
     else:
         trip = list(entries)

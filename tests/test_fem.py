@@ -24,6 +24,9 @@ from rrsplit.fem import (
 )
 from rrsplit.sparse import factorize
 
+# the degree-2 edge-midpoint load rule, as the reference for the load operator
+QUAD_DEG2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+QUAD_DEG2_W = np.full(3, 1.0 / 3.0)
 REF_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TRI = np.array([[0, 1, 2]])
 
@@ -42,10 +45,10 @@ class TestElementKernels:
     def test_load_of_x_on_reference_triangle(self):
         # exact integrals of x * phi_i: (1/24, 1/12, 1/24)
         areas, _ = element_geometry(REF_NODES, REF_TRI)
-        pts = np.einsum("qb,tbx->tqx", fem.QUAD_DEG2_BARY, REF_NODES[REF_TRI])
+        pts = np.einsum("qb,tbx->tqx", QUAD_DEG2_BARY, REF_NODES[REF_TRI])
         fvals = pts[..., 0]
         be = areas[:, None] * np.einsum(
-            "tq,q,qi->ti", fvals, fem.QUAD_DEG2_W, fem.QUAD_DEG2_BARY
+            "tq,q,qi->ti", fvals, QUAD_DEG2_W, QUAD_DEG2_BARY
         )
         np.testing.assert_allclose(be[0], [1.0 / 24.0, 1.0 / 12.0, 1.0 / 24.0], rtol=1e-14)
 
@@ -155,6 +158,50 @@ class TestLoad:
         np.testing.assert_allclose(b, M @ np.ones(dof.n_dofs), rtol=1e-13)
 
 
+MESHES = {"horizontal": lambda: meshing.uniform_split_mesh(8),
+          "slanted": lambda: meshing.slanted_interface_mesh(1)}
+# subdomain areas: the horizontal interface is y = 3/4, the slanted one y = x/2 + 1/4
+AREAS = {("horizontal", "f"): 0.75, ("horizontal", "s"): 0.25,
+         ("slanted", "f"): 0.5, ("slanted", "s"): 0.5}
+
+
+@pytest.mark.parametrize("family, subdomain", sorted(AREAS))
+class TestLoadOperator:
+    # the degree-2 rule integrates P1 x P1 exactly, so for P1 forcing the load
+    # is the mass matrix applied to the nodal values
+
+    @pytest.mark.parametrize("f", [lambda x, y, t: 1.0,
+                                   lambda x, y, t: 0.3 + 2.0 * x - 1.5 * y + t],
+                             ids=["scalar_one", "linear"])
+    def test_p1_forcing_equals_mass_times_nodal_values(self, family, subdomain, f):
+        mesh = MESHES[family]()
+        dof = build_dofmap(mesh, subdomain, include_dirichlet=True)
+        xy = mesh.nodes[dof.free_nodes]
+        expected = assemble_mass(mesh, subdomain, dof) @ np.broadcast_to(
+            f(xy[:, 0], xy[:, 1], 0.5), (dof.n_dofs,))
+        b = assemble_load(mesh, subdomain, f, 0.5, dof)
+        assert np.abs(b - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_one_closure_call_per_load_at_each_distinct_edge(self, family, subdomain):
+        mesh = MESHES[family]()
+        tris = fem.subdomain_triangles(mesh, subdomain)
+        edges = {frozenset(side) for tri in tris.tolist()
+                 for side in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))}
+        calls = []
+
+        def f(x, y, t):
+            calls.append((x.size, set(zip(x.tolist(), y.tolist()))))
+            return np.sin(x) * y
+
+        dof = build_dofmap(mesh, subdomain)
+        for t in (0.0, 0.1):
+            assemble_load(mesh, subdomain, f, t, dof)
+        assert [size for size, _ in calls] == [len(edges)] * 2
+        # the same points, bit for bit, as the barycentric products of the rule
+        px, py = (QUAD_DEG2_BARY @ mesh.nodes[:, c][tris].T for c in (0, 1))
+        assert calls[0][1] == set(zip(px.ravel().tolist(), py.ravel().tolist()))
+
+
 class TestTraceRestrict:
     def test_constant_field(self):
         mesh = meshing.uniform_split_mesh(4)
@@ -246,6 +293,22 @@ class TestErrorNorms:
         assert 1.6 <= errs[0] / errs[1] <= 2.6
 
 
+@pytest.mark.parametrize("family, subdomain", sorted(AREAS))
+class TestNormsWithScalarClosures:
+    def test_l2_zero_field_against_constant(self, family, subdomain):
+        mesh = MESHES[family]()
+        dof = build_dofmap(mesh, subdomain)
+        zero = Field(dof, np.zeros(dof.n_dofs))
+        err = l2_error(mesh, zero, lambda x, y, t: 2.5, 0.0)
+        assert err == pytest.approx(2.5 * math.sqrt(AREAS[family, subdomain]), rel=1e-12)
+
+    def test_h1_linear_interpolant_against_constant_gradient(self, family, subdomain):
+        mesh = MESHES[family]()
+        dof = build_dofmap(mesh, subdomain, include_dirichlet=True)
+        field = interpolate(mesh, subdomain, lambda x, y, t: 0.2 * x - 0.4 * y + 1.0, 0.0, dof)
+        assert h1_semi_error(mesh, field, lambda x, y, t: (0.2, -0.4), 0.0) <= 1e-13
+
+
 class TestDofMap:
     def test_dirichlet_nodes_have_no_dof(self):
         mesh = meshing.uniform_split_mesh(4)
@@ -273,10 +336,10 @@ def _seed_quad(mesh, subdomain, bary):
 
 
 def _seed_load(mesh, subdomain, f, t, dofmap):
-    tris, areas, _, pts = _seed_quad(mesh, subdomain, fem.QUAD_DEG2_BARY)
+    tris, areas, _, pts = _seed_quad(mesh, subdomain, QUAD_DEG2_BARY)
     fvals = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float),
                             pts.shape[:2])
-    be = areas[:, None] * np.einsum("tq,q,qi->ti", fvals, fem.QUAD_DEG2_W, fem.QUAD_DEG2_BARY)
+    be = areas[:, None] * np.einsum("tq,q,qi->ti", fvals, QUAD_DEG2_W, QUAD_DEG2_BARY)
     dof = dofmap.node_to_dof[tris]
     keep = dof >= 0
     out = np.zeros(dofmap.n_dofs)
@@ -325,6 +388,23 @@ class TestQuadratureMemo:
             assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
             assert l2_error(mesh, field, exact, 0.2) == pytest.approx(ref_l2, rel=1e-14)
             assert h1_semi_error(mesh, field, grad, 0.2) == pytest.approx(ref_h1, rel=1e-14)
+
+    @pytest.mark.parametrize("subdomain", ["f", "s"])
+    def test_norms_over_several_triangle_blocks(self, subdomain):
+        # 32768 triangles per subdomain: the norms visit them in two blocks
+        from rrsplit.cases import get_case
+
+        case = get_case("pp_slanted")
+        mesh = meshing.slanted_interface_mesh(5)
+        assert fem.subdomain_triangles(mesh, subdomain).shape[0] > 16384
+        exact, grad = ((case.exact_u, case.grad_u) if subdomain == "f"
+                       else (case.exact_w, case.grad_w))
+        field = interpolate(mesh, subdomain, lambda x, y, t: np.sin(3.0 * x) * y, 0.0,
+                            build_dofmap(mesh, subdomain))
+        assert l2_error(mesh, field, exact, 0.2) == pytest.approx(
+            _seed_l2(mesh, field, exact, 0.2), rel=1e-14)
+        assert h1_semi_error(mesh, field, grad, 0.2) == pytest.approx(
+            _seed_h1(mesh, field, grad, 0.2), rel=1e-14)
 
     def test_geometry_built_once_per_subdomain(self, monkeypatch):
         built = []

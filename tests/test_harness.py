@@ -237,6 +237,34 @@ class TestCli:
         assert code == 0
         assert "errU=" in capsys.readouterr().out
 
+    def test_config_false_emit_plot_writes_no_script(self, tmp_path, capsys):
+        cfgfile = tmp_path / "study.cfg"
+        cfgfile.write_text("emit_plot=false\n")
+        out = tmp_path / "table.csv"
+        code = cli.main(["--config", str(cfgfile), "convergence", "--case", "pp_conforming",
+                         "--dt-max", "0.25", "--dt-min", "0.125", "--out", str(out)])
+        assert code == 0 and out.exists()
+        assert not (tmp_path / "table.gp").exists()
+
+    @pytest.mark.parametrize("value, oracle", [("false", False), ("True", True)])
+    def test_config_oracle_flag(self, tmp_path, capsys, value, oracle):
+        # only the splitting run reports the ledger's final energy
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"oracle={value}\n")
+        code = cli.main(["--config", str(cfgfile), "run", "--case", "pp_conforming",
+                         "--dt", "0.25"])
+        assert code == 0
+        assert ("final_energy=" in capsys.readouterr().out) is not oracle
+
+    def test_config_bad_boolean_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("oracle=maybe\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfgfile), "run", "--case", "pp_conforming",
+                      "--dt", "0.25"])
+        assert exc.value.code == 2
+        assert "oracle" in capsys.readouterr().err
+
     def test_output_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RRSPLIT_OUT_DIR", str(tmp_path))
         code = cli.main(["mesh-dump", "--case", "pp_conforming", "--dt", "0.25"])

@@ -30,6 +30,16 @@ class TestFromTriplets:
         A = from_triplets(3, 3, trips)
         np.testing.assert_allclose(A.toarray(), dense_of(trips, (3, 3)), rtol=1e-15)
 
+    def test_tuple_of_three_triplets(self):
+        # three triplets in a tuple are entries, not (rows, cols, values)
+        A = from_triplets(3, 3, ((0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)))
+        np.testing.assert_array_equal(A.toarray(), np.diag([1.0, 2.0, 3.0]))
+
+    def test_tuple_of_arrays(self):
+        rows, cols = np.array([0, 2, 0]), np.array([1, 0, 1])
+        A = from_triplets(3, 2, (rows, cols, np.array([1.0, 2.0, 3.0])))
+        np.testing.assert_array_equal(A.toarray(), [[0.0, 4.0], [0.0, 0.0], [2.0, 0.0]])
+
     def test_structural_zero_kept(self):
         A = from_triplets(2, 2, [(0, 1, 0.0)])
         assert A.nnz == 1
