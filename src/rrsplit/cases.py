@@ -248,12 +248,6 @@ def residual_oracle(case: ManufacturedCase, sample_points, t: float, n_interface
     return float(max(worst, np.abs(kin).max(), np.abs(dyn).max()))
 
 
-def exact_multiplier(case: ManufacturedCase, x, t: float) -> float:
-    """The case's stated interface unknown l at a point of the interface."""
-    x = np.asarray(x, dtype=float)
-    return float(case.exact_l(x[0], x[1], t))
-
-
 def sample_points(case: ManufacturedCase, n: int, rng: np.random.Generator) -> np.ndarray:
     """n random points in each subdomain (2n total), for the residual oracle."""
     out = []

@@ -7,7 +7,7 @@ import math
 import os
 import sys
 
-from . import coupling, cutoff, fem, harness, meshing
+from . import coupling, cutoff, harness, meshing
 from .cases import CASE_NAMES, get_case
 
 
@@ -38,44 +38,56 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(harness.default_output_dir(), default_name)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _config_parser() -> argparse.ArgumentParser:
+    """--config alone: the first parsing pass, and a parent of the full parser."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--config", help="key=value file supplying flag defaults")
+    return parser
+
+
+def build_parser(flags: list | None = None) -> argparse.ArgumentParser:
+    """The rrsplit parser; appends each subcommand flag's Action to ``flags``."""
+    flags = [] if flags is None else flags
     parser = argparse.ArgumentParser(
         prog="rrsplit",
         description="Robin-Robin splitting solver for two-subdomain interface problems",
+        parents=[_config_parser()],
     )
-    parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(p, *names, **kwargs):
+        flags.append(p.add_argument(*names, **kwargs))
 
     def common(p, case=False, dt=False, dt_range=False):
         if case:
-            p.add_argument("--case", required=True, choices=CASE_NAMES)
-            p.add_argument("--k", type=int, choices=(1, 2), help="must match the case")
+            add(p, "--case", required=True, choices=CASE_NAMES)
+            add(p, "--k", type=int, choices=(1, 2), help="must match the case")
         if dt:
-            p.add_argument("--dt", type=float, required=True)
+            add(p, "--dt", type=float, required=True)
         if dt_range:
-            p.add_argument("--dt-max", type=float, required=True)
-            p.add_argument("--dt-min", type=float, required=True)
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--nu-f", type=float, default=1.0)
-        p.add_argument("--nu-s", type=float, default=1.0)
-        p.add_argument("--t-final", type=float, default=0.25)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output path (default under RRSPLIT_OUT_DIR)")
+            add(p, "--dt-max", type=float, required=True)
+            add(p, "--dt-min", type=float, required=True)
+        add(p, "--alpha", type=float, default=1.0)
+        add(p, "--nu-f", type=float, default=1.0)
+        add(p, "--nu-s", type=float, default=1.0)
+        add(p, "--t-final", type=float, default=0.25)
+        add(p, "--seed", type=int, default=0)
+        add(p, "--out", help="output path (default under RRSPLIT_OUT_DIR)")
 
     p = sub.add_parser("convergence", help="dyadic-dt convergence study")
     common(p, case=True, dt_range=True)
-    p.add_argument("--oracle", action="store_true", help="use the strongly coupled stepper")
-    p.add_argument("--emit-plot", action="store_true", help="write a gnuplot script next to the CSV")
+    add(p, "--oracle", action="store_true", help="use the strongly coupled stepper")
+    add(p, "--emit-plot", action="store_true", help="write a gnuplot script next to the CSV")
 
     p = sub.add_parser("run", help="single simulation with final-time errors")
     common(p, case=True, dt=True)
-    p.add_argument("--oracle", action="store_true")
+    add(p, "--oracle", action="store_true")
 
     p = sub.add_parser("energy-audit", help="stored-plus-dissipated energy balance check")
     common(p)
-    p.add_argument("--k", type=int, choices=(1, 2), default=1)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--steps", type=int, default=20)
+    add(p, "--k", type=int, choices=(1, 2), default=1)
+    add(p, "--dt", type=float, default=0.1)
+    add(p, "--steps", type=int, default=20)
 
     p = sub.add_parser("cutoff-verify", help="cut-off function assumption report")
     common(p, dt_range=True)
@@ -121,20 +133,14 @@ def cmd_convergence(parser, args) -> int:
 def cmd_run(parser, args) -> int:
     case = get_case(args.case, nu_f=args.nu_f, nu_s=args.nu_s)
     _check_case_k(parser, args, case)
-    params = coupling.SchemeParams(
-        k=case.k, dt=args.dt, alpha=args.alpha, nu_f=args.nu_f, nu_s=args.nu_s, T=args.t_final
-    )
-    mesh = harness.build_study_mesh(case, args.dt)
-    ops = coupling.CoupledOperators(mesh, params)
-    state0 = coupling.initial_state(case, mesh, ops)
-    sources = coupling.SourceData.from_case(case)
-    if args.oracle:
-        final = coupling.run_monolithic(params, mesh, sources, state0, ops)
-        print(f"errU={fem.l2_error(mesh, final.u, case.exact_u, args.t_final):.6g}")
-    else:
-        final, ledger = coupling.run(params, mesh, sources, state0, ops)
-        print(f"errU={fem.l2_error(mesh, final.u, case.exact_u, args.t_final):.6g}")
-        print(f"errW={fem.l2_error(mesh, final.w, case.exact_w, args.t_final):.6g}")
+    cfg = harness.StudyConfig(case=case, dt_list=(args.dt,), final_time=args.t_final,
+                              alpha=args.alpha, nu_f=args.nu_f, nu_s=args.nu_s,
+                              use_oracle=args.oracle)
+    norms = ("L2_final_U",) if args.oracle else ("L2_final_U", "L2_final_W")
+    final, ledger, errors = harness.run_row(case, cfg, args.dt, norms)
+    print(f"errU={errors['L2_final_U']:.6g}")
+    if not args.oracle:
+        print(f"errW={errors['L2_final_W']:.6g}")
         # the zero-source balance identity does not apply under forcing;
         # report the stored energy instead (see energy-audit for the identity)
         print(f"final_energy={ledger.Z[-1]:.6g}")
@@ -184,14 +190,20 @@ def cmd_mesh_dump(parser, args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # a config file supplies defaults; explicit flags win
-    if "--config" in argv:
-        defaults = _read_config(argv[argv.index("--config") + 1])
-        subparsers = parser._subparsers._group_actions[0].choices.values()
-        if bad := set(defaults) - {a.dest for p in (parser, *subparsers) for a in p._actions}:
+    flags = []
+    parser = build_parser(flags)
+    try:  # first pass: only --config, whose keys become flag defaults (explicit flags win)
+        path = _config_parser().parse_known_args(argv)[0].config
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
+    if path is not None:
+        try:
+            defaults = _read_config(path)
+        except OSError as exc:
+            parser.error(f"cannot read config file: {exc}")
+        if bad := set(defaults) - {a.dest for a in flags}:
             parser.error(f"unknown config keys: {sorted(bad)}")
-        for a in (act for p in subparsers for act in p._actions if act.dest in defaults):
+        for a in (f for f in flags if f.dest in defaults):
             a.required, a.default = False, defaults[a.dest]
             if a.nargs == 0:  # a store_true flag; argparse converts other defaults by type
                 if a.default.lower() not in ("true", "false"):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, sparse
-from .fem import DofMap, Field, TraceField
+from .fem import DofMap
 from .meshing import CoupledMesh
 
 
@@ -68,10 +68,10 @@ class SourceData:
 @dataclass
 class SchemeState:
     step_index: int
-    u: Field
-    w: Field
-    q: Field
-    lam: TraceField
+    u: np.ndarray  # fluid dofs
+    w: np.ndarray  # solid dofs
+    q: np.ndarray  # solid dofs; the same array as w when k = 1
+    lam: np.ndarray  # every interface node, in trace order
 
 
 @dataclass
@@ -107,16 +107,6 @@ def avg(v_new, v_old):
     return 0.5 * (v_new + v_old)
 
 
-def ddt2(v_next, v_cur, v_prev, dt):
-    """Second difference (v_next - 2 v_cur + v_prev) / dt^2."""
-    v_next = np.asarray(v_next, dtype=float)
-    v_cur = np.asarray(v_cur, dtype=float)
-    v_prev = np.asarray(v_prev, dtype=float)
-    if not v_next.shape == v_cur.shape == v_prev.shape:
-        raise ValueError("ddt2 requires equal-length vectors")
-    return (v_next - 2.0 * v_cur + v_prev) / dt**2
-
-
 def _lifted_interface_matrix(M_if, row_index, col_index, n_rows, n_cols):
     """M_if with rows and columns renumbered; index -1 drops the row or column.
 
@@ -132,7 +122,6 @@ class CoupledOperators:
     """Assembled operators and cached factorizations for one (mesh, params) pair."""
 
     def __init__(self, mesh: CoupledMesh, params: SchemeParams):
-        self.mesh = mesh
         self.params = params
         self.dof_f: DofMap = fem.build_dofmap(mesh, "f")
         self.dof_s: DofMap = fem.build_dofmap(mesh, "s")
@@ -149,20 +138,22 @@ class CoupledOperators:
         n_f, n_s = self.dof_f.n_dofs, self.dof_s.n_dofs
         T_f = _lifted_interface_matrix(self.M_if, idof_f, idof_f, n_f, n_f)
         T_s = _lifted_interface_matrix(self.M_if, idof_s, idof_s, n_s, n_s)
-        k, dt, a = params.k, params.dt, params.alpha
-        if k == 1:
-            A_s = (1.0 / dt) * self.M_s + params.nu_s * self.K_s + a * T_s
-        else:
-            A_s = (2.0 / dt**2) * self.M_s + (params.nu_s / 2.0) * self.K_s + (a / dt) * T_s
-        A_f = (1.0 / dt) * self.M_f + params.nu_f * self.K_f + a * T_f
+        A_s, A_f = self.step_matrices()
+        a = params.alpha
+        A_s = A_s + (a if params.k == 1 else a / params.dt) * T_s
+        A_f = A_f + a * T_f
         self._solid = sparse.factorize(A_s)
         self._fluid = sparse.factorize(A_f)
         self._monolithic = None  # built on first use
 
-    # nodal trace transfer --------------------------------------------------
-
-    def trace(self, field: Field) -> np.ndarray:
-        return fem.trace_restrict(field).coefficients
+    def step_matrices(self):
+        """Solid and fluid step matrices without interface terms, (A_s, A_f)."""
+        p = self.params
+        if p.k == 1:
+            A_s = (1.0 / p.dt) * self.M_s + p.nu_s * self.K_s
+        else:
+            A_s = (2.0 / p.dt**2) * self.M_s + (p.nu_s / 2.0) * self.K_s
+        return A_s, (1.0 / p.dt) * self.M_f + p.nu_f * self.K_f
 
     def lift(self, dofmap: DofMap, ifc_vec: np.ndarray) -> np.ndarray:
         """Adjoint of the nodal trace: scatter an interface vector into dof space."""
@@ -172,75 +163,73 @@ class CoupledOperators:
         out[idofs[keep]] = ifc_vec[keep]
         return out
 
-    # interface data --------------------------------------------------------
-
     def interface_values(self, fn, t) -> np.ndarray:
         if fn is None:
             return np.zeros(self.n_if)
         vals = np.asarray(fn(self.if_x1, self.if_x2, t), dtype=float)
         return np.broadcast_to(vals, (self.n_if,)).copy()
 
-    def load_f(self, fn, t) -> np.ndarray:
-        if fn is None:
-            return np.zeros(self.dof_f.n_dofs)
-        return fem.assemble_load(self.mesh, "f", fn, t, self.dof_f)
 
-    def load_s(self, fn, t) -> np.ndarray:
-        if fn is None:
-            return np.zeros(self.dof_s.n_dofs)
-        return fem.assemble_load(self.mesh, "s", fn, t, self.dof_s)
+def load(dofmap: DofMap, fn, t) -> np.ndarray:
+    """Load vector of fn(., t) over the dofmap's subdomain; zero when fn is None."""
+    if fn is None:
+        return np.zeros(dofmap.n_dofs)
+    return fem.assemble_load(dofmap.mesh, dofmap.subdomain, fn, t, dofmap)
+
+
+def solid_history(params: SchemeParams, ops: CoupledOperators, state: SchemeState) -> np.ndarray:
+    """The solid right-hand side's terms in w^n and q^n, without interface terms."""
+    dt, M_s, w_n = params.dt, ops.M_s, state.w
+    if params.k == 1:
+        return M_s @ w_n / dt
+    return ((2.0 / dt**2) * (M_s @ w_n) + (2.0 / dt) * (M_s @ state.q)
+            - (params.nu_s / 2.0) * (ops.K_s @ w_n))
+
+
+def solid_forcing(params: SchemeParams, ops: CoupledOperators, sources: SourceData,
+                  t_next: float) -> np.ndarray:
+    """Solid load at t_next; for k = 2 the midpoint average matching the w^{n+1/2} bracket."""
+    f = load(ops.dof_s, sources.f_s, t_next)
+    if params.k == 2 and sources.f_s is not None:
+        f = 0.5 * (f + load(ops.dof_s, sources.f_s, t_next - params.dt))
+    return f
 
 
 def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
                sources: SourceData, t_next: float):
     """Upper-subdomain solve with the Robin data of the previous step."""
-    k, dt, a = params.k, params.dt, params.alpha
-    M_s, K_s, M_if = ops.M_s, ops.K_s, ops.M_if
-    w_n, q_n = state.w.coefficients, state.q.coefficients
+    k, dt, a, M_if = params.k, params.dt, params.alpha, ops.M_if
     g_D = ops.interface_values(sources.g_D, t_next)
     g_N = ops.interface_values(sources.g_N, t_next)
-    u_tr = ops.trace(state.u)
-    robin = M_if @ (a * (u_tr + g_D) - state.lam.coefficients + g_N)
-
-    if k == 1:
-        rhs = M_s @ w_n / dt + ops.lift(ops.dof_s, robin)
-        rhs += ops.load_s(sources.f_s, t_next)
-        w_next = ops._solid.solve(rhs)
-        q_next = w_next
-    else:
-        w_tr = ops.trace(state.w)
-        rhs = (
-            (2.0 / dt**2) * (M_s @ w_n)
-            + (2.0 / dt) * (M_s @ q_n)
-            - (params.nu_s / 2.0) * (K_s @ w_n)
-            + ops.lift(ops.dof_s, (a / dt) * (M_if @ w_tr) + robin)
-        )
-        if sources.f_s is not None:
-            # midpoint forcing matches the w^{n+1/2} bracket
-            rhs += 0.5 * (ops.load_s(sources.f_s, t_next) + ops.load_s(sources.f_s, t_next - dt))
-        w_next = ops._solid.solve(rhs)
-        q_next = (2.0 / dt) * (w_next - w_n) - q_n
-    return Field(ops.dof_s, w_next), Field(ops.dof_s, q_next)
+    u_tr = fem.trace_restrict(ops.dof_f, state.u)
+    robin = M_if @ (a * (u_tr + g_D) - state.lam + g_N)
+    if k == 2:
+        robin = (a / dt) * (M_if @ fem.trace_restrict(ops.dof_s, state.w)) + robin
+    rhs = solid_history(params, ops, state) + ops.lift(ops.dof_s, robin)
+    rhs += solid_forcing(params, ops, sources, t_next)
+    w_next = ops._solid.solve(rhs)
+    q_next = w_next if k == 1 else (2.0 / dt) * (w_next - state.w) - state.q
+    return w_next, q_next
 
 
 def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-               w_next: Field, q_next: Field, sources: SourceData, t_next: float):
+               w_next: np.ndarray, q_next: np.ndarray, sources: SourceData, t_next: float):
     """Lower-subdomain solve followed by the pointwise interface update."""
     k, dt, a = params.k, params.dt, params.alpha
     g_D = ops.interface_values(sources.g_D, t_next)
     if k == 1:
-        w_dot_tr = ops.trace(w_next)
+        w_dot_tr = fem.trace_restrict(ops.dof_s, w_next)
     else:
-        w_dot_tr = (ops.trace(w_next) - ops.trace(state.w)) / dt
-    lam_n = state.lam.coefficients
-    rhs = ops.M_f @ state.u.coefficients / dt + ops.lift(
-        ops.dof_f, ops.M_if @ (lam_n + a * (w_dot_tr - g_D))
+        w_dot_tr = (fem.trace_restrict(ops.dof_s, w_next)
+                    - fem.trace_restrict(ops.dof_s, state.w)) / dt
+    rhs = ops.M_f @ state.u / dt + ops.lift(
+        ops.dof_f, ops.M_if @ (state.lam + a * (w_dot_tr - g_D))
     )
-    rhs += ops.load_f(sources.f_f, t_next)
+    rhs += load(ops.dof_f, sources.f_f, t_next)
     u_next = ops._fluid.solve(rhs)
-    u_tr = fem.trace_restrict(Field(ops.dof_f, u_next)).coefficients
-    lam_next = lam_n - a * (u_tr - w_dot_tr + g_D)
-    return Field(ops.dof_f, u_next), TraceField(lam_next)
+    u_tr = fem.trace_restrict(ops.dof_f, u_next)
+    lam_next = state.lam - a * (u_tr - w_dot_tr + g_D)
+    return u_next, lam_next
 
 
 def advance(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
@@ -259,12 +248,12 @@ def _quad_form(A: sp.csr_array, x: np.ndarray) -> float:
 def energy_Z(params: SchemeParams, ops: CoupledOperators, state: SchemeState) -> float:
     """Stored energy at one time level."""
     k, dt, a = params.k, params.dt, params.alpha
-    u_tr = ops.trace(state.u)
-    z = 0.5 * _quad_form(ops.M_s, state.q.coefficients)
-    z += 0.5 * _quad_form(ops.M_f, state.u.coefficients)
-    z += 0.5 * (k - 1) * params.nu_s * _quad_form(ops.K_s, state.w.coefficients)
+    u_tr = fem.trace_restrict(ops.dof_f, state.u)
+    z = 0.5 * _quad_form(ops.M_s, state.q)
+    z += 0.5 * _quad_form(ops.M_f, state.u)
+    z += 0.5 * (k - 1) * params.nu_s * _quad_form(ops.K_s, state.w)
     z += 0.5 * dt * a * _quad_form(ops.M_if, u_tr)
-    z += 0.5 * (dt / a) * _quad_form(ops.M_if, state.lam.coefficients)
+    z += 0.5 * (dt / a) * _quad_form(ops.M_if, state.lam)
     return z
 
 
@@ -272,24 +261,17 @@ def energy_S(params: SchemeParams, ops: CoupledOperators, state_n: SchemeState,
              state_next: SchemeState) -> float:
     """Dissipated energy of one step (nonnegative)."""
     k, dt, a = params.k, params.dt, params.alpha
-    s = params.nu_f * dt * _quad_form(ops.K_f, state_next.u.coefficients)
-    s += (2 - k) * params.nu_s * dt * _quad_form(ops.K_s, state_next.w.coefficients)
-    s += 0.5 * (2 - k) * _quad_form(ops.M_s, state_next.q.coefficients - state_n.q.coefficients)
-    s += 0.5 * _quad_form(ops.M_f, state_next.u.coefficients - state_n.u.coefficients)
+    s = params.nu_f * dt * _quad_form(ops.K_f, state_next.u)
+    s += (2 - k) * params.nu_s * dt * _quad_form(ops.K_s, state_next.w)
+    s += 0.5 * (2 - k) * _quad_form(ops.M_s, state_next.q - state_n.q)
+    s += 0.5 * _quad_form(ops.M_f, state_next.u - state_n.u)
     if k == 1:
-        q_half = state_next.q.coefficients
+        q_half = state_next.q
     else:
-        q_half = avg(state_next.q.coefficients, state_n.q.coefficients)
-    d = fem.trace_restrict(Field(ops.dof_s, q_half)).coefficients - ops.trace(state_n.u)
+        q_half = avg(state_next.q, state_n.q)
+    d = fem.trace_restrict(ops.dof_s, q_half) - fem.trace_restrict(ops.dof_f, state_n.u)
     s += 0.5 * dt * a * _quad_form(ops.M_if, d)
     return s
-
-
-def lambda0_from_exact(case, mesh: CoupledMesh) -> TraceField:
-    """Nodal interpolation of the case's exact interface unknown at t = 0."""
-    pts = mesh.nodes[mesh.interface_nodes]
-    vals = np.asarray(case.exact_l(pts[:, 0], pts[:, 1], 0.0), dtype=float)
-    return TraceField(np.broadcast_to(vals, (pts.shape[0],)).copy())
 
 
 def initial_state(case, mesh: CoupledMesh, ops: CoupledOperators) -> SchemeState:
@@ -300,13 +282,13 @@ def initial_state(case, mesh: CoupledMesh, ops: CoupledOperators) -> SchemeState
         q0 = w0.copy()
     else:
         q0 = fem.interpolate(mesh, "s", case.exact_q, 0.0, ops.dof_s)
-    return SchemeState(0, u0, w0, q0, lambda0_from_exact(case, mesh))
+    return SchemeState(0, u0, w0, q0, ops.interface_values(case.exact_l, 0.0))
 
 
 def _check_finite(state: SchemeState) -> None:
     """Raise FloatingPointError naming the step and the first non-finite field."""
     for name in ("u", "w", "q", "lam"):
-        if not np.isfinite(getattr(state, name).coefficients).all():
+        if not np.isfinite(getattr(state, name)).all():
             raise FloatingPointError(f"non-finite {name} at step {state.step_index}")
 
 
@@ -315,7 +297,7 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
         callback: Callable | None = None) -> tuple[SchemeState, EnergyLedger]:
     """Advance n_steps from the initial state; returns final state and energy ledger."""
     ops = ops or CoupledOperators(mesh, params)
-    if params.k == 1 and not np.array_equal(initial.q.coefficients, initial.w.coefficients):
+    if params.k == 1 and not np.array_equal(initial.q, initial.w):
         raise ValueError("k=1 requires q0 = w0")
     state = initial
     ledger = EnergyLedger(Z=[energy_Z(params, ops, state)], S=[])
@@ -348,13 +330,8 @@ def _monolithic_system(ops: CoupledOperators):
     free_if = np.flatnonzero((ops.dof_s.interface_dofs >= 0) & (ops.dof_f.interface_dofs >= 0))
     n_l = free_if.size
 
-    if k == 1:
-        A_s = (1.0 / dt) * ops.M_s + params.nu_s * ops.K_s
-        constraint_scale = 1.0
-    else:
-        A_s = (2.0 / dt**2) * ops.M_s + (params.nu_s / 2.0) * ops.K_s
-        constraint_scale = 2.0 / dt
-    A_f = (1.0 / dt) * ops.M_f + params.nu_f * ops.K_f
+    A_s, A_f = ops.step_matrices()
+    constraint_scale = 1.0 if k == 1 else 2.0 / dt
 
     # coupling blocks through the interface mass matrix; the constraint rows
     # are their transposes because M_if is symmetric
@@ -366,7 +343,7 @@ def _monolithic_system(ops: CoupledOperators):
         [[A_s, None, B_s], [None, A_f, B_f], [constraint_scale * B_s.T, B_f.T, None]],
         format="csr",
     )
-    ops._monolithic = (sparse.factorize(A), free_if, lam_index)
+    ops._monolithic = (sparse.factorize(A), free_if)
     return ops._monolithic
 
 
@@ -374,27 +351,20 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
                     sources: SourceData, t_next: float) -> SchemeState:
     """One implicit step of the fully coupled system (the strongly coupled oracle)."""
     k, dt = params.k, params.dt
-    lu, free_if, lam_index = _monolithic_system(ops)
-    n_s, n_f, n_l = ops.dof_s.n_dofs, ops.dof_f.n_dofs, free_if.size
-    w_n, q_n, u_n = state.w.coefficients, state.q.coefficients, state.u.coefficients
+    lu, free_if = _monolithic_system(ops)
+    n_s, n_f = ops.dof_s.n_dofs, ops.dof_f.n_dofs
 
     g_N = ops.interface_values(sources.g_N, t_next)
     g_D = ops.interface_values(sources.g_D, t_next)
+    rhs_s = solid_history(params, ops, state) + solid_forcing(params, ops, sources, t_next)
+    rhs_s += ops.lift(ops.dof_s, ops.M_if @ g_N)
     if k == 1:
-        rhs_s = ops.M_s @ w_n / dt + ops.load_s(sources.f_s, t_next)
         rhs_c = ops.M_if @ g_D
     else:
-        rhs_s = (
-            (2.0 / dt**2) * (ops.M_s @ w_n)
-            + (2.0 / dt) * (ops.M_s @ q_n)
-            - (params.nu_s / 2.0) * (ops.K_s @ w_n)
-        )
-        if sources.f_s is not None:
-            rhs_s += 0.5 * (ops.load_s(sources.f_s, t_next) + ops.load_s(sources.f_s, t_next - dt))
-        w_tr, q_tr = ops.trace(state.w), ops.trace(state.q)
+        w_tr = fem.trace_restrict(ops.dof_s, state.w)
+        q_tr = fem.trace_restrict(ops.dof_s, state.q)
         rhs_c = ops.M_if @ (g_D + (2.0 / dt) * w_tr + q_tr)
-    rhs_s += ops.lift(ops.dof_s, ops.M_if @ g_N)
-    rhs_f = ops.M_f @ u_n / dt + ops.load_f(sources.f_f, t_next)
+    rhs_f = ops.M_f @ state.u / dt + load(ops.dof_f, sources.f_f, t_next)
 
     rhs = np.concatenate([rhs_s, rhs_f, rhs_c[free_if]])
     sol = lu.solve(rhs)
@@ -402,14 +372,8 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
     u_next = sol[n_s : n_s + n_f]
     lam_full = np.zeros(ops.n_if)
     lam_full[free_if] = sol[n_s + n_f :]
-    q_next = w_next if k == 1 else (2.0 / dt) * (w_next - w_n) - q_n
-    return SchemeState(
-        state.step_index + 1,
-        Field(ops.dof_f, u_next),
-        Field(ops.dof_s, w_next),
-        Field(ops.dof_s, q_next),
-        TraceField(lam_full),
-    )
+    q_next = w_next if k == 1 else (2.0 / dt) * (w_next - state.w) - state.q
+    return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_full)
 
 
 def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
@@ -434,10 +398,10 @@ def dump_checkpoint(state: SchemeState, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"step {state.step_index}\n")
         for tag, vec in (
-            ("u", state.u.coefficients),
-            ("w", state.w.coefficients),
-            ("q", state.q.coefficients),
-            ("lambda", state.lam.coefficients),
+            ("u", state.u),
+            ("w", state.w),
+            ("q", state.q),
+            ("lambda", state.lam),
         ):
             fh.write(tag + " " + " ".join(repr(v) for v in vec) + "\n")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,12 +27,6 @@ class CutoffConfig:
     @property
     def valid(self) -> bool:
         return 0.0 < self.dt < 0.5
-
-
-@dataclass(frozen=True)
-class Region:
-    label: str
-    contains: Callable
 
 
 def _labels(x1, x2, cfg: CutoffConfig) -> np.ndarray:
@@ -52,17 +45,6 @@ def _labels(x1, x2, cfg: CutoffConfig) -> np.ndarray:
     for idx, mask in ((0, k1), (2, k3), (3, k4), (4, k5)):
         out[mask] = idx
     return out
-
-
-def classify(x, cfg: CutoffConfig) -> Region:
-    """Region containing the point x = (x1, x2)."""
-    idx = int(_labels(np.asarray([x[0]]), np.asarray([x[1]]), cfg)[0])
-    label = ("K1", "K2", "K3", "K4", "K5")[idx]
-
-    def contains(x1, x2, _idx=idx):
-        return bool(_labels(np.asarray([x1]), np.asarray([x2]), cfg)[0] == _idx)
-
-    return Region(label, contains)
 
 
 def phi(x1, x2, cfg: CutoffConfig):
@@ -88,7 +70,7 @@ def phi_unclamped(x1, x2, cfg: CutoffConfig):
 
 
 def grad_phi(x1, x2, cfg: CutoffConfig):
-    """Analytic per-branch gradient; region boundaries take the classify priority."""
+    """Analytic per-branch gradient; region boundaries take the _labels priority."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     idx = _labels(x1, x2, cfg)

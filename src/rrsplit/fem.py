@@ -45,31 +45,6 @@ class DofMap:
         return int(self.free_nodes.size)
 
 
-@dataclass
-class Field:
-    """Coefficient vector over a subdomain DofMap."""
-
-    dofmap: DofMap
-    coefficients: np.ndarray
-
-    @property
-    def subdomain(self) -> str:
-        return self.dofmap.subdomain
-
-    def copy(self) -> "Field":
-        return Field(self.dofmap, self.coefficients.copy())
-
-
-@dataclass
-class TraceField:
-    """Coefficient vector over the interface nodes, in trace order."""
-
-    coefficients: np.ndarray
-
-    def copy(self) -> "TraceField":
-        return TraceField(self.coefficients.copy())
-
-
 def subdomain_triangles(mesh: CoupledMesh, subdomain: str) -> np.ndarray:
     if subdomain == "f":
         return mesh.triangles_f
@@ -225,26 +200,25 @@ def assemble_load(
 
 def interpolate(
     mesh: CoupledMesh, subdomain: str, fn, t: float, dofmap: DofMap | None = None
-) -> Field:
+) -> np.ndarray:
     """Nodal interpolant of fn(x, y, t) on the free dofs."""
     dofmap = dofmap or build_dofmap(mesh, subdomain)
     xy = mesh.nodes[dofmap.free_nodes]
     vals = np.asarray(fn(xy[:, 0], xy[:, 1], t), dtype=float)
-    return Field(dofmap, np.broadcast_to(vals, (dofmap.n_dofs,)).copy())
+    return np.broadcast_to(vals, (dofmap.n_dofs,)).copy()
 
 
-def nodal_values(field: Field) -> np.ndarray:
+def nodal_values(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     """Coefficients expanded over all mesh nodes (zero at constrained nodes)."""
-    out = np.zeros(field.dofmap.mesh.n_nodes)
-    out[field.dofmap.free_nodes] = field.coefficients
+    out = np.zeros(dofmap.mesh.n_nodes)
+    out[dofmap.free_nodes] = u
     return out
 
 
-def trace_restrict(field: Field) -> TraceField:
+def trace_restrict(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     """Values at interface nodes in trace order; zero where the node is constrained."""
-    idofs = field.dofmap.interface_dofs
-    vals = np.where(idofs >= 0, field.coefficients[np.clip(idofs, 0, None)], 0.0)
-    return TraceField(vals)
+    idofs = dofmap.interface_dofs
+    return np.where(idofs >= 0, u[np.clip(idofs, 0, None)], 0.0)
 
 
 def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
@@ -259,23 +233,23 @@ def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
             yield blk, w, b, px[blk] @ b, py[blk] @ b
 
 
-def l2_error(mesh: CoupledMesh, field: Field, exact, t: float) -> float:
-    """L2 norm of (field - exact(., t)) over the field's subdomain (degree-4 quadrature)."""
-    tris, areas, _ = _quad_data(mesh, field.subdomain)
-    uh = nodal_values(field)[tris]
+def l2_error(dofmap: DofMap, u: np.ndarray, exact, t: float) -> float:
+    """L2 norm of (u - exact(., t)) over the dofmap's subdomain (degree-4 quadrature)."""
+    tris, areas, _ = _quad_data(dofmap.mesh, dofmap.subdomain)
+    uh = nodal_values(dofmap, u)[tris]
     acc = np.zeros(tris.shape[0])
-    for blk, w, b, x, y in _norm_points(mesh, tris):
+    for blk, w, b, x, y in _norm_points(dofmap.mesh, tris):
         d = uh[blk] @ b - exact(x, y, t)
         acc[blk] += w * (d * d)
     return float(np.sqrt(max(areas @ acc, 0.0)))
 
 
-def h1_semi_error(mesh: CoupledMesh, field: Field, exact_gradient, t: float) -> float:
-    """L2 norm of grad(field) - exact_gradient(., t) over the field's subdomain."""
-    tris, areas, grads = _quad_data(mesh, field.subdomain)
-    ghx, ghy = np.einsum("bt,xbt->xt", nodal_values(field)[tris.T], grads)
+def h1_semi_error(dofmap: DofMap, u: np.ndarray, exact_gradient, t: float) -> float:
+    """L2 norm of grad(u) - exact_gradient(., t) over the dofmap's subdomain."""
+    tris, areas, grads = _quad_data(dofmap.mesh, dofmap.subdomain)
+    ghx, ghy = np.einsum("bt,xbt->xt", nodal_values(dofmap, u)[tris.T], grads)
     acc = np.zeros(tris.shape[0])
-    for blk, w, _, x, y in _norm_points(mesh, tris):
+    for blk, w, _, x, y in _norm_points(dofmap.mesh, tris):
         gx, gy = exact_gradient(x, y, t)
         dx, dy = ghx[blk] - gx, ghy[blk] - gy  # new arrays: gx, gy may be scalars or read-only
         acc[blk] += w * (np.square(dx, out=dx) + np.square(dy, out=dy))

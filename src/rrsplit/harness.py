@@ -111,7 +111,11 @@ def build_study_mesh(case: ManufacturedCase, dt: float, policy: str = ""):
     raise ValueError(f"unknown mesh policy {policy!r}")
 
 
-def _run_one(case, cfg, dt):
+def run_row(case: ManufacturedCase, cfg: StudyConfig, dt: float, norms):
+    """Run one row at step dt; returns (final state, ledger, {norm: error}).
+
+    The ledger is None under the oracle stepper, which keeps none.
+    """
     params = coupling.SchemeParams(
         k=case.k, dt=dt, alpha=cfg.alpha, nu_f=cfg.nu_f, nu_s=cfg.nu_s, T=cfg.final_time
     )
@@ -119,7 +123,6 @@ def _run_one(case, cfg, dt):
     ops = coupling.CoupledOperators(mesh, params)
     state0 = coupling.initial_state(case, mesh, ops)
     sources = coupling.SourceData.from_case(case)
-    norms = cfg.norms or _DEFAULT_NORMS.get(case.name, ("L2_final_U", "L2_final_W"))
 
     grad_acc = {"accumulated_gradU": 0.0, "accumulated_gradW": 0.0}
     want_grad = [n for n in norms if n.startswith("accumulated")]
@@ -128,31 +131,32 @@ def _run_one(case, cfg, dt):
         t = state.step_index * dt
         if "accumulated_gradU" in want_grad:
             grad_acc["accumulated_gradU"] += (
-                fem.h1_semi_error(mesh, state.u, case.grad_u, t) ** 2
+                fem.h1_semi_error(ops.dof_f, state.u, case.grad_u, t) ** 2
             )
         if "accumulated_gradW" in want_grad:
             grad_acc["accumulated_gradW"] += (
-                fem.h1_semi_error(mesh, state.w, case.grad_w, t) ** 2
+                fem.h1_semi_error(ops.dof_s, state.w, case.grad_w, t) ** 2
             )
 
     callback = on_step if want_grad else None
     if cfg.use_oracle:
         final = coupling.run_monolithic(params, mesh, sources, state0, ops, callback=callback)
+        ledger = None
     else:
-        final, _ = coupling.run(params, mesh, sources, state0, ops, callback=callback)
+        final, ledger = coupling.run(params, mesh, sources, state0, ops, callback=callback)
 
     T = cfg.final_time
     values = {}
     for norm in norms:
         if norm == "L2_final_U":
-            values[norm] = fem.l2_error(mesh, final.u, case.exact_u, T)
+            values[norm] = fem.l2_error(ops.dof_f, final.u, case.exact_u, T)
         elif norm == "L2_final_W":
-            values[norm] = fem.l2_error(mesh, final.w, case.exact_w, T)
+            values[norm] = fem.l2_error(ops.dof_s, final.w, case.exact_w, T)
         elif norm == "L2_final_Q":
-            values[norm] = fem.l2_error(mesh, final.q, case.exact_q, T)
+            values[norm] = fem.l2_error(ops.dof_s, final.q, case.exact_q, T)
         else:
             values[norm] = math.sqrt(dt * grad_acc[norm])
-    return norms, values, mesh
+    return final, ledger, values
 
 
 def run_study(cfg: StudyConfig) -> ConvergenceTable:
@@ -172,7 +176,7 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
     for dt in cfg.dt_list:
         table.dts.append(dt)
         try:
-            _, values, _ = _run_one(case, cfg, dt)
+            _, _, values = run_row(case, cfg, dt, norms)
         except ROW_FAILURES as exc:  # record the failed row, keep the sweep going
             table.failures.append((dt, repr(exc)))
             for n in norms:
@@ -205,15 +209,11 @@ def energy_audit(k: int, alpha: float, dt: float, n_steps: int = 20, mesh_n: int
     params = coupling.SchemeParams(k=k, dt=dt, alpha=alpha, nu_f=nu_f, nu_s=nu_s, T=n_steps * dt)
     ops = coupling.CoupledOperators(mesh, params)
     rng = np.random.default_rng(seed)
-    w0 = fem.Field(ops.dof_s, rng.standard_normal(ops.dof_s.n_dofs))
-    q0 = w0.copy() if k == 1 else fem.Field(ops.dof_s, rng.standard_normal(ops.dof_s.n_dofs))
-    state0 = coupling.SchemeState(
-        0,
-        fem.Field(ops.dof_f, rng.standard_normal(ops.dof_f.n_dofs)),
-        w0,
-        q0,
-        fem.TraceField(rng.standard_normal(ops.n_if)),
-    )
+    # draw order w, q (k = 2), u, lam: the same seed gives the same audit
+    w0 = rng.standard_normal(ops.dof_s.n_dofs)
+    q0 = w0.copy() if k == 1 else rng.standard_normal(ops.dof_s.n_dofs)
+    u0 = rng.standard_normal(ops.dof_f.n_dofs)
+    state0 = coupling.SchemeState(0, u0, w0, q0, rng.standard_normal(ops.n_if))
     _, ledger = coupling.run(params, mesh, coupling.SourceData.zero(), state0, ops)
     defect = ledger.relative_defect()
     return {

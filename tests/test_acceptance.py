@@ -53,19 +53,17 @@ class TestCriterion2SchemeIdentities:
         for _ in range(params.n_steps):
             new = advance(params, ops, state, sources)
             g_D = ops.interface_values(sources.g_D, new.step_index * params.dt)
+            w_tr = fem.trace_restrict(ops.dof_s, new.w)
             if k == 1:
-                w_dot = ops.trace(new.w)
-                strong = np.abs(new.q.coefficients - new.w.coefficients).max()
+                w_dot = w_tr
+                strong = np.abs(new.q - new.w).max()
             else:
-                w_dot = (ops.trace(new.w) - ops.trace(state.w)) / params.dt
-                strong = np.abs(
-                    0.5 * (new.q.coefficients + state.q.coefficients)
-                    - (new.w.coefficients - state.w.coefficients) / params.dt
-                ).max()
+                w_dot = (w_tr - fem.trace_restrict(ops.dof_s, state.w)) / params.dt
+                strong = np.abs(0.5 * (new.q + state.q) - (new.w - state.w) / params.dt).max()
             con = np.abs(
-                params.alpha * (ops.trace(new.u) - w_dot + g_D)
-                + new.lam.coefficients
-                - state.lam.coefficients
+                params.alpha * (fem.trace_restrict(ops.dof_f, new.u) - w_dot + g_D)
+                + new.lam
+                - state.lam
             ).max()
             worst_con = max(worst_con, con)
             worst_strong = max(worst_strong, strong)
@@ -194,7 +192,7 @@ class TestCriterion8OracleComparison:
             src = SourceData.from_case(case)
             loose, _ = run(params, mesh, src, s0, ops)
             strong = run_monolithic(params, mesh, src, s0, ops)
-            d = loose.u.coefficients - strong.u.coefficients
+            d = loose.u - strong.u
             diffs.append(float(np.sqrt(d @ (ops.M_f @ d))))
         ratios = [a / b for a, b in zip(diffs, diffs[1:])]
         ok = all(1.6 <= r <= 2.6 for r in ratios)

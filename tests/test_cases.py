@@ -7,7 +7,6 @@ import pytest
 
 from rrsplit.cases import (
     CASE_NAMES,
-    exact_multiplier,
     get_case,
     residual_oracle,
     sample_points,
@@ -153,7 +152,7 @@ class TestResidualOracle:
 class TestMultiplier:
     def test_slanted_center_value(self):
         case = get_case("pp_slanted")
-        assert exact_multiplier(case, (0.5, 0.5), 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert case.exact_l(0.5, 0.5, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_pp_uniform_flux_value(self):
         case = get_case("pp_uniform")

@@ -8,7 +8,7 @@ import pytest
 from rrsplit.cutoff import (
     AssumptionReport,
     CutoffConfig,
-    classify,
+    _labels,
     closed_form_grad_energy,
     grad_energy,
     grad_phi,
@@ -20,39 +20,44 @@ from rrsplit.cutoff import (
     verify_assumptions,
 )
 
+REGIONS = ("K1", "K2", "K3", "K4", "K5")
+
+
+def region(x1, x2, cfg):
+    """Label of the region that phi and grad_phi use at one point."""
+    return REGIONS[int(_labels(x1, x2, cfg))]
+
 
 class TestClassify:
     def test_middle_of_top_is_k2(self):
         cfg = CutoffConfig(0.25)
-        assert classify((0.5, 0.9), cfg).label == "K2"  # 1 - 0.75*0.9 = 0.325 < 0.5
+        assert region(0.5, 0.9, cfg) == "K2"  # 1 - 0.75*0.9 = 0.325 < 0.5
 
     def test_left_strip_at_top_is_k1(self):
         cfg = CutoffConfig(0.25)
-        assert classify((0.1, 1.0), cfg).label == "K1"  # 0.1 <= dt
+        assert region(0.1, 1.0, cfg) == "K1"  # 0.1 <= dt
 
     def test_lower_left_quadrant_is_k5(self):
-        assert classify((0.25, 0.25), CutoffConfig(0.25)).label == "K5"
+        assert region(0.25, 0.25, CutoffConfig(0.25)) == "K5"
 
     def test_priority_on_shared_edges(self):
         cfg = CutoffConfig(0.25)
-        assert classify((0.5, 0.25), cfg).label == "K4"  # K4 wins over K5 at x1 = 1/2
+        assert region(0.5, 0.25, cfg) == "K4"  # K4 wins over K5 at x1 = 1/2
 
     def test_membership_predicate(self):
         cfg = CutoffConfig(0.25)
-        region = classify((0.25, 0.25), cfg)
-        assert region.contains(0.3, 0.3)
-        assert not region.contains(0.9, 0.9)
+        assert region(0.3, 0.3, cfg) == region(0.25, 0.25, cfg)
+        assert region(0.9, 0.9, cfg) != region(0.25, 0.25, cfg)
 
     def test_outside_square_rejected(self):
         with pytest.raises(ValueError):
-            classify((1.5, 0.5), CutoffConfig(0.25))
+            _labels(1.5, 0.5, CutoffConfig(0.25))
 
     def test_regions_tile_the_square(self):
         cfg = CutoffConfig(0.125)
         rng = np.random.default_rng(4)
         pts = rng.random((500, 2))
-        labels = {classify(p, cfg).label for p in pts}
-        assert labels <= {"K1", "K2", "K3", "K4", "K5"}
+        assert set(_labels(pts[:, 0], pts[:, 1], cfg).tolist()) <= set(range(5))
 
 
 class TestPhi:
@@ -117,7 +122,7 @@ class TestGradPhi:
             x1, x2 = rng.random(2) * (1 - 4 * h) + 2 * h
             # keep the whole stencil inside a single region
             labels = {
-                classify((x1 + s1 * h, x2 + s2 * h), cfg).label
+                region(x1 + s1 * h, x2 + s2 * h, cfg)
                 for s1 in (-1, 0, 1)
                 for s2 in (-1, 0, 1)
             }

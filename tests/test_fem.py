@@ -7,7 +7,6 @@ import pytest
 
 from rrsplit import fem, meshing
 from rrsplit.fem import (
-    Field,
     assemble_interface_mass,
     assemble_load,
     assemble_mass,
@@ -107,9 +106,9 @@ class TestStiffnessMatrix:
         dof = build_dofmap(mesh, "f")
         K = assemble_stiffness(mesh, "f", dof)
         target = interpolate(mesh, "f", lambda x, y, t: x * (1 - x) * y, 0.0, dof)
-        b = K @ target.coefficients
+        b = K @ target
         x = factorize(K).solve(b)
-        np.testing.assert_allclose(x, target.coefficients, atol=1e-10)
+        np.testing.assert_allclose(x, target, atol=1e-10)
 
 
 class TestInterfaceMass:
@@ -206,17 +205,17 @@ class TestTraceRestrict:
     def test_constant_field(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "f")
-        tr = trace_restrict(Field(dof, np.ones(dof.n_dofs)))
+        tr = trace_restrict(dof, np.ones(dof.n_dofs))
         free = dof.interface_dofs >= 0
-        np.testing.assert_allclose(tr.coefficients[free], 1.0)
+        np.testing.assert_allclose(tr[free], 1.0)
         # interface endpoints sit on the outer boundary and are pinned to zero
-        np.testing.assert_allclose(tr.coefficients[~free], 0.0)
+        np.testing.assert_allclose(tr[~free], 0.0)
 
     def test_zero_at_interface(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "s")
         field = interpolate(mesh, "s", lambda x, y, t: (y - 0.75) * x, 0.0, dof)
-        np.testing.assert_allclose(trace_restrict(field).coefficients, 0.0, atol=1e-15)
+        np.testing.assert_allclose(trace_restrict(dof, field), 0.0, atol=1e-15)
 
     def test_coordinate_field(self):
         mesh = meshing.uniform_split_mesh(4)
@@ -224,7 +223,7 @@ class TestTraceRestrict:
         field = interpolate(mesh, "f", lambda x, y, t: x, 0.0, dof)
         xs = mesh.nodes[mesh.interface_nodes, 0]
         free = dof.interface_dofs >= 0
-        np.testing.assert_allclose(trace_restrict(field).coefficients[free], xs[free])
+        np.testing.assert_allclose(trace_restrict(dof, field)[free], xs[free])
 
 
 class TestErrorNorms:
@@ -237,13 +236,12 @@ class TestErrorNorms:
         dof = build_dofmap(mesh, "f", include_dirichlet=True)
         field = interpolate(mesh, "f", f, 0.0, dof)
         # a linear exact field is reproduced exactly by P1
-        assert l2_error(mesh, field, f, 0.0) < 1e-14
+        assert l2_error(dof, field, f, 0.0) < 1e-14
 
     def test_zero_field_against_one(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "f")
-        zero = Field(dof, np.zeros(dof.n_dofs))
-        err = l2_error(mesh, zero, lambda x, y, t: np.ones_like(x), 0.0)
+        err = l2_error(dof, np.zeros(dof.n_dofs), lambda x, y, t: np.ones_like(x), 0.0)
         assert err == pytest.approx(math.sqrt(0.75), rel=1e-12)
 
     def test_interpolation_error_second_order(self):
@@ -254,24 +252,23 @@ class TestErrorNorms:
         for n in (8, 16):
             mesh = meshing.uniform_split_mesh(n)
             dof = build_dofmap(mesh, "f", include_dirichlet=True)
-            errs.append(l2_error(mesh, interpolate(mesh, "f", f, 0.0, dof), f, 0.0))
+            errs.append(l2_error(dof, interpolate(mesh, "f", f, 0.0, dof), f, 0.0))
         assert 3.2 <= errs[0] / errs[1] <= 4.8
 
     def test_h1_linear_field_exact(self):
         mesh = meshing.uniform_split_mesh(4)
-        field = interpolate(mesh, "s", lambda x, y, t: 3.0 * x + y, 0.0,
-                            build_dofmap(mesh, "s", include_dirichlet=True))
+        dof = build_dofmap(mesh, "s", include_dirichlet=True)
+        field = interpolate(mesh, "s", lambda x, y, t: 3.0 * x + y, 0.0, dof)
         err = h1_semi_error(
-            mesh, field, lambda x, y, t: (3.0 * np.ones_like(x), np.ones_like(y)), 0.0
+            dof, field, lambda x, y, t: (3.0 * np.ones_like(x), np.ones_like(y)), 0.0
         )
         assert err < 1e-13
 
     def test_h1_zero_field_against_unit_gradient(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "s")
-        zero = Field(dof, np.zeros(dof.n_dofs))
         err = h1_semi_error(
-            mesh, zero, lambda x, y, t: (np.ones_like(x), np.zeros_like(y)), 0.0
+            dof, np.zeros(dof.n_dofs), lambda x, y, t: (np.ones_like(x), np.zeros_like(y)), 0.0
         )
         assert err == pytest.approx(math.sqrt(0.25), rel=1e-12)
 
@@ -289,7 +286,7 @@ class TestErrorNorms:
         for n in (8, 16):
             mesh = meshing.uniform_split_mesh(n)
             dof = build_dofmap(mesh, "f", include_dirichlet=True)
-            errs.append(h1_semi_error(mesh, interpolate(mesh, "f", f, 0.0, dof), grad, 0.0))
+            errs.append(h1_semi_error(dof, interpolate(mesh, "f", f, 0.0, dof), grad, 0.0))
         assert 1.6 <= errs[0] / errs[1] <= 2.6
 
 
@@ -298,15 +295,14 @@ class TestNormsWithScalarClosures:
     def test_l2_zero_field_against_constant(self, family, subdomain):
         mesh = MESHES[family]()
         dof = build_dofmap(mesh, subdomain)
-        zero = Field(dof, np.zeros(dof.n_dofs))
-        err = l2_error(mesh, zero, lambda x, y, t: 2.5, 0.0)
+        err = l2_error(dof, np.zeros(dof.n_dofs), lambda x, y, t: 2.5, 0.0)
         assert err == pytest.approx(2.5 * math.sqrt(AREAS[family, subdomain]), rel=1e-12)
 
     def test_h1_linear_interpolant_against_constant_gradient(self, family, subdomain):
         mesh = MESHES[family]()
         dof = build_dofmap(mesh, subdomain, include_dirichlet=True)
         field = interpolate(mesh, subdomain, lambda x, y, t: 0.2 * x - 0.4 * y + 1.0, 0.0, dof)
-        assert h1_semi_error(mesh, field, lambda x, y, t: (0.2, -0.4), 0.0) <= 1e-13
+        assert h1_semi_error(dof, field, lambda x, y, t: (0.2, -0.4), 0.0) <= 1e-13
 
 
 class TestDofMap:
@@ -347,16 +343,16 @@ def _seed_load(mesh, subdomain, f, t, dofmap):
     return out
 
 
-def _seed_l2(mesh, field, exact, t):
-    tris, areas, _, pts = _seed_quad(mesh, field.subdomain, fem.QUAD_DEG4_BARY)
-    uh = np.einsum("qb,tb->tq", fem.QUAD_DEG4_BARY, fem.nodal_values(field)[tris])
+def _seed_l2(dof, field, exact, t):
+    tris, areas, _, pts = _seed_quad(dof.mesh, dof.subdomain, fem.QUAD_DEG4_BARY)
+    uh = np.einsum("qb,tb->tq", fem.QUAD_DEG4_BARY, fem.nodal_values(dof, field)[tris])
     ex = np.broadcast_to(np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float), uh.shape)
     return math.sqrt(np.einsum("t,q,tq->", areas, fem.QUAD_DEG4_W, (uh - ex) ** 2))
 
 
-def _seed_h1(mesh, field, exact_gradient, t):
-    tris, areas, grads, pts = _seed_quad(mesh, field.subdomain, fem.QUAD_DEG4_BARY)
-    gh = np.einsum("tbx,tb->tx", grads, fem.nodal_values(field)[tris])
+def _seed_h1(dof, field, exact_gradient, t):
+    tris, areas, grads, pts = _seed_quad(dof.mesh, dof.subdomain, fem.QUAD_DEG4_BARY)
+    gh = np.einsum("tbx,tb->tx", grads, fem.nodal_values(dof, field)[tris])
     gx, gy = exact_gradient(pts[..., 0], pts[..., 1], t)
     val = np.einsum("t,q,tq->", areas, fem.QUAD_DEG4_W,
                     (gh[:, None, 0] - gx) ** 2 + (gh[:, None, 1] - gy) ** 2)
@@ -381,13 +377,13 @@ class TestQuadratureMemo:
     def test_agrees_with_per_call_formulas(self, subdomain):
         mesh, dof, exact, grad, f, field = self._setup(subdomain)
         ref_b = _seed_load(mesh, subdomain, f, 0.2, dof)
-        ref_l2 = _seed_l2(mesh, field, exact, 0.2)
-        ref_h1 = _seed_h1(mesh, field, grad, 0.2)
+        ref_l2 = _seed_l2(dof, field, exact, 0.2)
+        ref_h1 = _seed_h1(dof, field, grad, 0.2)
         for _ in range(2):  # the first call builds the memo, the second reads it
             b = assemble_load(mesh, subdomain, f, 0.2, dof)
             assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
-            assert l2_error(mesh, field, exact, 0.2) == pytest.approx(ref_l2, rel=1e-14)
-            assert h1_semi_error(mesh, field, grad, 0.2) == pytest.approx(ref_h1, rel=1e-14)
+            assert l2_error(dof, field, exact, 0.2) == pytest.approx(ref_l2, rel=1e-14)
+            assert h1_semi_error(dof, field, grad, 0.2) == pytest.approx(ref_h1, rel=1e-14)
 
     @pytest.mark.parametrize("subdomain", ["f", "s"])
     def test_norms_over_several_triangle_blocks(self, subdomain):
@@ -399,12 +395,12 @@ class TestQuadratureMemo:
         assert fem.subdomain_triangles(mesh, subdomain).shape[0] > 16384
         exact, grad = ((case.exact_u, case.grad_u) if subdomain == "f"
                        else (case.exact_w, case.grad_w))
-        field = interpolate(mesh, subdomain, lambda x, y, t: np.sin(3.0 * x) * y, 0.0,
-                            build_dofmap(mesh, subdomain))
-        assert l2_error(mesh, field, exact, 0.2) == pytest.approx(
-            _seed_l2(mesh, field, exact, 0.2), rel=1e-14)
-        assert h1_semi_error(mesh, field, grad, 0.2) == pytest.approx(
-            _seed_h1(mesh, field, grad, 0.2), rel=1e-14)
+        dof = build_dofmap(mesh, subdomain)
+        field = interpolate(mesh, subdomain, lambda x, y, t: np.sin(3.0 * x) * y, 0.0, dof)
+        assert l2_error(dof, field, exact, 0.2) == pytest.approx(
+            _seed_l2(dof, field, exact, 0.2), rel=1e-14)
+        assert h1_semi_error(dof, field, grad, 0.2) == pytest.approx(
+            _seed_h1(dof, field, grad, 0.2), rel=1e-14)
 
     def test_geometry_built_once_per_subdomain(self, monkeypatch):
         built = []
@@ -419,8 +415,8 @@ class TestQuadratureMemo:
             mesh, dof, exact, grad, f, field = self._setup(sub)
             for t in (0.0, 0.1, 0.2):
                 assemble_load(mesh, sub, f, t, dof)
-                l2_error(mesh, field, exact, t)
-                h1_semi_error(mesh, field, grad, t)
+                l2_error(dof, field, exact, t)
+                h1_semi_error(dof, field, grad, t)
             assert built == [fem.subdomain_triangles(mesh, sub).shape[0]]
             built.clear()
 

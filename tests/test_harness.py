@@ -237,6 +237,20 @@ class TestCli:
         assert code == 0
         assert "errU=" in capsys.readouterr().out
 
+    def test_config_equals_form_reads_the_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "study.cfg"
+        cfgfile.write_text("case=pp_conforming\ndt=0.25\n")
+        code = cli.main([f"--config={cfgfile}", "run"])
+        assert code == 0
+        assert "errU=" in capsys.readouterr().out
+
+    def test_bare_config_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--case", "pp_conforming", "--dt", "0.25", "--config"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and "Traceback" not in err
+
     def test_config_false_emit_plot_writes_no_script(self, tmp_path, capsys):
         cfgfile = tmp_path / "study.cfg"
         cfgfile.write_text("emit_plot=false\n")
