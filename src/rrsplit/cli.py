@@ -58,7 +58,8 @@ def build_parser(flags: list | None = None) -> argparse.ArgumentParser:
     def add(p, *names, **kwargs):
         flags.append(p.add_argument(*names, **kwargs))
 
-    def common(p, case=False, dt=False, dt_range=False):
+    def common(p, case=False, dt=False, dt_range=False, coefficients=False, t_final=False,
+               seed=False):
         if case:
             add(p, "--case", required=True, choices=CASE_NAMES)
             add(p, "--k", type=int, choices=(1, 2), help="must match the case")
@@ -67,24 +68,27 @@ def build_parser(flags: list | None = None) -> argparse.ArgumentParser:
         if dt_range:
             add(p, "--dt-max", type=float, required=True)
             add(p, "--dt-min", type=float, required=True)
-        add(p, "--alpha", type=float, default=1.0)
-        add(p, "--nu-f", type=float, default=1.0)
-        add(p, "--nu-s", type=float, default=1.0)
-        add(p, "--t-final", type=float, default=0.25)
-        add(p, "--seed", type=int, default=0)
+        if coefficients:
+            add(p, "--alpha", type=float, default=1.0)
+            add(p, "--nu-f", type=float, default=1.0)
+            add(p, "--nu-s", type=float, default=1.0)
+        if t_final:
+            add(p, "--t-final", type=float, default=0.25)
+        if seed:
+            add(p, "--seed", type=int, default=0)
         add(p, "--out", help="output path (default under RRSPLIT_OUT_DIR)")
 
     p = sub.add_parser("convergence", help="dyadic-dt convergence study")
-    common(p, case=True, dt_range=True)
+    common(p, case=True, dt_range=True, coefficients=True, t_final=True)
     add(p, "--oracle", action="store_true", help="use the strongly coupled stepper")
     add(p, "--emit-plot", action="store_true", help="write a gnuplot script next to the CSV")
 
     p = sub.add_parser("run", help="single simulation with final-time errors")
-    common(p, case=True, dt=True)
+    common(p, case=True, dt=True, coefficients=True, t_final=True)
     add(p, "--oracle", action="store_true")
 
     p = sub.add_parser("energy-audit", help="stored-plus-dissipated energy balance check")
-    common(p)
+    common(p, coefficients=True, seed=True)
     add(p, "--k", type=int, choices=(1, 2), default=1)
     add(p, "--dt", type=float, default=0.1)
     add(p, "--steps", type=int, default=20)

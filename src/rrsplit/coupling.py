@@ -12,6 +12,7 @@ energy ledger supports the stored-plus-dissipated balance audit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,8 +38,9 @@ class SchemeParams:
     def __post_init__(self):
         if self.k not in (1, 2):
             raise ValueError("k must be 1 or 2")
-        if min(self.dt, self.alpha, self.nu_f, self.nu_s, self.T) <= 0.0:
-            raise ValueError("dt, alpha, nu_f, nu_s, T must be positive")
+        values = (self.dt, self.alpha, self.nu_f, self.nu_s, self.T)
+        if not all(math.isfinite(v) and v > 0.0 for v in values):
+            raise ValueError("dt, alpha, nu_f, nu_s, T must be finite and positive")
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-12:
             raise ValueError("T must be an integer multiple of dt")
 
@@ -91,33 +93,6 @@ class EnergyLedger:
         return self.identity_defect() / max(self.Z[0], eps)
 
 
-def ddt(v_new, v_old, dt):
-    """Backward difference (v_new - v_old) / dt."""
-    v_new, v_old = np.asarray(v_new, dtype=float), np.asarray(v_old, dtype=float)
-    if v_new.shape != v_old.shape:
-        raise ValueError("ddt requires equal-length vectors")
-    return (v_new - v_old) / dt
-
-
-def avg(v_new, v_old):
-    """Midpoint average (v_new + v_old) / 2."""
-    v_new, v_old = np.asarray(v_new, dtype=float), np.asarray(v_old, dtype=float)
-    if v_new.shape != v_old.shape:
-        raise ValueError("avg requires equal-length vectors")
-    return 0.5 * (v_new + v_old)
-
-
-def _lifted_interface_matrix(M_if, row_index, col_index, n_rows, n_cols):
-    """M_if with rows and columns renumbered; index -1 drops the row or column.
-
-    With the nodal trace map R of a subdomain on both sides this is R^T M_if R.
-    """
-    m = M_if.tocoo()
-    r, c = row_index[m.row], col_index[m.col]
-    keep = (r >= 0) & (c >= 0)
-    return sparse.from_triplets(n_rows, n_cols, (r[keep], c[keep], m.data[keep]))
-
-
 class CoupledOperators:
     """Assembled operators and cached factorizations for one (mesh, params) pair."""
 
@@ -134,14 +109,11 @@ class CoupledOperators:
         self.if_x1, self.if_x2 = ifc[:, 0].copy(), ifc[:, 1].copy()
         self.n_if = mesh.interface_nodes.size
 
-        idof_f, idof_s = self.dof_f.interface_dofs, self.dof_s.interface_dofs
-        n_f, n_s = self.dof_f.n_dofs, self.dof_s.n_dofs
-        T_f = _lifted_interface_matrix(self.M_if, idof_f, idof_f, n_f, n_f)
-        T_s = _lifted_interface_matrix(self.M_if, idof_s, idof_s, n_s, n_s)
+        R_f, R_s = self.dof_f.R, self.dof_s.R
         A_s, A_f = self.step_matrices()
         a = params.alpha
-        A_s = A_s + (a if params.k == 1 else a / params.dt) * T_s
-        A_f = A_f + a * T_f
+        A_s = A_s + (a if params.k == 1 else a / params.dt) * (R_s.T @ self.M_if @ R_s)
+        A_f = A_f + a * (R_f.T @ self.M_if @ R_f)
         self._solid = sparse.factorize(A_s)
         self._fluid = sparse.factorize(A_f)
         self._monolithic = None  # built on first use
@@ -154,14 +126,6 @@ class CoupledOperators:
         else:
             A_s = (2.0 / p.dt**2) * self.M_s + (p.nu_s / 2.0) * self.K_s
         return A_s, (1.0 / p.dt) * self.M_f + p.nu_f * self.K_f
-
-    def lift(self, dofmap: DofMap, ifc_vec: np.ndarray) -> np.ndarray:
-        """Adjoint of the nodal trace: scatter an interface vector into dof space."""
-        out = np.zeros(dofmap.n_dofs)
-        idofs = dofmap.interface_dofs
-        keep = idofs >= 0
-        out[idofs[keep]] = ifc_vec[keep]
-        return out
 
     def interface_values(self, fn, t) -> np.ndarray:
         if fn is None:
@@ -205,7 +169,7 @@ def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
     robin = M_if @ (a * (u_tr + g_D) - state.lam + g_N)
     if k == 2:
         robin = (a / dt) * (M_if @ fem.trace_restrict(ops.dof_s, state.w)) + robin
-    rhs = solid_history(params, ops, state) + ops.lift(ops.dof_s, robin)
+    rhs = solid_history(params, ops, state) + ops.dof_s.R.T @ robin
     rhs += solid_forcing(params, ops, sources, t_next)
     w_next = ops._solid.solve(rhs)
     q_next = w_next if k == 1 else (2.0 / dt) * (w_next - state.w) - state.q
@@ -213,7 +177,7 @@ def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
 
 
 def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-               w_next: np.ndarray, q_next: np.ndarray, sources: SourceData, t_next: float):
+               w_next: np.ndarray, sources: SourceData, t_next: float):
     """Lower-subdomain solve followed by the pointwise interface update."""
     k, dt, a = params.k, params.dt, params.alpha
     g_D = ops.interface_values(sources.g_D, t_next)
@@ -222,9 +186,7 @@ def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
     else:
         w_dot_tr = (fem.trace_restrict(ops.dof_s, w_next)
                     - fem.trace_restrict(ops.dof_s, state.w)) / dt
-    rhs = ops.M_f @ state.u / dt + ops.lift(
-        ops.dof_f, ops.M_if @ (state.lam + a * (w_dot_tr - g_D))
-    )
+    rhs = ops.M_f @ state.u / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (w_dot_tr - g_D)))
     rhs += load(ops.dof_f, sources.f_f, t_next)
     u_next = ops._fluid.solve(rhs)
     u_tr = fem.trace_restrict(ops.dof_f, u_next)
@@ -237,7 +199,7 @@ def advance(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
     """One loosely coupled step: solid solve, then fluid solve, then the update."""
     t_next = (state.step_index + 1) * params.dt
     w_next, q_next = solid_step(params, ops, state, sources, t_next)
-    u_next, lam_next = fluid_step(params, ops, state, w_next, q_next, sources, t_next)
+    u_next, lam_next = fluid_step(params, ops, state, w_next, sources, t_next)
     return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_next)
 
 
@@ -268,7 +230,7 @@ def energy_S(params: SchemeParams, ops: CoupledOperators, state_n: SchemeState,
     if k == 1:
         q_half = state_next.q
     else:
-        q_half = avg(state_next.q, state_n.q)
+        q_half = 0.5 * (state_next.q + state_n.q)
     d = fem.trace_restrict(ops.dof_s, q_half) - fem.trace_restrict(ops.dof_f, state_n.u)
     s += 0.5 * dt * a * _quad_form(ops.M_if, d)
     return s
@@ -325,20 +287,15 @@ def _monolithic_system(ops: CoupledOperators):
     if ops._monolithic is not None:
         return ops._monolithic
     params = ops.params
-    k, dt = params.k, params.dt
-    n_s, n_f = ops.dof_s.n_dofs, ops.dof_f.n_dofs
     free_if = np.flatnonzero((ops.dof_s.interface_dofs >= 0) & (ops.dof_f.interface_dofs >= 0))
-    n_l = free_if.size
-
     A_s, A_f = ops.step_matrices()
-    constraint_scale = 1.0 if k == 1 else 2.0 / dt
+    constraint_scale = 1.0 if params.k == 1 else 2.0 / params.dt
 
     # coupling blocks through the interface mass matrix; the constraint rows
     # are their transposes because M_if is symmetric
-    lam_index = np.full(ops.n_if, -1, dtype=np.int64)
-    lam_index[free_if] = np.arange(n_l)
-    B_s = _lifted_interface_matrix(ops.M_if, ops.dof_s.interface_dofs, lam_index, n_s, n_l)
-    B_f = -_lifted_interface_matrix(ops.M_if, ops.dof_f.interface_dofs, lam_index, n_f, n_l)
+    M_free = ops.M_if[:, free_if]
+    B_s = ops.dof_s.R.T @ M_free
+    B_f = -(ops.dof_f.R.T @ M_free)
     A = sp.block_array(
         [[A_s, None, B_s], [None, A_f, B_f], [constraint_scale * B_s.T, B_f.T, None]],
         format="csr",
@@ -357,7 +314,7 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
     g_N = ops.interface_values(sources.g_N, t_next)
     g_D = ops.interface_values(sources.g_D, t_next)
     rhs_s = solid_history(params, ops, state) + solid_forcing(params, ops, sources, t_next)
-    rhs_s += ops.lift(ops.dof_s, ops.M_if @ g_N)
+    rhs_s += ops.dof_s.R.T @ (ops.M_if @ g_N)
     if k == 1:
         rhs_c = ops.M_if @ g_D
     else:

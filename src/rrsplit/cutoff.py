@@ -106,7 +106,7 @@ def _strip_integral(cfg: CutoffConfig, n_panels: int) -> float:
 
     x2 panels are geometric in the denominator D = 1 - (1-dt) x2, which
     grades the rule toward the top edge where the integrand behaves like
-    1/D^2. The x1 integrand is a quadratic polynomial, handled exactly.
+    1/D^2. The x1 integrand |grad_phi|^2 is a quadratic polynomial, handled exactly.
     """
     dt = cfg.dt
     c = 1.0 - dt
@@ -124,20 +124,18 @@ def _strip_integral(cfg: CutoffConfig, n_panels: int) -> float:
         # inner x1 integral on [0, b]: quadratic in x1
         xg = 0.5 * b[:, None] * (1.0 + _GAUSS4_X[None, :])
         wg = 0.5 * b[:, None] * _GAUSS4_W[None, :]
-        inner = (wg * (1.0 / dm[:, None] ** 2 + xg**2 * c**2 / dm[:, None] ** 4)).sum(axis=1)
+        gx, gy = grad_phi(xg, ((1.0 - dm) / c)[:, None], cfg)
+        inner = (wg * (gx**2 + gy**2)).sum(axis=1)
         total += float((wt * inner).sum())
     return total
 
 
 def _quadrant_integral(cfg: CutoffConfig) -> float:
-    """Integral of |grad phi|^2 over K4 plus K5 (tensor Gauss, exact for quadratics)."""
-    c = 1.0 - cfg.dt
-    # K5 integrand 16 c^2 (x2^2 + x1^2) over [0,1/2]^2; K4 mirrors it.
+    """Integral of |grad_phi|^2 over K5 and K4 (tensor Gauss per quadrant, exact for quadratics)."""
     x = 0.25 * (1.0 + _GAUSS4_X)
     w = 0.25 * _GAUSS4_W
-    vals = 16.0 * c**2 * (x[:, None] ** 2 + x[None, :] ** 2)
-    one = float((w[:, None] * w[None, :] * vals).sum())
-    return 2.0 * one
+    gx, gy = grad_phi(np.concatenate([x, x + 0.5])[None, :], x[:, None], cfg)
+    return float((np.outer(w, np.tile(w, 2)) * (gx**2 + gy**2)).sum())
 
 
 def grad_energy(cfg: CutoffConfig, quadrature_level: int = 4) -> float:
@@ -152,14 +150,6 @@ def overshoot_measure(cfg: CutoffConfig, n: int = 400) -> float:
     X1, X2 = np.meshgrid(xs, xs)
     over = phi_unclamped(X1, X2, cfg) > 1.0 + 1e-12
     return float(over.mean())
-
-
-def seam_jump(cfg: CutoffConfig, n: int = 2001, eps: float = 1e-9) -> float:
-    """Max jump of phi across the x2 = 1/2 seam (piecewise continuity defect)."""
-    xs = np.linspace(0.0, 1.0, n)
-    lo = phi(xs, np.full(n, 0.5 - eps), cfg)
-    hi = phi(xs, np.full(n, 0.5 + eps), cfg)
-    return float(np.abs(hi - lo).max())
 
 
 @dataclass

@@ -32,6 +32,8 @@ class DofMap:
     Exterior Dirichlet nodes carry no dof (this includes the two points
     where the interface meets the outer boundary); ``interface_dofs`` lists
     the dof of each interface node in trace order, -1 where constrained.
+    ``R`` is the 0/1 trace operator (interface nodes x dofs): the trace of u
+    is ``R @ u``, the lift of an interface vector v is its adjoint ``R.T @ v``.
     """
 
     subdomain: str
@@ -39,6 +41,7 @@ class DofMap:
     node_to_dof: np.ndarray
     free_nodes: np.ndarray
     interface_dofs: np.ndarray
+    R: sp.csr_array
 
     @property
     def n_dofs(self) -> int:
@@ -60,12 +63,15 @@ def build_dofmap(mesh: CoupledMesh, subdomain: str, include_dirichlet: bool = Fa
     free = sub_nodes if include_dirichlet else sub_nodes[~np.isin(sub_nodes, dirichlet)]
     node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
     node_to_dof[free] = np.arange(free.size)
+    idofs = node_to_dof[mesh.interface_nodes]
+    carried = np.flatnonzero(idofs >= 0)
     return DofMap(
         subdomain=subdomain,
         mesh=mesh,
         node_to_dof=node_to_dof,
         free_nodes=free,
-        interface_dofs=node_to_dof[mesh.interface_nodes].copy(),
+        interface_dofs=idofs,
+        R=from_triplets(idofs.size, free.size, (carried, idofs[carried], np.ones(carried.size))),
     )
 
 
@@ -123,11 +129,6 @@ def assemble_stiffness(
     tris = subdomain_triangles(mesh, subdomain)
     areas, grads = element_geometry(mesh.nodes, tris)
     return _scatter_blocks(element_stiffness(areas, grads), tris, dofmap)
-
-
-def segment_mass(length: float) -> np.ndarray:
-    """1D P1 mass block of a single interface segment."""
-    return (length / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
 def assemble_interface_mass(mesh: CoupledMesh) -> sp.csr_array:
@@ -217,8 +218,7 @@ def nodal_values(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
 
 def trace_restrict(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     """Values at interface nodes in trace order; zero where the node is constrained."""
-    idofs = dofmap.interface_dofs
-    return np.where(idofs >= 0, u[np.clip(idofs, 0, None)], 0.0)
+    return dofmap.R @ u
 
 
 def _norm_points(mesh: CoupledMesh, tris: np.ndarray):

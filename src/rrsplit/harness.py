@@ -54,15 +54,16 @@ class StudyConfig:
     alpha: float = 1.0
     nu_f: float = 1.0
     nu_s: float = 1.0
-    mesh_policy: str = ""           # "" = pick from the case geometry
     norms: tuple = ()               # () = defaults for the case
-    output_path: str = ""
     use_oracle: bool = False        # step with the strongly coupled solver
 
     def __post_init__(self):
         self.dt_list = tuple(float(dt) for dt in self.dt_list)
         if any(b >= a for a, b in zip(self.dt_list, self.dt_list[1:])):
             raise ValueError("dt_list must be strictly decreasing")
+        if not all(math.isfinite(v) and v > 0.0
+                   for v in (self.final_time, self.alpha, self.nu_f, self.nu_s)):
+            raise ValueError("final_time, alpha, nu_f, nu_s must be finite and positive")
         for dt in self.dt_list:
             if abs(round(self.final_time / dt) * dt - self.final_time) > 1e-12:
                 raise ValueError(f"final_time is not an integer multiple of dt={dt}")
@@ -100,15 +101,12 @@ def _resolve_case(case) -> ManufacturedCase:
     return case if isinstance(case, ManufacturedCase) else get_case(case)
 
 
-def build_study_mesh(case: ManufacturedCase, dt: float, policy: str = ""):
-    """Mesh matched to a time step: h = dt (horizontal) or one level per halving."""
-    policy = policy or ("slanted_levels" if case.geometry.kind == "slanted" else "h_equals_dt")
-    if policy == "h_equals_dt":
-        return meshing.uniform_split_mesh(max(2, int(round(1.0 / dt))))
-    if policy == "slanted_levels":
+def build_study_mesh(case: ManufacturedCase, dt: float):
+    """Mesh matched to a time step: h = dt (horizontal) or one level per halving (slanted)."""
+    if case.geometry.kind == "slanted":
         level = int(round(-math.log2(dt))) - 2
         return meshing.slanted_interface_mesh(level)
-    raise ValueError(f"unknown mesh policy {policy!r}")
+    return meshing.uniform_split_mesh(max(2, int(round(1.0 / dt))))
 
 
 def run_row(case: ManufacturedCase, cfg: StudyConfig, dt: float, norms):
@@ -119,7 +117,7 @@ def run_row(case: ManufacturedCase, cfg: StudyConfig, dt: float, norms):
     params = coupling.SchemeParams(
         k=case.k, dt=dt, alpha=cfg.alpha, nu_f=cfg.nu_f, nu_s=cfg.nu_s, T=cfg.final_time
     )
-    mesh = build_study_mesh(case, dt, cfg.mesh_policy)
+    mesh = build_study_mesh(case, dt)
     ops = coupling.CoupledOperators(mesh, params)
     state0 = coupling.initial_state(case, mesh, ops)
     sources = coupling.SourceData.from_case(case)

@@ -15,7 +15,6 @@ from rrsplit.cutoff import (
     overshoot_measure,
     phi,
     phi_unclamped,
-    seam_jump,
     trace_not_one_measure,
     verify_assumptions,
 )
@@ -92,8 +91,12 @@ class TestPhi:
             assert overshoot_measure(CutoffConfig(dt)) <= 4.0 * dt
 
     def test_seam_jump_small(self):
+        # max jump of phi across the x2 = 1/2 seam between the quadrants and the strips
+        xs = np.linspace(0.0, 1.0, 2001)
         for dt in (0.25, 0.125, 0.0625):
-            assert seam_jump(CutoffConfig(dt)) <= 3.0 * dt
+            cfg = CutoffConfig(dt)
+            lo, hi = (phi(xs, np.full(xs.size, 0.5 + eps), cfg) for eps in (-1e-9, 1e-9))
+            assert np.abs(hi - lo).max() <= 3.0 * dt
 
 
 class TestGradPhi:

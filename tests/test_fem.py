@@ -18,7 +18,6 @@ from rrsplit.fem import (
     h1_semi_error,
     interpolate,
     l2_error,
-    segment_mass,
     trace_restrict,
 )
 from rrsplit.sparse import factorize
@@ -113,10 +112,14 @@ class TestStiffnessMatrix:
 
 class TestInterfaceMass:
     def test_single_segment_block(self):
-        h = 0.37
-        np.testing.assert_allclose(
-            segment_mass(h), (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]]), rtol=1e-15
-        )
+        # the first interface node touches one segment only: its row is (h/6) [2, 1]
+        mesh = meshing.slanted_interface_mesh(1)
+        pts = mesh.nodes[mesh.interface_nodes]
+        h = np.linalg.norm(pts[1] - pts[0])
+        M = assemble_interface_mass(mesh)
+        np.testing.assert_allclose([M[0, 0], M[0, 1], M[1, 0]], [h / 3.0, h / 6.0, h / 6.0],
+                                   rtol=1e-15)
+        assert not M.toarray()[0, 2:].any()
 
     def test_two_equal_segments_interior_diagonal(self):
         mesh = meshing.uniform_split_mesh(2)
@@ -139,7 +142,7 @@ class TestInterfaceMass:
         h = 1.0 / n
         ref = np.zeros((n + 1, n + 1))
         for k in range(n):
-            ref[k:k + 2, k:k + 2] += segment_mass(h)
+            ref[k:k + 2, k:k + 2] += (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(M, ref, rtol=1e-13)
 
 
@@ -224,6 +227,23 @@ class TestTraceRestrict:
         xs = mesh.nodes[mesh.interface_nodes, 0]
         free = dof.interface_dofs >= 0
         np.testing.assert_allclose(trace_restrict(dof, field)[free], xs[free])
+
+    def test_trace_operator_is_the_adjoint_pair_the_steppers_use(self):
+        rng = np.random.default_rng(3)
+        for mesh in (meshing.uniform_split_mesh(4), meshing.slanted_interface_mesh(1)):
+            M_if = assemble_interface_mass(mesh)
+            dense = M_if.toarray()
+            for sub in ("f", "s"):
+                dof = build_dofmap(mesh, sub)
+                u, v = rng.standard_normal(dof.n_dofs), rng.standard_normal(M_if.shape[0])
+                assert (dof.R @ u) @ v == pytest.approx(u @ (dof.R.T @ v), rel=1e-14)
+                # the Robin term R^T M_if R by a loop over pairs of interface nodes
+                ref = np.zeros((dof.n_dofs, dof.n_dofs))
+                for i, di in enumerate(dof.interface_dofs):
+                    for j, dj in enumerate(dof.interface_dofs):
+                        if di >= 0 and dj >= 0:
+                            ref[di, dj] += dense[i, j]
+                np.testing.assert_array_equal((dof.R.T @ M_if @ dof.R).toarray(), ref)
 
 
 class TestErrorNorms:

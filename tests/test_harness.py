@@ -187,6 +187,39 @@ class TestCli:
                       "--dt-max", "0.25", "--dt-min", "0.1"])
         assert exc.value.code == 2
 
+    def test_flag_the_subcommand_ignores_exit_2(self, capsys):
+        base = {
+            "convergence": ["--case", "pp_conforming", "--dt-max", "0.25", "--dt-min", "0.125"],
+            "run": ["--case", "pp_conforming", "--dt", "0.25"],
+            "energy-audit": [],
+            "cutoff-verify": ["--dt-max", "0.25", "--dt-min", "0.125"],
+            "mesh-dump": ["--case", "pp_conforming", "--dt", "0.25"],
+        }
+        ignored = {
+            "convergence": ["--seed"],
+            "run": ["--seed"],
+            "energy-audit": ["--t-final"],
+            "cutoff-verify": ["--alpha", "--nu-f", "--nu-s", "--t-final", "--seed"],
+            "mesh-dump": ["--alpha", "--nu-f", "--nu-s", "--t-final", "--seed"],
+        }
+        for command, flags in ignored.items():
+            for flag in flags:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([command, *base[command], flag, "1"])
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_non_finite_parameter_exit_2(self, capsys):
+        for argv in (["run", "--case", "pp_conforming", "--dt", "0.25", "--alpha", "nan"],
+                     ["run", "--case", "pp_conforming", "--dt", "0.25", "--t-final", "inf"],
+                     ["convergence", "--case", "pp_conforming", "--dt-max", "0.25",
+                      "--dt-min", "0.125", "--nu-s", "nan"],
+                     ["energy-audit", "--alpha", "inf"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "finite and positive" in capsys.readouterr().err
+
     def test_convergence_writes_csv_and_plot(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code = cli.main([
