@@ -110,12 +110,14 @@ class CoupledOperators:
         self.n_if = mesh.interface_nodes.size
 
         R_f, R_s = self.dof_f.R, self.dof_s.R
-        A_s, A_f = self.step_matrices()
+        # the Robin-free step matrices; the saddle oracle reuses them
+        self.A_s, self.A_f = self.step_matrices()
         a = params.alpha
-        A_s = A_s + (a if params.k == 1 else a / params.dt) * (R_s.T @ self.M_if @ R_s)
-        A_f = A_f + a * (R_f.T @ self.M_if @ R_f)
-        self._solid = sparse.factorize(A_s)
-        self._fluid = sparse.factorize(A_f)
+        robin_s = (a if params.k == 1 else a / params.dt) * (R_s.T @ self.M_if @ R_s)
+        robin_f = a * (R_f.T @ self.M_if @ R_f)
+        # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
+        self._solid = sparse.factorize(self.A_s + robin_s, spd=True)
+        self._fluid = sparse.factorize(self.A_f + robin_f, spd=True)
         self._monolithic = None  # built on first use
 
     def step_matrices(self):
@@ -288,7 +290,6 @@ def _monolithic_system(ops: CoupledOperators):
         return ops._monolithic
     params = ops.params
     free_if = np.flatnonzero((ops.dof_s.interface_dofs >= 0) & (ops.dof_f.interface_dofs >= 0))
-    A_s, A_f = ops.step_matrices()
     constraint_scale = 1.0 if params.k == 1 else 2.0 / params.dt
 
     # coupling blocks through the interface mass matrix; the constraint rows
@@ -297,7 +298,7 @@ def _monolithic_system(ops: CoupledOperators):
     B_s = ops.dof_s.R.T @ M_free
     B_f = -(ops.dof_f.R.T @ M_free)
     A = sp.block_array(
-        [[A_s, None, B_s], [None, A_f, B_f], [constraint_scale * B_s.T, B_f.T, None]],
+        [[ops.A_s, None, B_s], [None, ops.A_f, B_f], [constraint_scale * B_s.T, B_f.T, None]],
         format="csr",
     )
     ops._monolithic = (sparse.factorize(A), free_if)

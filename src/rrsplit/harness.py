@@ -102,11 +102,23 @@ def _resolve_case(case) -> ManufacturedCase:
 
 
 def build_study_mesh(case: ManufacturedCase, dt: float):
-    """Mesh matched to a time step: h = dt (horizontal) or one level per halving (slanted)."""
+    """Mesh matched to a time step: h = dt (horizontal) or one level per halving (slanted).
+
+    The slanted family needs dt = 2^-(level + 2) exactly, level in [0, 10];
+    the horizontal family needs 1/dt an integer >= 2 (to within 1e-9).
+    Any other dt raises ValueError.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt={dt!r} must be finite and positive")
     if case.geometry.kind == "slanted":
-        level = int(round(-math.log2(dt))) - 2
+        level = round(-math.log2(dt)) - 2
+        if not (0 <= level <= 10 and dt == 2.0 ** -(level + 2)):
+            raise ValueError(f"dt={dt!r} is not 2^-(level+2) for a slanted level in [0, 10]")
         return meshing.slanted_interface_mesh(level)
-    return meshing.uniform_split_mesh(max(2, int(round(1.0 / dt))))
+    n = round(1.0 / dt)
+    if n < 2 or abs(1.0 / dt - n) > 1e-9:
+        raise ValueError(f"dt={dt!r} is not 1/n for an integer n >= 2")
+    return meshing.uniform_split_mesh(n)
 
 
 def run_row(case: ManufacturedCase, cfg: StudyConfig, dt: float, norms):

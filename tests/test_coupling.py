@@ -362,6 +362,24 @@ class TestMonolithic:
         assert err < 0.05 * norm
 
 
+class TestFactorizations:
+    """The Robin LUs take the symmetric path; the saddle oracle keeps COLAMD."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_robin_lus_pivot_on_the_diagonal(self, k):
+        mesh = meshing.slanted_interface_mesh(1)
+        ops = CoupledOperators(mesh, SchemeParams(k=k, dt=0.125, alpha=2.0, T=0.25))
+        for fact in (ops._solid, ops._fluid):
+            np.testing.assert_array_equal(fact._lu.perm_r, fact._lu.perm_c)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_saddle_lu_interchanges_rows(self, k):
+        mesh = meshing.uniform_split_mesh(8)
+        ops = CoupledOperators(mesh, SchemeParams(k=k, dt=0.125, T=0.25))
+        lu = coupling._monolithic_system(ops)[0]._lu
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
+
+
 # Fingerprints of the final state, (2-norm, v @ arange(len(v))) per field, and
 # the ledger's last Z; recorded before the steppers moved to plain arrays and
 # shared step matrices, at dt = 1/16, alpha = 2, with the cases' forcing.

@@ -220,6 +220,20 @@ class TestCli:
             assert exc.value.code == 2
             assert "finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["mesh-dump", "--case", "pp_conforming", "--dt", "-1"],
+        ["mesh-dump", "--case", "pp_slanted", "--dt", "0.3"],
+        ["mesh-dump", "--case", "pp_slanted", "--dt", "0"],
+        ["mesh-dump", "--case", "pp_conforming", "--dt", "0"],
+        ["run", "--case", "pp_slanted", "--dt", "0.05"],
+    ])
+    def test_dt_without_a_study_mesh_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "out.txt")])
+        assert exc.value.code == 2
+        assert "dt=" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_convergence_writes_csv_and_plot(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code = cli.main([

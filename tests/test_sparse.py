@@ -100,7 +100,8 @@ class TestSolveSpd:
         A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 4.0)])
         np.testing.assert_allclose(factorize(A).solve([2.0, 4.0]), [1.0, 1.0])
 
-    def test_time_step_system_vs_dense(self):
+    @pytest.mark.parametrize("spd", [False, True])
+    def test_time_step_system_vs_dense(self, spd):
         # (1/dt) M + nu K on a small mesh, against numpy's dense solve
         from rrsplit import fem, meshing
 
@@ -109,18 +110,19 @@ class TestSolveSpd:
         A = 10.0 * fem.assemble_mass(mesh, "f", dof) + fem.assemble_stiffness(mesh, "f", dof)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(dof.n_dofs)
-        x = factorize(A).solve(b)
+        x = factorize(A, spd=spd).solve(b)
         ref = np.linalg.solve(A.toarray(), b)
         assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-10
 
-    def test_solution_reproduces_rhs(self):
+    @pytest.mark.parametrize("spd", [False, True])
+    def test_solution_reproduces_rhs(self, spd):
         rng = np.random.default_rng(3)
         B = rng.standard_normal((6, 6))
         D = B @ B.T + 6.0 * np.eye(6)
         trips = [(i, j, D[i, j]) for i in range(6) for j in range(6)]
         A = from_triplets(6, 6, trips)
         b = rng.standard_normal(6)
-        lu = factorize(A)
+        lu = factorize(A, spd=spd)
         for rhs in (b, 2.0 * b):  # the factorization is reused across right-hand sides
             x = lu.solve(rhs)
             assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -163,9 +165,11 @@ class TestSolveGeneral:
             factorize(A)
 
     def test_spd_factorization_failure_reported(self):
+        # on the symmetric path too, so a study still records the row as failed
         A = from_triplets(2, 2, [(0, 0, 0.0), (1, 1, 0.0)])
-        with pytest.raises(RuntimeError):
-            factorize(A)
+        for spd in (False, True):
+            with pytest.raises(RuntimeError):
+                factorize(A, spd=spd)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
