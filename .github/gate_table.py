@@ -1,0 +1,47 @@
+"""Print one paper-size pass of the named benchmark workloads as a gate table.
+
+Usage, from the root of a checkout: python .github/gate_table.py WORKLOAD...
+
+Every gate is listed with its value, its recorded reference and the relative
+drift, so the margin to the 1e-10 tolerance shows on the CPU and BLAS kernel
+that ran it. The table is appended to $GITHUB_STEP_SUMMARY when that is set.
+Exits 1 if any gate fails.
+"""
+
+import os
+import sys
+
+sys.path[:0] = ["src", "benchmarks"]
+import workloads  # noqa: E402
+
+
+def split(detail):
+    value, _, ref = detail.partition(" vs reference ")
+    try:
+        return value, ref, f"{(float(value) - float(ref)) / abs(float(ref)):+.2e}"
+    except ValueError:
+        return detail, "", ""
+
+
+def main(names) -> int:
+    kernel = os.environ.get("OPENBLAS_CORETYPE", "default")
+    lines = [f"gate tolerance REL_TOL = {workloads.REL_TOL:g}, OpenBLAS kernel: {kernel}", "",
+             "| workload | check | ok | value | reference | relative drift |",
+             "| --- | --- | --- | --- | --- | --- |"]
+    failed = 0
+    for w in names:
+        p = workloads.run_pass(w, "paper", 0)
+        failed += p.failed
+        for name, ok, detail in p.checks:
+            value, ref, drift = split(detail)
+            lines.append(f"| {w} | {name} | {'pass' if ok else 'FAIL'} "
+                         f"| {value} | {ref} | {drift} |")
+    text = "\n".join(lines) + "\n"
+    print(text)
+    with open(os.environ.get("GITHUB_STEP_SUMMARY", os.devnull), "a") as fh:
+        fh.write(text)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

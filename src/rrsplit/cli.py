@@ -131,7 +131,7 @@ def cmd_convergence(parser, args) -> int:
         script = os.path.splitext(path)[0] + ".gp"
         harness.emit_plot_script(table, path, script)
         print(f"wrote {script}")
-    return 0
+    return 1 if table.failures else 0
 
 
 def cmd_run(parser, args) -> int:

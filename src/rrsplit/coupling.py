@@ -5,9 +5,10 @@ condition built from the previous fluid trace and interface unknown, then
 the lower (fluid-like) subdomain, then updates the interface unknown
 pointwise. k = 1 runs backward Euler on both subdomains (parabolic -
 parabolic); k = 2 runs the midpoint/Newmark member on the upper subdomain
-(parabolic - hyperbolic). A strongly coupled single-matrix stepper with a
-Lagrange multiplier block serves as the oracle, and an exact per-step
-energy ledger supports the stored-plus-dissipated balance audit.
+(parabolic - hyperbolic). A strongly coupled stepper, its interface
+multiplier eliminated into one SPD system, serves as the oracle, and an
+exact per-step energy ledger supports the stored-plus-dissipated balance
+audit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import linalg
 
 from . import fem, sparse
 from .fem import DofMap
@@ -100,17 +102,15 @@ class CoupledOperators:
         self.params = params
         self.dof_f: DofMap = fem.build_dofmap(mesh, "f")
         self.dof_s: DofMap = fem.build_dofmap(mesh, "s")
-        self.M_f = fem.assemble_mass(mesh, "f", self.dof_f)
-        self.K_f = fem.assemble_stiffness(mesh, "f", self.dof_f)
-        self.M_s = fem.assemble_mass(mesh, "s", self.dof_s)
-        self.K_s = fem.assemble_stiffness(mesh, "s", self.dof_s)
+        self.M_f, self.K_f = _mass_and_stiffness(self.dof_f)
+        self.M_s, self.K_s = _mass_and_stiffness(self.dof_s)
         self.M_if = fem.assemble_interface_mass(mesh)
         ifc = mesh.nodes[mesh.interface_nodes]
         self.if_x1, self.if_x2 = ifc[:, 0].copy(), ifc[:, 1].copy()
         self.n_if = mesh.interface_nodes.size
 
         R_f, R_s = self.dof_f.R, self.dof_s.R
-        # the Robin-free step matrices; the saddle oracle reuses them
+        # the Robin-free step matrices; the coupled oracle reuses them
         self.A_s, self.A_f = self.step_matrices()
         a = params.alpha
         robin_s = (a if params.k == 1 else a / params.dt) * (R_s.T @ self.M_if @ R_s)
@@ -134,6 +134,17 @@ class CoupledOperators:
             return np.zeros(self.n_if)
         vals = np.asarray(fn(self.if_x1, self.if_x2, t), dtype=float)
         return np.broadcast_to(vals, (self.n_if,)).copy()
+
+
+def _mass_and_stiffness(dofmap: DofMap):
+    """Mass and stiffness of one subdomain from one element_geometry call.
+
+    The geometry is dropped on return, before the caller factors anything.
+    """
+    mesh, sub = dofmap.mesh, dofmap.subdomain
+    geometry = fem.element_geometry(mesh.nodes, fem.subdomain_triangles(mesh, sub))
+    return (fem.assemble_mass(mesh, sub, dofmap, geometry),
+            fem.assemble_stiffness(mesh, sub, dofmap, geometry))
 
 
 def load(dofmap: DofMap, fn, t) -> np.ndarray:
@@ -280,28 +291,37 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
 
 
 def _monolithic_system(ops: CoupledOperators):
-    """Saddle matrix of the fully coupled step, cached in the operator bundle.
+    """Condensed SPD system of the fully coupled step, cached in the operator bundle.
 
-    Unknown layout is [w | u | lam_free]; the multiplier block keeps only
-    interface nodes that carry a dof on both sides, which makes the
-    constraint block full rank.
+    The multiplier lives on the interface nodes F that carry a dof on both
+    sides, where the constraint rows read M_FF (v_F - u_F) = rhs_c[F] with
+    v = c w the solid velocity (c = 1 for k = 1, 2/dt for k = 2). So
+    u_F = v_F - M_FF^{-1} rhs_c[F], and adding the solid and fluid interface
+    rows cancels the multiplier. What is left is SPD on the merged dofs
+    [v | non-interface fluid dofs]: A_s / c on the solid block plus
+    Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid dof to its merged
+    dof (an interface dof to the solid dof at the same node).
+
+    Returns (lu, Pf, F, M_FF in upper banded form, c).
     """
     if ops._monolithic is not None:
         return ops._monolithic
-    params = ops.params
-    free_if = np.flatnonzero((ops.dof_s.interface_dofs >= 0) & (ops.dof_f.interface_dofs >= 0))
-    constraint_scale = 1.0 if params.k == 1 else 2.0 / params.dt
+    params, dof_s, dof_f = ops.params, ops.dof_s, ops.dof_f
+    F = np.flatnonzero(dof_s.interface_dofs >= 0)
+    if not np.array_equal(F, np.flatnonzero(dof_f.interface_dofs >= 0)):
+        raise ValueError("the coupled oracle needs every interface dof on both sides")
+    c = 1.0 if params.k == 1 else 2.0 / params.dt
 
-    # coupling blocks through the interface mass matrix; the constraint rows
-    # are their transposes because M_if is symmetric
-    M_free = ops.M_if[:, free_if]
-    B_s = ops.dof_s.R.T @ M_free
-    B_f = -(ops.dof_f.R.T @ M_free)
-    A = sp.block_array(
-        [[ops.A_s, None, B_s], [None, ops.A_f, B_f], [constraint_scale * B_s.T, B_f.T, None]],
-        format="csr",
-    )
-    ops._monolithic = (sparse.factorize(A), free_if)
+    n_s, n_f = dof_s.n_dofs, dof_f.n_dofs
+    merged = np.full(n_f, -1, dtype=np.int64)
+    merged[dof_f.interface_dofs[F]] = dof_s.interface_dofs[F]
+    n_rest = n_f - F.size
+    merged[merged < 0] = n_s + np.arange(n_rest)
+    Pf = sparse.from_triplets(n_f, n_s + n_rest, (np.arange(n_f), merged, np.ones(n_f)))
+    K = Pf.T @ ops.A_f @ Pf + sp.block_diag((ops.A_s / c, sp.csr_array((n_rest, n_rest))))
+    M_FF = ops.M_if[F][:, F]  # tridiagonal
+    band = np.stack([np.r_[0.0, M_FF.diagonal(1)], M_FF.diagonal()])
+    ops._monolithic = (sparse.factorize(K, spd=True), Pf, F, band, c)
     return ops._monolithic
 
 
@@ -309,8 +329,8 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
                     sources: SourceData, t_next: float) -> SchemeState:
     """One implicit step of the fully coupled system (the strongly coupled oracle)."""
     k, dt = params.k, params.dt
-    lu, free_if = _monolithic_system(ops)
-    n_s, n_f = ops.dof_s.n_dofs, ops.dof_f.n_dofs
+    lu, Pf, F, M_FF, c = _monolithic_system(ops)
+    n_s = ops.dof_s.n_dofs
 
     g_N = ops.interface_values(sources.g_N, t_next)
     g_D = ops.interface_values(sources.g_D, t_next)
@@ -324,12 +344,19 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
         rhs_c = ops.M_if @ (g_D + (2.0 / dt) * w_tr + q_tr)
     rhs_f = ops.M_f @ state.u / dt + load(ops.dof_f, sources.f_f, t_next)
 
-    rhs = np.concatenate([rhs_s, rhs_f, rhs_c[free_if]])
-    sol = lu.solve(rhs)
-    w_next = sol[:n_s]
-    u_next = sol[n_s : n_s + n_f]
+    # the interface jump v - u, fixed by the constraint, lifted into the fluid dofs
+    jump = np.zeros(ops.n_if)
+    jump[F] = linalg.solveh_banded(M_FF, rhs_c[F], check_finite=False)
+    jump_f = ops.dof_f.R.T @ jump
+    rhs = Pf.T @ (rhs_f + ops.A_f @ jump_f)
+    rhs[:n_s] += rhs_s
+    z = lu.solve(rhs)
+    u_next = Pf @ z - jump_f
+    w_next = z[:n_s] / c
+    # the multiplier from the solid interface rows A_s w + R_s.T M_if[:, F] lam_F = rhs_s
     lam_full = np.zeros(ops.n_if)
-    lam_full[free_if] = sol[n_s + n_f :]
+    resid = fem.trace_restrict(ops.dof_s, rhs_s - ops.A_s @ w_next)
+    lam_full[F] = linalg.solveh_banded(M_FF, resid[F], check_finite=False)
     q_next = w_next if k == 1 else (2.0 / dt) * (w_next - state.w) - state.q
     return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_full)
 

@@ -113,21 +113,27 @@ def _scatter_blocks(blocks: np.ndarray, tris: np.ndarray, dofmap: DofMap) -> sp.
     return from_triplets(n, n, (rows[keep], cols[keep], vals[keep]))
 
 
-def assemble_mass(mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None) -> sp.csr_array:
-    """Consistent mass matrix over the free dofs of one subdomain."""
+def assemble_mass(mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None,
+                  geometry=None) -> sp.csr_array:
+    """Consistent mass matrix over the free dofs of one subdomain.
+
+    ``geometry`` is the subdomain's ``element_geometry`` output, if the caller
+    already has it (so mass and stiffness can share one call).
+    """
     dofmap = dofmap or build_dofmap(mesh, subdomain)
     tris = subdomain_triangles(mesh, subdomain)
-    areas, _ = element_geometry(mesh.nodes, tris)
+    areas, _ = geometry or element_geometry(mesh.nodes, tris)
     return _scatter_blocks(element_mass(areas), tris, dofmap)
 
 
 def assemble_stiffness(
-    mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None
+    mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None, geometry=None
 ) -> sp.csr_array:
-    """Stiffness matrix (grad, grad) over the free dofs of one subdomain."""
+    """Stiffness matrix (grad, grad) over the free dofs of one subdomain; ``geometry``
+    as in ``assemble_mass``."""
     dofmap = dofmap or build_dofmap(mesh, subdomain)
     tris = subdomain_triangles(mesh, subdomain)
-    areas, grads = element_geometry(mesh.nodes, tris)
+    areas, grads = geometry or element_geometry(mesh.nodes, tris)
     return _scatter_blocks(element_stiffness(areas, grads), tris, dofmap)
 
 

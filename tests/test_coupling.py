@@ -187,6 +187,56 @@ class TestStepsAgainstDenseReference:
         ref_lam = state.lam - a * (R_f @ ref - w_dot + gD)
         assert np.abs(lam1 - ref_lam).max() < 1e-11
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_monolithic_step(self, k):
+        # the saddle system [[A_s, 0, B_s], [0, A_f, B_f], [c B_s^T, B_f^T, 0]]
+        # in (w, u, lam on the nodes with a dof on both sides), solved densely
+        params = SchemeParams(k=k, dt=0.1, alpha=1.7, nu_f=0.8, nu_s=1.3, T=0.5)
+        ops = CoupledOperators(self.mesh, params)
+        state = random_state(ops, self.rng, k)
+        t1 = params.dt
+        new = monolithic_step(params, ops, state, self.sources, t1)
+
+        dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
+        dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
+        Mi = dense_interface(self.mesh)
+        R_s = dense_trace(dof_s, Mi.shape[0])
+        R_f = dense_trace(dof_f, Mi.shape[0])
+        xs, ys = self.mesh.nodes[self.mesh.interface_nodes].T
+        gD = self.sources.g_D(xs, ys, t1)
+        gN = self.sources.g_N(xs, ys, t1)
+        assert gD[-1] != 0.0  # the endpoint value reaches the constraint through Mi
+        dt, nus = params.dt, params.nu_s
+        free = np.flatnonzero((dof_s.interface_dofs >= 0) & (dof_f.interface_dofs >= 0))
+        B_s = R_s.T @ Mi[:, free]
+        B_f = -R_f.T @ Mi[:, free]
+        A_f = M_f / dt + params.nu_f * K_f
+        rhs_f = M_f @ state.u / dt
+        if k == 1:
+            c = 1.0
+            A_s = M_s / dt + nus * K_s
+            rhs_s = M_s @ state.w / dt
+            rhs_c = Mi @ gD
+        else:
+            c = 2.0 / dt
+            A_s = 2.0 * M_s / dt**2 + 0.5 * nus * K_s
+            rhs_s = (2.0 / dt**2) * M_s @ state.w + (2.0 / dt) * M_s @ state.q
+            rhs_s -= 0.5 * nus * K_s @ state.w
+            rhs_c = Mi @ (gD + (2.0 / dt) * R_s @ state.w + R_s @ state.q)
+        rhs_s += R_s.T @ Mi @ gN
+        n_s, n_f, n_c = A_s.shape[0], A_f.shape[0], free.size
+        A = np.zeros((n_s + n_f + n_c,) * 2)
+        A[:n_s, :n_s], A[:n_s, n_s + n_f:] = A_s, B_s
+        A[n_s:n_s + n_f, n_s:n_s + n_f], A[n_s:n_s + n_f, n_s + n_f:] = A_f, B_f
+        A[n_s + n_f:, :n_s], A[n_s + n_f:, n_s:n_s + n_f] = c * B_s.T, B_f.T
+        sol = np.linalg.solve(A, np.concatenate([rhs_s, rhs_f, rhs_c[free]]))
+        ref_w, ref_u = sol[:n_s], sol[n_s:n_s + n_f]
+        ref_lam = np.zeros(Mi.shape[0])
+        ref_lam[free] = sol[n_s + n_f:]
+        ref_q = ref_w if k == 1 else (2.0 / dt) * (ref_w - state.w) - state.q
+        for got, ref in ((new.w, ref_w), (new.u, ref_u), (new.q, ref_q), (new.lam, ref_lam)):
+            assert np.abs(got - ref).max() < 1e-12
+
 
 class TestSchemeIdentities:
     @pytest.mark.parametrize("k", [1, 2])
@@ -363,7 +413,7 @@ class TestMonolithic:
 
 
 class TestFactorizations:
-    """The Robin LUs take the symmetric path; the saddle oracle keeps COLAMD."""
+    """The Robin LUs and the condensed oracle LU all take the symmetric path."""
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_robin_lus_pivot_on_the_diagonal(self, k):
@@ -373,11 +423,11 @@ class TestFactorizations:
             np.testing.assert_array_equal(fact._lu.perm_r, fact._lu.perm_c)
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_saddle_lu_interchanges_rows(self, k):
+    def test_oracle_lu_pivots_on_the_diagonal(self, k):
         mesh = meshing.uniform_split_mesh(8)
         ops = CoupledOperators(mesh, SchemeParams(k=k, dt=0.125, T=0.25))
         lu = coupling._monolithic_system(ops)[0]._lu
-        assert not np.array_equal(lu.perm_r, lu.perm_c)
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
 
 
 # Fingerprints of the final state, (2-norm, v @ arange(len(v))) per field, and

@@ -440,6 +440,27 @@ class TestQuadratureMemo:
             assert built == [fem.subdomain_triangles(mesh, sub).shape[0]]
             built.clear()
 
+    def test_operators_share_geometry_between_mass_and_stiffness(self, monkeypatch):
+        from rrsplit.coupling import CoupledOperators, SchemeParams
+
+        mesh = meshing.slanted_interface_mesh(1)
+        built = []
+        original = fem.element_geometry
+
+        def counting(nodes, tris):
+            built.append(tris.shape[0])
+            return original(nodes, tris)
+
+        monkeypatch.setattr(fem, "element_geometry", counting)
+        ops = CoupledOperators(mesh, SchemeParams(k=2, dt=0.125, T=0.25))
+        assert built == [mesh.triangles_f.shape[0], mesh.triangles_s.shape[0]]
+        assert mesh._cache == {}
+        for sub, dof, M, K in (("f", ops.dof_f, ops.M_f, ops.K_f),
+                               ("s", ops.dof_s, ops.M_s, ops.K_s)):
+            for got, ref in ((M, assemble_mass(mesh, sub, dof)),
+                             (K, assemble_stiffness(mesh, sub, dof))):
+                assert (got != ref).nnz == 0
+
     def test_energy_audit_builds_no_memo(self, monkeypatch):
         # the memo is lazy: a run without loads or norms leaves it empty
         from rrsplit import harness

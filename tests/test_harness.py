@@ -248,6 +248,13 @@ class TestCli:
         assert text.startswith("dt,errU,rateU,errW,rateW")
         assert "logscale" in (tmp_path / "table.gp").read_text()
 
+    def test_convergence_with_failed_rows_exits_1(self, tmp_path, capsys):
+        # neither step gives a slanted mesh, so both rows are flagged
+        code = cli.main(["convergence", "--case", "pp_slanted", "--dt-max", "0.05",
+                         "--dt-min", "0.025", "--out", str(tmp_path / "table.csv")])
+        assert code == 1
+        assert capsys.readouterr().out.count("flagged row") == 2
+
     def test_run_prints_errors_and_dumps(self, tmp_path, capsys):
         out = tmp_path / "state.txt"
         code = cli.main(["run", "--case", "pp_conforming", "--dt", "0.25", "--out", str(out)])
