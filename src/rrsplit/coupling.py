@@ -96,15 +96,21 @@ class EnergyLedger:
 
 
 class CoupledOperators:
-    """Assembled operators and cached factorizations for one (mesh, params) pair."""
+    """Operators and Robin factorizations for one (mesh, params) pair.
+
+    The dofmaps, mass, stiffness and interface mass depend on the mesh alone
+    and are shared by every bundle on that mesh (``_mesh_operators``); the
+    step matrices and the two Robin LUs are this bundle's own.
+    """
 
     def __init__(self, mesh: CoupledMesh, params: SchemeParams):
         self.params = params
-        self.dof_f: DofMap = fem.build_dofmap(mesh, "f")
-        self.dof_s: DofMap = fem.build_dofmap(mesh, "s")
-        self.M_f, self.K_f = _mass_and_stiffness(self.dof_f)
-        self.M_s, self.K_s = _mass_and_stiffness(self.dof_s)
-        self.M_if = fem.assemble_interface_mass(mesh)
+        shared = _mesh_operators(mesh)
+        *dof_f, self.M_f, self.K_f = shared["f"]
+        *dof_s, self.M_s, self.K_s = shared["s"]
+        self.dof_f: DofMap = DofMap("f", mesh, *dof_f)
+        self.dof_s: DofMap = DofMap("s", mesh, *dof_s)
+        self.M_if = shared["if"]
         ifc = mesh.nodes[mesh.interface_nodes]
         self.if_x1, self.if_x2 = ifc[:, 0].copy(), ifc[:, 1].copy()
         self.n_if = mesh.interface_nodes.size
@@ -116,9 +122,8 @@ class CoupledOperators:
         robin_s = (a if params.k == 1 else a / params.dt) * (R_s.T @ self.M_if @ R_s)
         robin_f = a * (R_f.T @ self.M_if @ R_f)
         # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
-        self._solid = sparse.factorize(self.A_s + robin_s, spd=True)
-        self._fluid = sparse.factorize(self.A_f + robin_f, spd=True)
-        self._monolithic = None  # built on first use
+        self._solid = sparse.factorize(self.A_s + robin_s)
+        self._fluid = sparse.factorize(self.A_f + robin_f)
 
     def step_matrices(self):
         """Solid and fluid step matrices without interface terms, (A_s, A_f)."""
@@ -136,15 +141,30 @@ class CoupledOperators:
         return np.broadcast_to(vals, (self.n_if,)).copy()
 
 
-def _mass_and_stiffness(dofmap: DofMap):
-    """Mass and stiffness of one subdomain from one element_geometry call.
+def _mesh_operators(mesh: CoupledMesh) -> dict:
+    """The dt-independent operators of a mesh, built on first use and memoized on it.
 
-    The geometry is dropped on return, before the caller factors anything.
+    Per subdomain ``"f"``/``"s"``: the DofMap fields after subdomain and mesh
+    (node_to_dof, free_nodes, interface_dofs, R), then mass and stiffness;
+    ``"if"``: the interface mass. Only arrays and matrices are kept: a cached
+    DofMap points back at the mesh, and that cycle would keep every mesh alive
+    until the garbage collector runs.
     """
-    mesh, sub = dofmap.mesh, dofmap.subdomain
-    geometry = fem.element_geometry(mesh.nodes, fem.subdomain_triangles(mesh, sub))
-    return (fem.assemble_mass(mesh, sub, dofmap, geometry),
-            fem.assemble_stiffness(mesh, sub, dofmap, geometry))
+    shared = mesh._cache.get("operators")
+    if shared is None:
+        shared = {}
+        for sub in ("f", "s"):
+            dof = fem.build_dofmap(mesh, sub)
+            # mass and stiffness share one element_geometry call; it is dropped
+            # before the next subdomain's, and before the caller factors anything
+            geometry = fem.element_geometry(mesh.nodes, fem.subdomain_triangles(mesh, sub))
+            shared[sub] = (dof.node_to_dof, dof.free_nodes, dof.interface_dofs, dof.R,
+                           fem.assemble_mass(mesh, sub, dof, geometry),
+                           fem.assemble_stiffness(mesh, sub, dof, geometry))
+            del geometry
+        shared["if"] = fem.assemble_interface_mass(mesh)
+        mesh._cache["operators"] = shared
+    return shared
 
 
 def load(dofmap: DofMap, fn, t) -> np.ndarray:
@@ -221,12 +241,13 @@ def _quad_form(A: sp.csr_array, x: np.ndarray) -> float:
 
 
 def energy_Z(params: SchemeParams, ops: CoupledOperators, state: SchemeState) -> float:
-    """Stored energy at one time level."""
-    k, dt, a = params.k, params.dt, params.alpha
+    """Stored energy at one time level; the solid strain term is there for k = 2 only."""
+    dt, a = params.dt, params.alpha
     u_tr = fem.trace_restrict(ops.dof_f, state.u)
     z = 0.5 * _quad_form(ops.M_s, state.q)
     z += 0.5 * _quad_form(ops.M_f, state.u)
-    z += 0.5 * (k - 1) * params.nu_s * _quad_form(ops.K_s, state.w)
+    if params.k == 2:
+        z += 0.5 * params.nu_s * _quad_form(ops.K_s, state.w)
     z += 0.5 * dt * a * _quad_form(ops.M_if, u_tr)
     z += 0.5 * (dt / a) * _quad_form(ops.M_if, state.lam)
     return z
@@ -234,16 +255,21 @@ def energy_Z(params: SchemeParams, ops: CoupledOperators, state: SchemeState) ->
 
 def energy_S(params: SchemeParams, ops: CoupledOperators, state_n: SchemeState,
              state_next: SchemeState) -> float:
-    """Dissipated energy of one step (nonnegative)."""
-    k, dt, a = params.k, params.dt, params.alpha
+    """Dissipated energy of one step (nonnegative).
+
+    The solid's viscous term and backward Euler's velocity-jump term are there
+    for k = 1 only: for k = 2 the solid is hyperbolic and the midpoint rule
+    dissipates nothing there.
+    """
+    dt, a = params.dt, params.alpha
     s = params.nu_f * dt * _quad_form(ops.K_f, state_next.u)
-    s += (2 - k) * params.nu_s * dt * _quad_form(ops.K_s, state_next.w)
-    s += 0.5 * (2 - k) * _quad_form(ops.M_s, state_next.q - state_n.q)
-    s += 0.5 * _quad_form(ops.M_f, state_next.u - state_n.u)
-    if k == 1:
+    if params.k == 1:
+        s += params.nu_s * dt * _quad_form(ops.K_s, state_next.w)
+        s += 0.5 * _quad_form(ops.M_s, state_next.q - state_n.q)
         q_half = state_next.q
     else:
         q_half = 0.5 * (state_next.q + state_n.q)
+    s += 0.5 * _quad_form(ops.M_f, state_next.u - state_n.u)
     d = fem.trace_restrict(ops.dof_s, q_half) - fem.trace_restrict(ops.dof_f, state_n.u)
     s += 0.5 * dt * a * _quad_form(ops.M_if, d)
     return s
@@ -291,7 +317,7 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
 
 
 def _monolithic_system(ops: CoupledOperators):
-    """Condensed SPD system of the fully coupled step, cached in the operator bundle.
+    """Condensed SPD system of the fully coupled step, factored.
 
     The multiplier lives on the interface nodes F that carry a dof on both
     sides, where the constraint rows read M_FF (v_F - u_F) = rhs_c[F] with
@@ -302,10 +328,10 @@ def _monolithic_system(ops: CoupledOperators):
     Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid dof to its merged
     dof (an interface dof to the solid dof at the same node).
 
-    Returns (lu, Pf, F, M_FF in upper banded form, c).
+    Returns (lu, Pf, F, M_FF in upper banded form, c). ``run_monolithic``
+    builds it once per call and drops it on return, so the oracle LU never
+    outlives the run.
     """
-    if ops._monolithic is not None:
-        return ops._monolithic
     params, dof_s, dof_f = ops.params, ops.dof_s, ops.dof_f
     F = np.flatnonzero(dof_s.interface_dofs >= 0)
     if not np.array_equal(F, np.flatnonzero(dof_f.interface_dofs >= 0)):
@@ -321,15 +347,17 @@ def _monolithic_system(ops: CoupledOperators):
     K = Pf.T @ ops.A_f @ Pf + sp.block_diag((ops.A_s / c, sp.csr_array((n_rest, n_rest))))
     M_FF = ops.M_if[F][:, F]  # tridiagonal
     band = np.stack([np.r_[0.0, M_FF.diagonal(1)], M_FF.diagonal()])
-    ops._monolithic = (sparse.factorize(K, spd=True), Pf, F, band, c)
-    return ops._monolithic
+    return sparse.factorize(K), Pf, F, band, c
 
 
 def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-                    sources: SourceData, t_next: float) -> SchemeState:
-    """One implicit step of the fully coupled system (the strongly coupled oracle)."""
+                    sources: SourceData, t_next: float, system) -> SchemeState:
+    """One implicit step of the fully coupled system (the strongly coupled oracle).
+
+    ``system`` is ``_monolithic_system(ops)``.
+    """
     k, dt = params.k, params.dt
-    lu, Pf, F, M_FF, c = _monolithic_system(ops)
+    lu, Pf, F, M_FF, c = system
     n_s = ops.dof_s.n_dofs
 
     g_N = ops.interface_values(sources.g_N, t_next)
@@ -366,9 +394,11 @@ def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
                    callback: Callable | None = None) -> SchemeState:
     """Advance the strongly coupled oracle n_steps from the initial state."""
     ops = ops or CoupledOperators(mesh, params)
+    system = _monolithic_system(ops)
     state = initial
     for _ in range(params.n_steps):
-        state = monolithic_step(params, ops, state, sources, (state.step_index + 1) * params.dt)
+        t_next = (state.step_index + 1) * params.dt
+        state = monolithic_step(params, ops, state, sources, t_next, system)
         _check_finite(state)
         if callback is not None:
             callback(state)

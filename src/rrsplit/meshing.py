@@ -84,6 +84,7 @@ class CoupledMesh:
     interface_segments: np.ndarray
     h_max: float
     geometry: InterfaceGeometry
+    # built on first use: fem's quadrature data, coupling's dt-independent operators
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property

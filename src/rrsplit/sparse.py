@@ -1,4 +1,4 @@
-"""Sparse assembly from triplets and cached LU factorizations on scipy CSR arrays."""
+"""Sparse assembly from triplets and cached SPD LU factorizations on scipy CSR arrays."""
 
 from __future__ import annotations
 
@@ -35,28 +35,24 @@ def from_triplets(n_rows, n_cols, entries) -> sp.csr_array:
 class Factorization:
     """Cached sparse LU factorization; solve() is reusable across right-hand sides."""
 
-    def __init__(self, A, spd: bool = False):
+    def __init__(self, A):
         self.shape = A.shape
-        if spd:
-            # symmetric ordering of A + A^T and pivots on the diagonal, so the
-            # row and column permutations agree and the factors stay small
-            self._lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        else:
-            self._lu = spla.splu(A.tocsc())
+        # symmetric ordering of A + A^T and pivots on the diagonal, so the
+        # row and column permutations agree and the factors stay small
+        self._lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=np.float64))
 
 
-def factorize(A, spd: bool = False) -> Factorization:
-    """SuperLU factorization of a square sparse matrix.
+def factorize(A) -> Factorization:
+    """SuperLU factorization of a square symmetric positive definite matrix.
 
-    The default is COLAMD with partial pivoting. ``spd=True`` is the
-    caller's promise that A is symmetric positive definite; SuperLU then runs
-    in symmetric mode with the MMD ordering of A + A^T and no row
-    interchanges. A singular matrix raises RuntimeError.
+    SPD is the caller's promise: SuperLU runs in symmetric mode with the MMD
+    ordering of A + A^T and no row interchanges. A singular matrix raises
+    RuntimeError.
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError("factorize requires a square matrix")
-    return Factorization(A, spd)
+    return Factorization(A)

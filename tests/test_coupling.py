@@ -5,12 +5,14 @@ assembled from scratch in this file (explicit per-triangle loops), so the
 sparse assembly and the stepper share no code with the oracle.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from rrsplit import coupling, fem, meshing
+from rrsplit import coupling, fem, meshing, sparse
 from rrsplit.cases import get_case
 from rrsplit.coupling import (
     CoupledOperators,
@@ -195,7 +197,8 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        new = monolithic_step(params, ops, state, self.sources, t1)
+        new = monolithic_step(params, ops, state, self.sources, t1,
+                              coupling._monolithic_system(ops))
 
         dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
         dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
@@ -428,6 +431,72 @@ class TestFactorizations:
         ops = CoupledOperators(mesh, SchemeParams(k=k, dt=0.125, T=0.25))
         lu = coupling._monolithic_system(ops)[0]._lu
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+
+
+class TestSharedDiscretization:
+    """Bundles on one mesh share its dt-independent operators; nothing outlives its owner."""
+
+    def test_bundles_on_one_mesh_share_the_mesh_operators(self, monkeypatch):
+        assembled = []
+        for name in ("assemble_mass", "assemble_stiffness"):
+            original = getattr(fem, name)
+
+            def counting(mesh, sub, *args, _name=name, _original=original):
+                assembled.append((_name, sub))
+                return _original(mesh, sub, *args)
+
+            monkeypatch.setattr(fem, name, counting)
+        mesh = meshing.slanted_interface_mesh(1)
+        ops1 = CoupledOperators(mesh, SchemeParams(k=1, dt=0.125, T=0.25))
+        ops2 = CoupledOperators(mesh, SchemeParams(k=2, dt=0.0625, alpha=3.0, T=0.25))
+        for name in ("M_f", "K_f", "M_s", "K_s", "M_if"):
+            assert getattr(ops1, name) is getattr(ops2, name)
+        assert ops1.dof_f.R is ops2.dof_f.R and ops1.dof_s.R is ops2.dof_s.R
+        assert ops1.A_s is not ops2.A_s and ops1._fluid is not ops2._fluid
+        assert sorted(assembled) == [("assemble_mass", "f"), ("assemble_mass", "s"),
+                                     ("assemble_stiffness", "f"), ("assemble_stiffness", "s")]
+
+    def test_dropped_mesh_is_freed_without_the_collector(self):
+        # a cached DofMap would point back at its mesh; the cycle would outlive the row
+        case = get_case("ph_uniform")
+        gc.disable()
+        try:
+            mesh = meshing.uniform_split_mesh(4)
+            ref = weakref.ref(mesh)
+            params = SchemeParams(k=2, dt=0.125, T=0.25)
+            ops = CoupledOperators(mesh, params)
+            src = SourceData.from_case(case)
+            s0 = initial_state(case, mesh, ops)
+            loose, _ = run(params, mesh, src, s0, ops)
+            strong = run_monolithic(params, mesh, src, s0, ops)
+            fem.l2_error(ops.dof_f, loose.u - strong.u, case.exact_u, 0.25)
+            del mesh, ops, s0
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_run_monolithic_drops_the_oracle_factorization(self, monkeypatch):
+        made = []
+        original = sparse.factorize
+
+        def keeping(A):
+            made.append(original(A))
+            return made[-1]
+
+        monkeypatch.setattr(sparse, "factorize", keeping)
+        mesh = meshing.uniform_split_mesh(4)
+        params = SchemeParams(k=1, dt=0.125, T=0.25)
+        ops = CoupledOperators(mesh, params)
+        gc.disable()
+        try:
+            run_monolithic(params, mesh, SourceData.zero(), zero_state(ops), ops)
+            assert len(made) == 3
+            oracle = weakref.ref(made.pop())
+            assert oracle() is None
+        finally:
+            gc.enable()
+        held = [v for v in vars(ops).values() if isinstance(v, sparse.Factorization)]
+        assert held == [ops._solid, ops._fluid]
 
 
 # Fingerprints of the final state, (2-norm, v @ arange(len(v))) per field, and
