@@ -1,24 +1,23 @@
-"""Manufactured solutions with synthesized forcing and interface data.
+"""Manufactured solutions in separable form, with their forcing and interface data.
 
-Each case carries closed-form exact fields u (lower subdomain), w and q
-(upper subdomain) and the interface unknown l, all vectorized over numpy
-arrays, plus the synthesized volume forcing f_f, f_s and interface data
-g_D = q - u and g_N = nu_s grad(w).n_s + nu_f grad(u).n_f. All closed forms
-are hand-differentiated; `residual_oracle` certifies them against central
-finite differences before any convergence run leans on them.
+Each case is one spatial profile p(x, y) with a hand-differentiated value,
+gradient and Laplacian, times one exponential time factor per field:
+u = amp e^{rate_u t} p below the interface, w = amp e^{rate_w t} p above it,
+and q = w (k = 1) or dw/dt (k = 2). `_separable_case` derives every closure
+from that form, including f_f = du/dt - nu_f lap(u), f_s = dq/dt - nu_s lap(w),
+g_D = q - u and g_N = nu_s grad(w).n_s + nu_f grad(u).n_f. `residual_oracle`
+certifies them against central finite differences before any run leans on them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import pi
 from typing import Callable
 
 import numpy as np
 
 from .meshing import InterfaceGeometry
-
-CASE_NAMES = ("pp_uniform", "ph_uniform", "pp_slanted", "pp_conforming")
 
 _FD_SPACE = 1e-4
 _FD_TIME = 1e-5
@@ -44,161 +43,108 @@ class ManufacturedCase:
     l_consistent: Callable
 
 
-def synthesize_forcing(dt_u, lap_u, dt_q, lap_w, nu_f, nu_s):
-    """Forcing closures f_f = du/dt - nu_f lap(u), f_s = dq/dt - nu_s lap(w)."""
+# Profiles: value, gradient and Laplacian of p, each led by the time factor s.
+def _sine(s, x1, x2):
+    return s * np.sin(pi * x1) * np.sin(pi * x2)
+
+
+def _sine_grad(s, x1, x2):
+    return (s * pi * np.cos(pi * x1) * np.sin(pi * x2), s * pi * np.sin(pi * x1) * np.cos(pi * x2))
+
+
+def _sine_lap(s, x1, x2):
+    return -2.0 * pi**2 * _sine(s, x1, x2)
+
+
+def _bubble(s, x1, x2):
+    return s * x1 * (1.0 - x1) * x2 * (1.0 - x2)
+
+
+def _bubble_grad(s, x1, x2):
+    return (s * (1.0 - 2.0 * x1) * x2 * (1.0 - x2), s * x1 * (1.0 - x1) * (1.0 - 2.0 * x2))
+
+
+def _bubble_lap(s, x1, x2):
+    return s * (-2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1))
+
+
+_SINE = (_sine, _sine_grad, _sine_lap)           # sin(pi x) sin(pi y)
+_BUBBLE = (_bubble, _bubble_grad, _bubble_lap)  # x(1-x) y(1-y)
+
+
+def _separable_case(name, k, geometry, profile, amp, rate_u, rate_w, nu_f, nu_s):
+    """The case u = amp e^{rate_u t} p, w = amp e^{rate_w t} p for p = profile.
+
+    The interface unknown l is the flux nu_f grad(u).n_f when u and w share a
+    time factor; with two, l = grad(w).n_f, which drifts from the flux on
+    purpose (the study reports the gap).
+    """
+    val, grad, lap = profile
+    nfx, nfy = geometry.normal_f()
+
+    def a(rate, t):
+        return amp * np.exp(rate * t)
+
+    def exact_u(x1, x2, t):
+        return val(a(rate_u, t), x1, x2)
+
+    def exact_w(x1, x2, t):
+        return val(a(rate_w, t), x1, x2)
+
+    def exact_q(x1, x2, t):  # w for k = 1, dw/dt for k = 2
+        return val(a(rate_w, t) if k == 1 else rate_w * a(rate_w, t), x1, x2)
+
+    def grad_u(x1, x2, t):
+        return grad(a(rate_u, t), x1, x2)
+
+    def grad_w(x1, x2, t):
+        return grad(a(rate_w, t), x1, x2)
 
     def f_f(x1, x2, t):
-        return dt_u(x1, x2, t) - nu_f * lap_u(x1, x2, t)
+        return rate_u * exact_u(x1, x2, t) - nu_f * lap(a(rate_u, t), x1, x2)
 
-    def f_s(x1, x2, t):
-        return dt_q(x1, x2, t) - nu_s * lap_w(x1, x2, t)
-
-    return f_f, f_s
-
-
-def _interface_data(exact_u, exact_q, grad_u, grad_w, geometry, nu_f, nu_s):
-    nfx, nfy = geometry.normal_f()
+    def f_s(x1, x2, t):  # dq/dt = rate_w q for either k
+        return rate_w * exact_q(x1, x2, t) - nu_s * lap(a(rate_w, t), x1, x2)
 
     def g_D(x1, x2, t):
         return exact_q(x1, x2, t) - exact_u(x1, x2, t)
-
-    def g_N(x1, x2, t):
-        ufx, ufy = grad_u(x1, x2, t)
-        wfx, wfy = grad_w(x1, x2, t)
-        # n_s = -n_f along a matched straight interface
-        return nu_f * (ufx * nfx + ufy * nfy) + nu_s * (wfx * (-nfx) + wfy * (-nfy))
 
     def l_consistent(x1, x2, t):
         ufx, ufy = grad_u(x1, x2, t)
         return nu_f * (ufx * nfx + ufy * nfy)
 
-    return g_D, g_N, l_consistent
+    def g_N(x1, x2, t):  # n_s = -n_f along a matched straight interface
+        wfx, wfy = grad_w(x1, x2, t)
+        return l_consistent(x1, x2, t) + nu_s * (wfx * (-nfx) + wfy * (-nfy))
 
+    def l_stated(x1, x2, t):
+        wfx, wfy = grad_w(x1, x2, t)
+        return wfx * nfx + wfy * nfy
 
-def _bubble_parts():
-    """Shared pieces of the 1e-3 * e^t * x1(1-x1)x2(1-x2) solution family."""
-    amp = 1e-3
-
-    def val(x1, x2, t):
-        return amp * np.exp(t) * x1 * (1.0 - x1) * x2 * (1.0 - x2)
-
-    def grad(x1, x2, t):
-        s = amp * np.exp(t)
-        return (
-            s * (1.0 - 2.0 * x1) * x2 * (1.0 - x2),
-            s * x1 * (1.0 - x1) * (1.0 - 2.0 * x2),
-        )
-
-    def lap(x1, x2, t):
-        return amp * np.exp(t) * (-2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1))
-
-    return val, grad, lap
-
-
-def _case_pp_uniform(nu_f, nu_s):
-    pi = math.pi
-    geometry = InterfaceGeometry.horizontal()
-
-    def u(x1, x2, t):
-        return np.exp(-2.0 * pi**2 * t) * np.sin(pi * x1) * np.sin(pi * x2)
-
-    def w(x1, x2, t):
-        return np.exp(-2.0 * pi * t) * np.sin(pi * x1) * np.sin(pi * x2)
-
-    def grad_u(x1, x2, t):
-        s = np.exp(-2.0 * pi**2 * t)
-        return (pi * s * np.cos(pi * x1) * np.sin(pi * x2), pi * s * np.sin(pi * x1) * np.cos(pi * x2))
-
-    def grad_w(x1, x2, t):
-        s = np.exp(-2.0 * pi * t)
-        return (pi * s * np.cos(pi * x1) * np.sin(pi * x2), pi * s * np.sin(pi * x1) * np.cos(pi * x2))
-
-    def dt_u(x1, x2, t):
-        return -2.0 * pi**2 * u(x1, x2, t)
-
-    def dt_w(x1, x2, t):
-        return -2.0 * pi * w(x1, x2, t)
-
-    def lap_u(x1, x2, t):
-        return -2.0 * pi**2 * u(x1, x2, t)
-
-    def lap_w(x1, x2, t):
-        return -2.0 * pi**2 * w(x1, x2, t)
-
-    def l_exact(x1, x2, t):
-        return pi * np.exp(-2.0 * pi * t) * np.sin(pi * x1) * np.cos(pi * x2)
-
-    f_f, f_s = synthesize_forcing(dt_u, lap_u, dt_w, lap_w, nu_f, nu_s)
-    g_D, g_N, l_cons = _interface_data(u, w, grad_u, grad_w, geometry, nu_f, nu_s)
-    return ManufacturedCase(
-        "pp_uniform", 1, geometry, nu_f, nu_s,
-        exact_u=u, exact_w=w, exact_q=w, exact_l=l_exact,
-        grad_u=grad_u, grad_w=grad_w, f_f=f_f, f_s=f_s,
-        g_D=g_D, g_N=g_N, l_consistent=l_cons,
-    )
-
-
-def _case_bubble(name, k, geometry, nu_f, nu_s):
-    # u = w = 1e-3 e^t x1(1-x1)x2(1-x2); for k=2 the time factor makes q = w.
-    val, grad, lap = _bubble_parts()
-    exact_q = val  # dw/dt = w when k = 2; q = w when k = 1
-
-    def l_exact(x1, x2, t):
-        nfx, nfy = geometry.normal_f()
-        gx, gy = grad(x1, x2, t)
-        return nu_f * (gx * nfx + gy * nfy)
-
-    f_f, f_s = synthesize_forcing(val, lap, val, lap, nu_f, nu_s)
-    g_D, g_N, l_cons = _interface_data(val, exact_q, grad, grad, geometry, nu_f, nu_s)
     return ManufacturedCase(
         name, k, geometry, nu_f, nu_s,
-        exact_u=val, exact_w=val, exact_q=exact_q, exact_l=l_exact,
-        grad_u=grad, grad_w=grad, f_f=f_f, f_s=f_s,
-        g_D=g_D, g_N=g_N, l_consistent=l_cons,
+        exact_u=exact_u, exact_w=exact_w, exact_q=exact_q,
+        exact_l=l_consistent if rate_u == rate_w else l_stated,
+        grad_u=grad_u, grad_w=grad_w, f_f=f_f, f_s=f_s,
+        g_D=g_D, g_N=g_N, l_consistent=l_consistent,
     )
 
 
-def _case_pp_conforming(nu_f, nu_s):
-    pi = math.pi
-    geometry = InterfaceGeometry.horizontal()
-
-    def u(x1, x2, t):
-        return np.exp(-t) * np.sin(pi * x1) * np.sin(pi * x2)
-
-    def grad(x1, x2, t):
-        s = np.exp(-t)
-        return (pi * s * np.cos(pi * x1) * np.sin(pi * x2), pi * s * np.sin(pi * x1) * np.cos(pi * x2))
-
-    def dt(x1, x2, t):
-        return -u(x1, x2, t)
-
-    def lap(x1, x2, t):
-        return -2.0 * pi**2 * u(x1, x2, t)
-
-    def l_exact(x1, x2, t):
-        return nu_f * pi * np.exp(-t) * np.sin(pi * x1) * np.cos(pi * x2)
-
-    f_f, f_s = synthesize_forcing(dt, lap, dt, lap, nu_f, nu_s)
-    g_D, g_N, l_cons = _interface_data(u, u, grad, grad, geometry, nu_f, nu_s)
-    return ManufacturedCase(
-        "pp_conforming", 1, geometry, nu_f, nu_s,
-        exact_u=u, exact_w=u, exact_q=u, exact_l=l_exact,
-        grad_u=grad, grad_w=grad, f_f=f_f, f_s=f_s,
-        g_D=g_D, g_N=g_N, l_consistent=l_cons,
-    )
+# name: (k, geometry, profile, amp, rate_u, rate_w)
+_CASES = {
+    "pp_uniform": (1, InterfaceGeometry.horizontal(), _SINE, 1.0, -2.0 * pi**2, -2.0 * pi),
+    "ph_uniform": (2, InterfaceGeometry.horizontal(), _BUBBLE, 1e-3, 1.0, 1.0),
+    "pp_slanted": (1, InterfaceGeometry.slanted(), _BUBBLE, 1e-3, 1.0, 1.0),
+    "pp_conforming": (1, InterfaceGeometry.horizontal(), _SINE, 1.0, -1.0, -1.0),
+}
+CASE_NAMES = tuple(_CASES)
 
 
 def get_case(name: str, nu_f: float = 1.0, nu_s: float = 1.0) -> ManufacturedCase:
     """Manufactured case by name, with data synthesized for the given coefficients."""
-    if name == "pp_uniform":
-        return _case_pp_uniform(nu_f, nu_s)
-    if name == "ph_uniform":
-        return _case_bubble("ph_uniform", 2, InterfaceGeometry.horizontal(), nu_f, nu_s)
-    if name == "pp_slanted":
-        return _case_bubble("pp_slanted", 1, InterfaceGeometry.slanted(), nu_f, nu_s)
-    if name == "pp_conforming":
-        return _case_pp_conforming(nu_f, nu_s)
-    raise KeyError(f"unknown case {name!r}; known cases: {CASE_NAMES}")
+    if name not in _CASES:
+        raise KeyError(f"unknown case {name!r}; known cases: {CASE_NAMES}")
+    return _separable_case(name, *_CASES[name], nu_f, nu_s)
 
 
 def _fd_time(fn, x1, x2, t, h=_FD_TIME):

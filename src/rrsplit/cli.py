@@ -12,6 +12,8 @@ from .cases import CASE_NAMES, get_case
 
 
 def _dyadic_list(dt_max: float, dt_min: float) -> tuple:
+    if not all(math.isfinite(v) and v > 0.0 for v in (dt_max, dt_min)):
+        raise ValueError("--dt-max and --dt-min must be finite and positive")
     if dt_min > dt_max:
         raise ValueError("--dt-min must not exceed --dt-max")
     steps = math.log2(dt_max / dt_min)

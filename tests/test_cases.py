@@ -10,7 +10,6 @@ from rrsplit.cases import (
     get_case,
     residual_oracle,
     sample_points,
-    synthesize_forcing,
 )
 
 
@@ -108,18 +107,6 @@ class TestForcing:
         )
         assert case.f_f(x1, x2, t) == pytest.approx(expected, rel=1e-13)
 
-    def test_synthesize_forcing_combines_parts(self):
-        f_f, f_s = synthesize_forcing(
-            dt_u=lambda x, y, t: x,
-            lap_u=lambda x, y, t: y,
-            dt_q=lambda x, y, t: 2.0 * x,
-            lap_w=lambda x, y, t: 0.0 * x,
-            nu_f=3.0,
-            nu_s=2.0,
-        )
-        assert f_f(1.0, 2.0, 0.0) == pytest.approx(1.0 - 6.0)
-        assert f_s(1.0, 2.0, 0.0) == pytest.approx(2.0)
-
     def test_viscosity_enters_forcing(self):
         case = get_case("pp_uniform", nu_f=2.0)
         x = np.linspace(0.1, 0.9, 5)
@@ -127,9 +114,13 @@ class TestForcing:
 
 
 class TestResidualOracle:
-    @pytest.mark.parametrize("name", CASE_NAMES)
-    def test_residuals_below_fd_floor(self, name):
-        case = get_case(name)
+    # the default coefficients keep the bare case name as the test id
+    @pytest.mark.parametrize("name, nu_f, nu_s", [
+        *(pytest.param(n, 1.0, 1.0, id=n) for n in CASE_NAMES),
+        *(pytest.param(n, 2.0, 0.5, id=f"{n}-nu_f=2-nu_s=0.5") for n in CASE_NAMES),
+    ])
+    def test_residuals_below_fd_floor(self, name, nu_f, nu_s):
+        case = get_case(name, nu_f=nu_f, nu_s=nu_s)
         pts = sample_points(case, 100, np.random.default_rng(0))
         for t in (0.0, 0.125, 0.25):
             assert residual_oracle(case, pts, t) < 1e-5

@@ -12,9 +12,7 @@ from rrsplit.cutoff import (
     closed_form_grad_energy,
     grad_energy,
     grad_phi,
-    overshoot_measure,
     phi,
-    phi_unclamped,
     trace_not_one_measure,
     verify_assumptions,
 )
@@ -74,6 +72,7 @@ class TestPhi:
         assert phi(0.125, 1.0, cfg) == pytest.approx(0.5, rel=1e-14)
 
     def test_range_after_clamp(self):
+        # phi applies no clamp, so this checks the five branches themselves
         cfg = CutoffConfig(0.1)
         xs = np.linspace(0.0, 1.0, 301)
         X1, X2 = np.meshgrid(xs, xs)
@@ -84,11 +83,6 @@ class TestPhi:
         cfg = CutoffConfig(0.25)
         xs = np.linspace(cfg.dt + 1e-9, 1.0 - cfg.dt - 1e-9, 10000)
         np.testing.assert_allclose(phi(xs, np.ones_like(xs), cfg), 1.0)
-
-    def test_no_overshoot_in_this_construction(self):
-        # upper bound for the unclamped branches is reported, not assumed
-        for dt in (0.25, 0.0625):
-            assert overshoot_measure(CutoffConfig(dt)) <= 4.0 * dt
 
     def test_seam_jump_small(self):
         # max jump of phi across the x2 = 1/2 seam between the quadrants and the strips
@@ -132,8 +126,8 @@ class TestGradPhi:
             if len(labels) != 1:
                 continue
             gx, gy = grad_phi(x1, x2, cfg)
-            fdx = (phi_unclamped(x1 + h, x2, cfg) - phi_unclamped(x1 - h, x2, cfg)) / (2 * h)
-            fdy = (phi_unclamped(x1, x2 + h, cfg) - phi_unclamped(x1, x2 - h, cfg)) / (2 * h)
+            fdx = (phi(x1 + h, x2, cfg) - phi(x1 - h, x2, cfg)) / (2 * h)
+            fdy = (phi(x1, x2 + h, cfg) - phi(x1, x2 - h, cfg)) / (2 * h)
             assert abs(gx - fdx) < 1e-6 and abs(gy - fdy) < 1e-6
             checked += 1
 
@@ -144,6 +138,18 @@ class TestTraceMeasure:
 
     def test_eighth(self):
         assert trace_not_one_measure(CutoffConfig(0.125)) == 0.25
+
+    @pytest.mark.parametrize("dt", [0.1, 0.3, 0.01])
+    def test_non_dyadic_within_rounding(self, dt):
+        assert trace_not_one_measure(CutoffConfig(dt)) == pytest.approx(2.0 * dt, rel=1e-15)
+
+    def test_measured_not_assumed(self):
+        # a ramp wider than half the edge leaves no point at 1: the whole edge counts
+        assert trace_not_one_measure(CutoffConfig(0.75)) == 1.0
+
+    def test_small_non_dyadic_dt_passes(self):
+        # 1 - (1 - dt) rounds by ~1e-16 absolute, which is 5e-12 of 2 dt here
+        assert verify_assumptions(CutoffConfig(1e-5)).trace_ok
 
 
 class TestGradEnergy:

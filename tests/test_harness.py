@@ -39,9 +39,9 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(case="pp_conforming", dt_list=[0.15])
 
-    def test_unknown_norm_rejected(self):
+    def test_empty_dt_list_rejected(self):
         with pytest.raises(ValueError):
-            StudyConfig(case="pp_conforming", dt_list=[0.25], norms=("bogus",))
+            StudyConfig(case="pp_conforming", dt_list=[])
 
 
 class TestBuildStudyMesh:
@@ -214,7 +214,12 @@ class TestCli:
                      ["run", "--case", "pp_conforming", "--dt", "0.25", "--t-final", "inf"],
                      ["convergence", "--case", "pp_conforming", "--dt-max", "0.25",
                       "--dt-min", "0.125", "--nu-s", "nan"],
-                     ["energy-audit", "--alpha", "inf"]):
+                     ["energy-audit", "--alpha", "inf"],
+                     ["cutoff-verify", "--dt-max", "0.25", "--dt-min", "0"],
+                     ["convergence", "--case", "pp_conforming", "--dt-max", "0.25",
+                      "--dt-min", "0"],
+                     ["cutoff-verify", "--dt-max", "inf", "--dt-min", "1"],
+                     ["cutoff-verify", "--dt-max", "-0.25", "--dt-min", "-0.5"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
