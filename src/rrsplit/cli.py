@@ -64,7 +64,6 @@ def build_parser(flags: list | None = None) -> argparse.ArgumentParser:
                seed=False):
         if case:
             add(p, "--case", required=True, choices=CASE_NAMES)
-            add(p, "--k", type=int, choices=(1, 2), help="must match the case")
         if dt:
             add(p, "--dt", type=float, required=True)
         if dt_range:
@@ -103,21 +102,13 @@ def build_parser(flags: list | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _check_case_k(parser, args, case):
-    if getattr(args, "k", None) is not None and args.k != case.k:
-        parser.error(f"--k {args.k} does not match case {case.name} (k={case.k})")
-
-
-def cmd_convergence(parser, args) -> int:
+def cmd_convergence(args) -> int:
     case = get_case(args.case, nu_f=args.nu_f, nu_s=args.nu_s)
-    _check_case_k(parser, args, case)
     cfg = harness.StudyConfig(
         case=case,
         dt_list=_dyadic_list(args.dt_max, args.dt_min),
         final_time=args.t_final,
         alpha=args.alpha,
-        nu_f=args.nu_f,
-        nu_s=args.nu_s,
         use_oracle=args.oracle,
     )
     table = harness.run_study(cfg)
@@ -136,14 +127,12 @@ def cmd_convergence(parser, args) -> int:
     return 1 if table.failures else 0
 
 
-def cmd_run(parser, args) -> int:
+def cmd_run(args) -> int:
     case = get_case(args.case, nu_f=args.nu_f, nu_s=args.nu_s)
-    _check_case_k(parser, args, case)
     cfg = harness.StudyConfig(case=case, dt_list=(args.dt,), final_time=args.t_final,
-                              alpha=args.alpha, nu_f=args.nu_f, nu_s=args.nu_s,
-                              use_oracle=args.oracle)
+                              alpha=args.alpha, use_oracle=args.oracle)
     norms = ("L2_final_U",) if args.oracle else ("L2_final_U", "L2_final_W")
-    final, ledger, errors = harness.run_row(case, cfg, args.dt, norms)
+    final, ledger, errors = harness.run_row(cfg, args.dt, norms)
     print(f"errU={errors['L2_final_U']:.6g}")
     if not args.oracle:
         print(f"errW={errors['L2_final_W']:.6g}")
@@ -156,7 +145,7 @@ def cmd_run(parser, args) -> int:
     return 0
 
 
-def cmd_energy_audit(parser, args) -> int:
+def cmd_energy_audit(args) -> int:
     report = harness.energy_audit(
         k=args.k, alpha=args.alpha, dt=args.dt, n_steps=args.steps, seed=args.seed,
         nu_f=args.nu_f, nu_s=args.nu_s,
@@ -172,21 +161,20 @@ def cmd_energy_audit(parser, args) -> int:
     return 0 if report["passed"] else 1
 
 
-def cmd_cutoff_verify(parser, args) -> int:
-    dt_list = _dyadic_list(args.dt_max, args.dt_min)
-    csv = harness.cutoff_report(dt_list)
+def cmd_cutoff_verify(args) -> int:
+    reports = [cutoff.verify_assumptions(cutoff.CutoffConfig(dt))
+               for dt in _dyadic_list(args.dt_max, args.dt_min)]
+    csv = harness.cutoff_report(reports)
     path = _out_path(args, "cutoff_report.csv")
     with open(path, "w") as fh:
         fh.write(csv)
     sys.stdout.write(csv)
     print(f"wrote {path}")
-    bad = [dt for dt in dt_list if not cutoff.verify_assumptions(cutoff.CutoffConfig(dt)).passed]
-    return 0 if not bad else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
-def cmd_mesh_dump(parser, args) -> int:
+def cmd_mesh_dump(args) -> int:
     case = get_case(args.case)
-    _check_case_k(parser, args, case)
     mesh = harness.build_study_mesh(case, args.dt)
     path = _out_path(args, f"mesh_{case.name}.txt")
     meshing.dump_mesh(mesh, path)
@@ -224,7 +212,7 @@ def main(argv=None) -> int:
             "cutoff-verify": cmd_cutoff_verify,
             "mesh-dump": cmd_mesh_dump,
         }[args.command]
-        return handler(parser, args)
+        return handler(args)
     except ValueError as exc:
         parser.error(str(exc))
 

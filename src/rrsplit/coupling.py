@@ -44,7 +44,7 @@ class SchemeParams:
         if not all(math.isfinite(v) and v > 0.0 for v in values):
             raise ValueError("dt, alpha, nu_f, nu_s, T must be finite and positive")
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-12:
-            raise ValueError("T must be an integer multiple of dt")
+            raise ValueError(f"T={self.T!r} is not an integer multiple of dt={self.dt!r}")
 
     @property
     def n_steps(self) -> int:
@@ -159,8 +159,7 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
             # before the next subdomain's, and before the caller factors anything
             geometry = fem.element_geometry(mesh.nodes, fem.subdomain_triangles(mesh, sub))
             shared[sub] = (dof.node_to_dof, dof.free_nodes, dof.interface_dofs, dof.R,
-                           fem.assemble_mass(mesh, sub, dof, geometry),
-                           fem.assemble_stiffness(mesh, sub, dof, geometry))
+                           fem.assemble_mass(dof, geometry), fem.assemble_stiffness(dof, geometry))
             del geometry
         shared["if"] = fem.assemble_interface_mass(mesh)
         mesh._cache["operators"] = shared
@@ -171,7 +170,7 @@ def load(dofmap: DofMap, fn, t) -> np.ndarray:
     """Load vector of fn(., t) over the dofmap's subdomain; zero when fn is None."""
     if fn is None:
         return np.zeros(dofmap.n_dofs)
-    return fem.assemble_load(dofmap.mesh, dofmap.subdomain, fn, t, dofmap)
+    return fem.assemble_load(dofmap, fn, t)
 
 
 def solid_history(params: SchemeParams, ops: CoupledOperators, state: SchemeState) -> np.ndarray:
@@ -275,14 +274,23 @@ def energy_S(params: SchemeParams, ops: CoupledOperators, state_n: SchemeState,
     return s
 
 
+def _check_ops(ops: CoupledOperators, mesh: CoupledMesh, params: SchemeParams | None = None):
+    """Raise ValueError unless ops were built on this mesh (and for these params)."""
+    if ops.dof_f.mesh is not mesh:
+        raise ValueError("ops were built on another mesh")
+    if params is not None and ops.params != params:
+        raise ValueError(f"ops were built for {ops.params}, not {params}")
+
+
 def initial_state(case, mesh: CoupledMesh, ops: CoupledOperators) -> SchemeState:
     """Interpolants of the exact fields at t = 0."""
-    u0 = fem.interpolate(mesh, "f", case.exact_u, 0.0, ops.dof_f)
-    w0 = fem.interpolate(mesh, "s", case.exact_w, 0.0, ops.dof_s)
+    _check_ops(ops, mesh)
+    u0 = fem.interpolate(ops.dof_f, case.exact_u, 0.0)
+    w0 = fem.interpolate(ops.dof_s, case.exact_w, 0.0)
     if case.k == 1:
         q0 = w0.copy()
     else:
-        q0 = fem.interpolate(mesh, "s", case.exact_q, 0.0, ops.dof_s)
+        q0 = fem.interpolate(ops.dof_s, case.exact_q, 0.0)
     return SchemeState(0, u0, w0, q0, ops.interface_values(case.exact_l, 0.0))
 
 
@@ -294,10 +302,10 @@ def _check_finite(state: SchemeState) -> None:
 
 
 def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
-        initial: SchemeState, ops: CoupledOperators | None = None,
+        initial: SchemeState, ops: CoupledOperators,
         callback: Callable | None = None) -> tuple[SchemeState, EnergyLedger]:
     """Advance n_steps from the initial state; returns final state and energy ledger."""
-    ops = ops or CoupledOperators(mesh, params)
+    _check_ops(ops, mesh, params)
     if params.k == 1 and not np.array_equal(initial.q, initial.w):
         raise ValueError("k=1 requires q0 = w0")
     state = initial
@@ -390,10 +398,10 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
 
 
 def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
-                   initial: SchemeState, ops: CoupledOperators | None = None,
+                   initial: SchemeState, ops: CoupledOperators,
                    callback: Callable | None = None) -> SchemeState:
     """Advance the strongly coupled oracle n_steps from the initial state."""
-    ops = ops or CoupledOperators(mesh, params)
+    _check_ops(ops, mesh, params)
     system = _monolithic_system(ops)
     state = initial
     for _ in range(params.n_steps):

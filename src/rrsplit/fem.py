@@ -113,27 +113,22 @@ def _scatter_blocks(blocks: np.ndarray, tris: np.ndarray, dofmap: DofMap) -> sp.
     return from_triplets(n, n, (rows[keep], cols[keep], vals[keep]))
 
 
-def assemble_mass(mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None,
-                  geometry=None) -> sp.csr_array:
-    """Consistent mass matrix over the free dofs of one subdomain.
+def assemble_mass(dofmap: DofMap, geometry=None) -> sp.csr_array:
+    """Consistent mass matrix over the dofmap's free dofs.
 
     ``geometry`` is the subdomain's ``element_geometry`` output, if the caller
     already has it (so mass and stiffness can share one call).
     """
-    dofmap = dofmap or build_dofmap(mesh, subdomain)
-    tris = subdomain_triangles(mesh, subdomain)
-    areas, _ = geometry or element_geometry(mesh.nodes, tris)
+    tris = subdomain_triangles(dofmap.mesh, dofmap.subdomain)
+    areas, _ = geometry or element_geometry(dofmap.mesh.nodes, tris)
     return _scatter_blocks(element_mass(areas), tris, dofmap)
 
 
-def assemble_stiffness(
-    mesh: CoupledMesh, subdomain: str, dofmap: DofMap | None = None, geometry=None
-) -> sp.csr_array:
-    """Stiffness matrix (grad, grad) over the free dofs of one subdomain; ``geometry``
+def assemble_stiffness(dofmap: DofMap, geometry=None) -> sp.csr_array:
+    """Stiffness matrix (grad, grad) over the dofmap's free dofs; ``geometry``
     as in ``assemble_mass``."""
-    dofmap = dofmap or build_dofmap(mesh, subdomain)
-    tris = subdomain_triangles(mesh, subdomain)
-    areas, grads = geometry or element_geometry(mesh.nodes, tris)
+    tris = subdomain_triangles(dofmap.mesh, dofmap.subdomain)
+    areas, grads = geometry or element_geometry(dofmap.mesh.nodes, tris)
     return _scatter_blocks(element_stiffness(areas, grads), tris, dofmap)
 
 
@@ -195,22 +190,16 @@ def _load_operator(mesh: CoupledMesh, tris: np.ndarray, areas: np.ndarray):
     return x, y, P.tocsr()
 
 
-def assemble_load(
-    mesh: CoupledMesh, subdomain: str, f, t: float, dofmap: DofMap | None = None
-) -> np.ndarray:
+def assemble_load(dofmap: DofMap, f, t: float) -> np.ndarray:
     """Load vector (f(., t), phi_i) with a quadrature exact for degree <= 2."""
-    dofmap = dofmap or build_dofmap(mesh, subdomain)
-    x, y, P = _quad_data(mesh, subdomain, "load")
+    x, y, P = _quad_data(dofmap.mesh, dofmap.subdomain, "load")
     fvals = np.broadcast_to(np.asarray(f(x, y, t), dtype=float), x.shape)
     return (P @ fvals)[dofmap.free_nodes]
 
 
-def interpolate(
-    mesh: CoupledMesh, subdomain: str, fn, t: float, dofmap: DofMap | None = None
-) -> np.ndarray:
+def interpolate(dofmap: DofMap, fn, t: float) -> np.ndarray:
     """Nodal interpolant of fn(x, y, t) on the free dofs."""
-    dofmap = dofmap or build_dofmap(mesh, subdomain)
-    xy = mesh.nodes[dofmap.free_nodes]
+    xy = dofmap.mesh.nodes[dofmap.free_nodes]
     vals = np.asarray(fn(xy[:, 0], xy[:, 1], t), dtype=float)
     return np.broadcast_to(vals, (dofmap.n_dofs,)).copy()
 

@@ -46,26 +46,27 @@ def default_output_dir() -> str:
 
 @dataclass
 class StudyConfig:
-    case: str | ManufacturedCase
+    case: str | ManufacturedCase    # a name is looked up; the case owns k, nu_f and nu_s
     dt_list: tuple
     final_time: float = 0.25
     alpha: float = 1.0
-    nu_f: float = 1.0
-    nu_s: float = 1.0
     use_oracle: bool = False        # step with the strongly coupled solver
 
     def __post_init__(self):
+        if not isinstance(self.case, ManufacturedCase):
+            self.case = get_case(self.case)
         self.dt_list = tuple(float(dt) for dt in self.dt_list)
         if not self.dt_list:
             raise ValueError("dt_list must not be empty")
         if any(b >= a for a, b in zip(self.dt_list, self.dt_list[1:])):
             raise ValueError("dt_list must be strictly decreasing")
-        if not all(math.isfinite(v) and v > 0.0
-                   for v in (self.final_time, self.alpha, self.nu_f, self.nu_s)):
-            raise ValueError("final_time, alpha, nu_f, nu_s must be finite and positive")
-        for dt in self.dt_list:
-            if abs(round(self.final_time / dt) * dt - self.final_time) > 1e-12:
-                raise ValueError(f"final_time is not an integer multiple of dt={dt}")
+        for dt in self.dt_list:  # SchemeParams validates every row's parameters
+            self.params(dt)
+
+    def params(self, dt: float) -> coupling.SchemeParams:
+        """The scheme parameters of the row at step dt."""
+        return coupling.SchemeParams(k=self.case.k, dt=dt, alpha=self.alpha, nu_f=self.case.nu_f,
+                                     nu_s=self.case.nu_s, T=self.final_time)
 
 
 @dataclass
@@ -94,10 +95,6 @@ def rates(errors) -> list:
     return out
 
 
-def _resolve_case(case) -> ManufacturedCase:
-    return case if isinstance(case, ManufacturedCase) else get_case(case)
-
-
 def build_study_mesh(case: ManufacturedCase, dt: float):
     """Mesh matched to a time step: h = dt (horizontal) or one level per halving (slanted).
 
@@ -118,14 +115,12 @@ def build_study_mesh(case: ManufacturedCase, dt: float):
     return meshing.uniform_split_mesh(n)
 
 
-def run_row(case: ManufacturedCase, cfg: StudyConfig, dt: float, norms):
-    """Run one row at step dt; returns (final state, ledger, {norm: error}).
+def run_row(cfg: StudyConfig, dt: float, norms):
+    """Run cfg's case at step dt; returns (final state, ledger, {norm: error}).
 
     The ledger is None under the oracle stepper, which keeps none.
     """
-    params = coupling.SchemeParams(
-        k=case.k, dt=dt, alpha=cfg.alpha, nu_f=cfg.nu_f, nu_s=cfg.nu_s, T=cfg.final_time
-    )
+    case, params = cfg.case, cfg.params(dt)
     mesh = build_study_mesh(case, dt)
     ops = coupling.CoupledOperators(mesh, params)
     state0 = coupling.initial_state(case, mesh, ops)
@@ -172,7 +167,7 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
     The case's synthesized data must pass the finite-difference residual
     check before any row is run.
     """
-    case = _resolve_case(cfg.case)
+    case = cfg.case
     pts = sample_points(case, 50, np.random.default_rng(0))
     gap = max(residual_oracle(case, pts, t) for t in (0.0, cfg.final_time))
     if gap >= 1e-5:
@@ -183,7 +178,7 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
     for dt in cfg.dt_list:
         table.dts.append(dt)
         try:
-            _, _, values = run_row(case, cfg, dt, norms)
+            _, _, values = run_row(cfg, dt, norms)
         except ROW_FAILURES as exc:  # record the failed row, keep the sweep going
             table.failures.append((dt, repr(exc)))
             for n in norms:
@@ -237,11 +232,11 @@ def energy_audit(k: int, alpha: float, dt: float, n_steps: int = 20, mesh_n: int
     }
 
 
-def cutoff_report(dt_list) -> str:
-    """CSV rows of cut-off diagnostics across time steps."""
+def cutoff_report(reports) -> str:
+    """CSV rows of ``cutoff.verify_assumptions`` reports, one per time step."""
     lines = ["dt,grad_energy,closed_form,growth_ratio,trace_measure,passed"]
-    for dt in dt_list:
-        rep = cutoff.verify_assumptions(cutoff.CutoffConfig(dt))
+    for rep in reports:
+        dt = rep.dt
         lines.append(
             f"{dt:.6g},{rep.energy:.6g},{cutoff.closed_form_grad_energy(dt):.6g},"
             f"{rep.growth_ratio:.6g},{rep.trace_measure:.6g},{int(rep.passed)}"

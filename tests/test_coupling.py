@@ -272,7 +272,7 @@ class TestSchemeIdentities:
         params = SchemeParams(k=2, dt=0.125, T=0.25)
         ops = CoupledOperators(mesh, params)
         w0 = np.zeros(ops.dof_s.n_dofs)
-        q0 = fem.interpolate(mesh, "s", lambda x, y, t: np.ones_like(x), 0.0, ops.dof_s)
+        q0 = fem.interpolate(ops.dof_s, lambda x, y, t: np.ones_like(x), 0.0)
         state = SchemeState(0, np.zeros(ops.dof_f.n_dofs), w0, q0, np.zeros(ops.n_if))
         w1, q1 = solid_step(params, ops, state, SourceData.zero(), params.dt)
         lhs = 0.5 * (q1 + q0)
@@ -311,7 +311,7 @@ class TestEnergyLedger:
         mesh = meshing.uniform_split_mesh(4)
         ops1 = CoupledOperators(mesh, SchemeParams(k=1, dt=0.1, T=0.1))
         ops2 = CoupledOperators(mesh, SchemeParams(k=2, dt=0.1, T=0.1))
-        w = fem.interpolate(mesh, "s", lambda x, y, t: x * (1 - x), 0.0, ops1.dof_s)
+        w = fem.interpolate(ops1.dof_s, lambda x, y, t: x * (1 - x), 0.0)
         zf = np.zeros(ops1.dof_f.n_dofs)
         zq = np.zeros(ops1.dof_s.n_dofs)
         lam = np.zeros(ops1.n_if)
@@ -441,9 +441,9 @@ class TestSharedDiscretization:
         for name in ("assemble_mass", "assemble_stiffness"):
             original = getattr(fem, name)
 
-            def counting(mesh, sub, *args, _name=name, _original=original):
-                assembled.append((_name, sub))
-                return _original(mesh, sub, *args)
+            def counting(dofmap, *args, _name=name, _original=original):
+                assembled.append((_name, dofmap.subdomain))
+                return _original(dofmap, *args)
 
             monkeypatch.setattr(fem, name, counting)
         mesh = meshing.slanted_interface_mesh(1)
@@ -567,6 +567,28 @@ class TestNonFiniteGuard:
         run_fn = getattr(coupling, stepper)
         with pytest.raises(FloatingPointError, match="non-finite u at step 3"):
             run_fn(params, mesh, sources, initial_state(case, mesh, ops), ops)
+
+
+class TestMismatchedOperators:
+    """The steppers take ops built by the caller and refuse a bundle of another run."""
+
+    @pytest.mark.parametrize("stepper", ["run", "run_monolithic"])
+    def test_ops_of_another_step_or_mesh_rejected(self, stepper):
+        case = get_case("pp_conforming")
+        mesh = meshing.uniform_split_mesh(4)
+        ops = CoupledOperators(mesh, SchemeParams(k=1, dt=0.25, T=0.25))
+        s0, sources = initial_state(case, mesh, ops), SourceData.from_case(case)
+        run_fn = getattr(coupling, stepper)
+        # the dt = 1/4 Robin LUs would step dt = 1/16 without an error, to the wrong answer
+        with pytest.raises(ValueError, match="ops were built for"):
+            run_fn(SchemeParams(k=1, dt=1.0 / 16, T=0.25), mesh, sources, s0, ops)
+        with pytest.raises(ValueError, match="another mesh"):
+            run_fn(ops.params, meshing.uniform_split_mesh(4), sources, s0, ops)
+
+    def test_initial_state_rejects_ops_of_another_mesh(self):
+        ops = CoupledOperators(meshing.uniform_split_mesh(4), SchemeParams(k=1, dt=0.25))
+        with pytest.raises(ValueError, match="another mesh"):
+            initial_state(get_case("pp_conforming"), meshing.uniform_split_mesh(4), ops)
 
 
 class TestParams:

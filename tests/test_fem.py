@@ -57,14 +57,14 @@ class TestMassMatrix:
     def test_partition_of_unity(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "f", include_dirichlet=True)
-        M = assemble_mass(mesh, "f", dof)
+        M = assemble_mass(dof)
         ones = np.ones(dof.n_dofs)
         assert (M @ ones) @ ones == pytest.approx(0.75, abs=1e-12)
 
     def test_row_sums_are_patch_area_thirds(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "s", include_dirichlet=True)
-        M = assemble_mass(mesh, "s", dof)
+        M = assemble_mass(dof)
         row_sums = M @ np.ones(dof.n_dofs)
         areas, _ = element_geometry(mesh.nodes, mesh.triangles_s)
         patch = np.zeros(mesh.n_nodes)
@@ -73,7 +73,7 @@ class TestMassMatrix:
 
     def test_spd_after_elimination(self):
         mesh = meshing.uniform_split_mesh(4)
-        M = assemble_mass(mesh, "f")
+        M = assemble_mass(build_dofmap(mesh, "f"))
         w = np.linalg.eigvalsh(M.toarray())
         assert w.min() > 0.0
 
@@ -82,7 +82,7 @@ class TestStiffnessMatrix:
     def test_constants_in_kernel_before_elimination(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "f", include_dirichlet=True)
-        K = assemble_stiffness(mesh, "f", dof)
+        K = assemble_stiffness(dof)
         np.testing.assert_allclose(K @ np.ones(dof.n_dofs), 0.0, atol=1e-14)
 
     def test_patch_test_linear_field(self):
@@ -90,14 +90,15 @@ class TestStiffnessMatrix:
         mesh = meshing.uniform_split_mesh(4)
         for sub, area in (("f", 0.75), ("s", 0.25)):
             dof = build_dofmap(mesh, sub, include_dirichlet=True)
-            K = assemble_stiffness(mesh, sub, dof)
+            K = assemble_stiffness(dof)
             v = mesh.nodes[dof.free_nodes, 0]
             assert v @ (K @ v) == pytest.approx(area, rel=1e-12)
 
     def test_symmetry(self):
         mesh = meshing.uniform_split_mesh(5)
         for sub in ("f", "s"):
-            for A in (assemble_mass(mesh, sub), assemble_stiffness(mesh, sub)):
+            dof = build_dofmap(mesh, sub)
+            for A in (assemble_mass(dof), assemble_stiffness(dof)):
                 D = A.toarray()
                 assert np.abs(D - D.T).max() <= 1e-14
 
@@ -105,8 +106,8 @@ class TestStiffnessMatrix:
         # K x = K interp recovers the interpolant on the free dofs
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "f")
-        K = assemble_stiffness(mesh, "f", dof)
-        target = interpolate(mesh, "f", lambda x, y, t: x * (1 - x) * y, 0.0, dof)
+        K = assemble_stiffness(dof)
+        target = interpolate(dof, lambda x, y, t: x * (1 - x) * y, 0.0)
         b = K @ target
         x = factorize(K).solve(b)
         np.testing.assert_allclose(x, target, atol=1e-10)
@@ -151,14 +152,14 @@ class TestInterfaceMass:
 class TestLoad:
     def test_zero_forcing(self):
         mesh = meshing.uniform_split_mesh(4)
-        b = assemble_load(mesh, "f", lambda x, y, t: 0.0 * x, 0.0)
+        b = assemble_load(build_dofmap(mesh, "f"), lambda x, y, t: 0.0 * x, 0.0)
         np.testing.assert_allclose(b, 0.0)
 
     def test_constant_forcing_equals_mass_row_sums(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "f", include_dirichlet=True)
-        b = assemble_load(mesh, "f", lambda x, y, t: np.ones_like(x), 0.0, dof)
-        M = assemble_mass(mesh, "f", dof)
+        b = assemble_load(dof, lambda x, y, t: np.ones_like(x), 0.0)
+        M = assemble_mass(dof)
         np.testing.assert_allclose(b, M @ np.ones(dof.n_dofs), rtol=1e-13)
 
 
@@ -181,9 +182,9 @@ class TestLoadOperator:
         mesh = MESHES[family]()
         dof = build_dofmap(mesh, subdomain, include_dirichlet=True)
         xy = mesh.nodes[dof.free_nodes]
-        expected = assemble_mass(mesh, subdomain, dof) @ np.broadcast_to(
+        expected = assemble_mass(dof) @ np.broadcast_to(
             f(xy[:, 0], xy[:, 1], 0.5), (dof.n_dofs,))
-        b = assemble_load(mesh, subdomain, f, 0.5, dof)
+        b = assemble_load(dof, f, 0.5)
         assert np.abs(b - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_one_closure_call_per_load_at_each_distinct_edge(self, family, subdomain):
@@ -199,7 +200,7 @@ class TestLoadOperator:
 
         dof = build_dofmap(mesh, subdomain)
         for t in (0.0, 0.1):
-            assemble_load(mesh, subdomain, f, t, dof)
+            assemble_load(dof, f, t)
         assert [size for size, _ in calls] == [len(edges)] * 2
         # the same points, bit for bit, as the barycentric products of the rule
         px, py = (QUAD_DEG2_BARY @ mesh.nodes[:, c][tris].T for c in (0, 1))
@@ -219,13 +220,13 @@ class TestTraceRestrict:
     def test_zero_at_interface(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "s")
-        field = interpolate(mesh, "s", lambda x, y, t: (y - 0.75) * x, 0.0, dof)
+        field = interpolate(dof, lambda x, y, t: (y - 0.75) * x, 0.0)
         np.testing.assert_allclose(trace_restrict(dof, field), 0.0, atol=1e-15)
 
     def test_coordinate_field(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "f")
-        field = interpolate(mesh, "f", lambda x, y, t: x, 0.0, dof)
+        field = interpolate(dof, lambda x, y, t: x, 0.0)
         xs = mesh.nodes[mesh.interface_nodes, 0]
         free = dof.interface_dofs >= 0
         np.testing.assert_allclose(trace_restrict(dof, field)[free], xs[free])
@@ -256,7 +257,7 @@ class TestErrorNorms:
             return 2.0 * x - 0.5 * y
 
         dof = build_dofmap(mesh, "f", include_dirichlet=True)
-        field = interpolate(mesh, "f", f, 0.0, dof)
+        field = interpolate(dof, f, 0.0)
         # a linear exact field is reproduced exactly by P1
         assert l2_error(dof, field, f, 0.0) < 1e-14
 
@@ -274,13 +275,13 @@ class TestErrorNorms:
         for n in (8, 16):
             mesh = meshing.uniform_split_mesh(n)
             dof = build_dofmap(mesh, "f", include_dirichlet=True)
-            errs.append(l2_error(dof, interpolate(mesh, "f", f, 0.0, dof), f, 0.0))
+            errs.append(l2_error(dof, interpolate(dof, f, 0.0), f, 0.0))
         assert 3.2 <= errs[0] / errs[1] <= 4.8
 
     def test_h1_linear_field_exact(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "s", include_dirichlet=True)
-        field = interpolate(mesh, "s", lambda x, y, t: 3.0 * x + y, 0.0, dof)
+        field = interpolate(dof, lambda x, y, t: 3.0 * x + y, 0.0)
         err = h1_semi_error(
             dof, field, lambda x, y, t: (3.0 * np.ones_like(x), np.ones_like(y)), 0.0
         )
@@ -308,7 +309,7 @@ class TestErrorNorms:
         for n in (8, 16):
             mesh = meshing.uniform_split_mesh(n)
             dof = build_dofmap(mesh, "f", include_dirichlet=True)
-            errs.append(h1_semi_error(dof, interpolate(mesh, "f", f, 0.0, dof), grad, 0.0))
+            errs.append(h1_semi_error(dof, interpolate(dof, f, 0.0), grad, 0.0))
         assert 1.6 <= errs[0] / errs[1] <= 2.6
 
 
@@ -323,7 +324,7 @@ class TestNormsWithScalarClosures:
     def test_h1_linear_interpolant_against_constant_gradient(self, family, subdomain):
         mesh = MESHES[family]()
         dof = build_dofmap(mesh, subdomain, include_dirichlet=True)
-        field = interpolate(mesh, subdomain, lambda x, y, t: 0.2 * x - 0.4 * y + 1.0, 0.0, dof)
+        field = interpolate(dof, lambda x, y, t: 0.2 * x - 0.4 * y + 1.0, 0.0)
         assert h1_semi_error(dof, field, lambda x, y, t: (0.2, -0.4), 0.0) <= 1e-13
 
 
@@ -392,7 +393,7 @@ class TestQuadratureMemo:
         exact, grad, f = ((case.exact_u, case.grad_u, case.f_f) if subdomain == "f"
                           else (case.exact_w, case.grad_w, case.f_s))
         # a discrete field that is not the interpolant, so both norms are nonzero
-        field = interpolate(mesh, subdomain, lambda x, y, t: np.sin(3.0 * x) * y, 0.0, dof)
+        field = interpolate(dof, lambda x, y, t: np.sin(3.0 * x) * y, 0.0)
         return mesh, dof, exact, grad, f, field
 
     @pytest.mark.parametrize("subdomain", ["f", "s"])
@@ -402,7 +403,7 @@ class TestQuadratureMemo:
         ref_l2 = _seed_l2(dof, field, exact, 0.2)
         ref_h1 = _seed_h1(dof, field, grad, 0.2)
         for _ in range(2):  # the first call builds the memo, the second reads it
-            b = assemble_load(mesh, subdomain, f, 0.2, dof)
+            b = assemble_load(dof, f, 0.2)
             assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
             assert l2_error(dof, field, exact, 0.2) == pytest.approx(ref_l2, rel=1e-14)
             assert h1_semi_error(dof, field, grad, 0.2) == pytest.approx(ref_h1, rel=1e-14)
@@ -418,7 +419,7 @@ class TestQuadratureMemo:
         exact, grad = ((case.exact_u, case.grad_u) if subdomain == "f"
                        else (case.exact_w, case.grad_w))
         dof = build_dofmap(mesh, subdomain)
-        field = interpolate(mesh, subdomain, lambda x, y, t: np.sin(3.0 * x) * y, 0.0, dof)
+        field = interpolate(dof, lambda x, y, t: np.sin(3.0 * x) * y, 0.0)
         assert l2_error(dof, field, exact, 0.2) == pytest.approx(
             _seed_l2(dof, field, exact, 0.2), rel=1e-14)
         assert h1_semi_error(dof, field, grad, 0.2) == pytest.approx(
@@ -436,7 +437,7 @@ class TestQuadratureMemo:
         for sub in ("f", "s"):
             mesh, dof, exact, grad, f, field = self._setup(sub)
             for t in (0.0, 0.1, 0.2):
-                assemble_load(mesh, sub, f, t, dof)
+                assemble_load(dof, f, t)
                 l2_error(dof, field, exact, t)
                 h1_semi_error(dof, field, grad, t)
             assert built == [fem.subdomain_triangles(mesh, sub).shape[0]]
@@ -459,8 +460,7 @@ class TestQuadratureMemo:
         assert not QUADRATURE_KEYS & mesh._cache.keys()
         for sub, dof, M, K in (("f", ops.dof_f, ops.M_f, ops.K_f),
                                ("s", ops.dof_s, ops.M_s, ops.K_s)):
-            for got, ref in ((M, assemble_mass(mesh, sub, dof)),
-                             (K, assemble_stiffness(mesh, sub, dof))):
+            for got, ref in ((M, assemble_mass(dof)), (K, assemble_stiffness(dof))):
                 assert (got != ref).nnz == 0
 
     def test_energy_audit_builds_no_memo(self, monkeypatch):

@@ -1,12 +1,15 @@
 """Tests for the study harness, rate computation, reports, and the CLI."""
 
+import argparse
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rrsplit import cli, harness, meshing
+from rrsplit import cli, cutoff, harness, meshing
 from rrsplit.cases import get_case
 from rrsplit.harness import StudyConfig, energy_audit, rates, run_study, table_to_csv
 
@@ -42,6 +45,16 @@ class TestStudyConfig:
     def test_empty_dt_list_rejected(self):
         with pytest.raises(ValueError):
             StudyConfig(case="pp_conforming", dt_list=[])
+
+    @pytest.mark.parametrize("dt", [-0.25, math.nan])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="finite and positive"):
+            StudyConfig(case="pp_conforming", dt_list=(dt,))
+
+    def test_coefficients_belong_to_the_case(self):
+        # a second nu_f could disagree with the one the case's forcing was built for
+        with pytest.raises(TypeError):
+            StudyConfig(case="pp_conforming", dt_list=(0.25,), nu_f=4.0)
 
 
 class TestBuildStudyMesh:
@@ -87,6 +100,13 @@ class TestRunStudy:
         cfg = StudyConfig(case="pp_uniform", dt_list=[0.25, 0.125])
         table = run_study(cfg)
         assert table.notes and "differs from the flux" in table.notes[0]
+
+    def test_case_coefficients_reach_the_scheme(self):
+        # stepping nu_f = 1 against forcing built for nu_f = 4 plateaus near 0.26
+        table = run_study(StudyConfig(case=get_case("pp_conforming", nu_f=4.0),
+                                      dt_list=[2**-5, 2**-6]))
+        assert not table.failures
+        assert table.errors["L2_final_U"][-1] < 0.02
 
     def test_oracle_stepper_runs(self):
         cfg = StudyConfig(case="pp_conforming", dt_list=[0.25, 0.125], use_oracle=True)
@@ -139,7 +159,8 @@ class TestEnergyAudit:
 
 class TestCutoffReport:
     def test_columns_and_rows(self):
-        csv = harness.cutoff_report([0.25, 0.125])
+        csv = harness.cutoff_report(
+            [cutoff.verify_assumptions(cutoff.CutoffConfig(dt)) for dt in (0.25, 0.125)])
         lines = csv.strip().splitlines()
         assert lines[0] == "dt,grad_energy,closed_form,growth_ratio,trace_measure,passed"
         assert len(lines) == 3
@@ -176,10 +197,12 @@ class TestCli:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_mismatched_k_rejected(self):
+    def test_mismatched_k_rejected(self, capsys):
+        # the case fixes k; only energy-audit takes --k
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--case", "ph_uniform", "--k", "1", "--dt", "0.25"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --k" in capsys.readouterr().err
 
     def test_non_dyadic_range_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -196,11 +219,11 @@ class TestCli:
             "mesh-dump": ["--case", "pp_conforming", "--dt", "0.25"],
         }
         ignored = {
-            "convergence": ["--seed"],
-            "run": ["--seed"],
+            "convergence": ["--seed", "--k"],
+            "run": ["--seed", "--k"],
             "energy-audit": ["--t-final"],
             "cutoff-verify": ["--alpha", "--nu-f", "--nu-s", "--t-final", "--seed"],
-            "mesh-dump": ["--alpha", "--nu-f", "--nu-s", "--t-final", "--seed"],
+            "mesh-dump": ["--alpha", "--nu-f", "--nu-s", "--t-final", "--seed", "--k"],
         }
         for command, flags in ignored.items():
             for flag in flags:
@@ -281,6 +304,31 @@ class TestCli:
                          "--out", str(out)])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 4
+
+    def test_cutoff_verify_checks_each_dt_once(self, tmp_path, capsys, monkeypatch):
+        checked = []
+        original = cutoff.verify_assumptions
+
+        def counting(cfg, *args, **kwargs):
+            checked.append(cfg.dt)
+            return original(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cutoff, "verify_assumptions", counting)
+        code = cli.main(["cutoff-verify", "--dt-max", "0.25", "--dt-min", "0.0625",
+                         "--out", str(tmp_path / "cutoff.csv")])
+        assert code == 0
+        assert checked == [0.25, 0.125, 0.0625]
+
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = {name: sorted(flags.split()) for name, flags in
+                      re.findall(r"^\| `([a-z-]+)` \| `([^`]*)` \|$", readme, re.M)}
+        flags = []
+        parser = cli.build_parser(flags)
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parsed = {name: sorted(f.option_strings[0] for f in flags if f in sub._actions)
+                  for name, sub in subparsers.choices.items()}
+        assert documented == parsed
 
     def test_mesh_dump(self, tmp_path, capsys):
         out = tmp_path / "mesh.txt"

@@ -106,7 +106,7 @@ class TestSolveSpd:
 
         mesh = meshing.uniform_split_mesh(3)
         dof = fem.build_dofmap(mesh, "f")
-        A = 10.0 * fem.assemble_mass(mesh, "f", dof) + fem.assemble_stiffness(mesh, "f", dof)
+        A = 10.0 * fem.assemble_mass(dof) + fem.assemble_stiffness(dof)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(dof.n_dofs)
         x = factorize(A).solve(b)
@@ -162,8 +162,7 @@ class TestAssembledAgreement:
 
         mesh = meshing.uniform_split_mesh(4)  # well under 50 nodes per subdomain
         dof = fem.build_dofmap(mesh, subdomain)
-        for A in (fem.assemble_mass(mesh, subdomain, dof),
-                  fem.assemble_stiffness(mesh, subdomain, dof)):
+        for A in (fem.assemble_mass(dof), fem.assemble_stiffness(dof)):
             rng = np.random.default_rng(1)
             x = rng.standard_normal(A.shape[1])
             ref = A.toarray() @ x
@@ -187,6 +186,6 @@ class TestAssembledAgreement:
                     if d[a] >= 0 and d[b] >= 0:
                         M_ref[d[a], d[b]] += m[a, b]
                         K_ref[d[a], d[b]] += k[a, b]
-        for A, ref in ((fem.assemble_mass(mesh, subdomain, dof), M_ref),
-                       (fem.assemble_stiffness(mesh, subdomain, dof), K_ref)):
+        for A, ref in ((fem.assemble_mass(dof), M_ref),
+                       (fem.assemble_stiffness(dof), K_ref)):
             np.testing.assert_allclose(A.toarray(), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
