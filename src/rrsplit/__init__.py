@@ -15,7 +15,7 @@ from .coupling import (
     run,
     run_monolithic,
 )
-from .cutoff import CutoffConfig, grad_energy, phi, verify_assumptions
+from .cutoff import grad_energy, phi, verify_assumptions
 from .fem import DofMap, assemble_interface_mass, assemble_mass, assemble_stiffness
 from .harness import ConvergenceTable, StudyConfig, energy_audit, rates, run_study
 from .meshing import CoupledMesh, InterfaceGeometry, slanted_interface_mesh, uniform_split_mesh, validate

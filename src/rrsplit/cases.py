@@ -165,11 +165,11 @@ def _fd_gradient(fn, x1, x2, t, h=_FD_SPACE):
     )
 
 
-def residual_oracle(case: ManufacturedCase, sample_points, t: float, n_interface: int = 50) -> float:
+def residual_oracle(case: ManufacturedCase, sample_points, t: float) -> float:
     """Max residual of the synthesized data, by central finite differences.
 
     Checks |du/dt - nu_f lap(u) - f_f| and |dq/dt - nu_s lap(w) - f_s| at the
-    sample points, plus |q - u - g_D| and |flux sum - g_N| on the interface,
+    sample points, plus |q - u - g_D| and |flux sum - g_N| at 50 interface points,
     with all derivatives taken by finite differences so the check is
     independent of the hand-written closed forms.
     """
@@ -183,7 +183,7 @@ def residual_oracle(case: ManufacturedCase, sample_points, t: float, n_interface
     ) - case.f_s(x1, x2, t)
     worst = max(np.abs(res_f).max(), np.abs(res_s).max())
 
-    xi = np.linspace(0.0, 1.0, n_interface)
+    xi = np.linspace(0.0, 1.0, 50)
     yi = case.geometry.curve_y(xi)
     kin = case.exact_q(xi, yi, t) - case.exact_u(xi, yi, t) - case.g_D(xi, yi, t)
     nfx, nfy = case.geometry.normal_f()

@@ -162,8 +162,7 @@ def cmd_energy_audit(args) -> int:
 
 
 def cmd_cutoff_verify(args) -> int:
-    reports = [cutoff.verify_assumptions(cutoff.CutoffConfig(dt))
-               for dt in _dyadic_list(args.dt_max, args.dt_min)]
+    reports = [cutoff.verify_assumptions(dt) for dt in _dyadic_list(args.dt_max, args.dt_min)]
     csv = harness.cutoff_report(reports)
     path = _out_path(args, "cutoff_report.csv")
     with open(path, "w") as fh:

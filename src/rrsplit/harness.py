@@ -194,9 +194,9 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
     return table.finalize()
 
 
-def _multiplier_mismatch_note(case, T, n=101):
+def _multiplier_mismatch_note(case, T):
     """Reported (not asserted): the stated interface unknown vs. the flux of u."""
-    x = np.linspace(0.0, 1.0, n)
+    x = np.linspace(0.0, 1.0, 101)
     y = case.geometry.curve_y(x)
     gap = np.abs(case.exact_l(x, y, T) - case.l_consistent(x, y, T)).max()
     return (
@@ -216,7 +216,7 @@ def energy_audit(k: int, alpha: float, dt: float, n_steps: int = 20, mesh_n: int
     q0 = w0.copy() if k == 1 else rng.standard_normal(ops.dof_s.n_dofs)
     u0 = rng.standard_normal(ops.dof_f.n_dofs)
     state0 = coupling.SchemeState(0, u0, w0, q0, rng.standard_normal(ops.n_if))
-    _, ledger = coupling.run(params, mesh, coupling.SourceData.zero(), state0, ops)
+    _, ledger = coupling.run(params, mesh, coupling.SourceData(), state0, ops)
     defect = ledger.relative_defect()
     return {
         "k": k,

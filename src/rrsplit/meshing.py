@@ -18,49 +18,33 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class InterfaceGeometry:
-    """Straight interface line: horizontal y = y0, or slanted y = slope*x + intercept."""
+    """Straight interface line y = slope*x + intercept; ``kind`` names the mesh family."""
 
     kind: str
-    y0: float = 0.75
-    slope: float = 0.5
-    intercept: float = 0.25
-
-    def __post_init__(self):
-        if self.kind == "horizontal":
-            if not 0.0 < self.y0 < 1.0:
-                raise ValueError("horizontal interface must lie inside the square")
-        elif self.kind == "slanted":
-            y_left, y_right = self.intercept, self.slope + self.intercept
-            if not (0.0 < y_left < 1.0 and 0.0 < y_right < 1.0):
-                raise ValueError("slanted interface must cross both vertical sides")
-        else:
-            raise ValueError(f"unknown interface kind {self.kind!r}")
+    slope: float
+    intercept: float
 
     @staticmethod
-    def horizontal(y0: float = 0.75) -> "InterfaceGeometry":
-        return InterfaceGeometry("horizontal", y0=y0)
+    def horizontal() -> "InterfaceGeometry":
+        return InterfaceGeometry("horizontal", 0.0, 0.75)
 
     @staticmethod
-    def slanted(slope: float = 0.5, intercept: float = 0.25) -> "InterfaceGeometry":
-        return InterfaceGeometry("slanted", slope=slope, intercept=intercept)
+    def slanted() -> "InterfaceGeometry":
+        return InterfaceGeometry("slanted", 0.5, 0.25)
 
     def curve_y(self, x):
         """Interface height over x in [0, 1]."""
-        if self.kind == "horizontal":
-            return self.y0 * np.ones_like(np.asarray(x, dtype=float))
         return self.slope * np.asarray(x, dtype=float) + self.intercept
 
     def normal_f(self) -> np.ndarray:
         """Unit normal pointing out of the lower subdomain (into the upper one)."""
-        if self.kind == "horizontal":
-            return np.array([0.0, 1.0])
-        n = np.array([-self.slope, 1.0])
+        # 0.0 - slope keeps the horizontal x component +0.0 (-0.0 would flip
+        # the sign of zero fluxes in the case closures)
+        n = np.array([0.0 - self.slope, 1.0])
         return n / np.linalg.norm(n)
 
     def length(self) -> float:
         """Length of the interface clipped to the unit square."""
-        if self.kind == "horizontal":
-            return 1.0
         return math.sqrt(1.0 + self.slope**2)
 
 
@@ -268,7 +252,7 @@ def dump_mesh(mesh: CoupledMesh, path) -> None:
     """Plain-text dump: one record per line, index then fields, space separated."""
     with open(path, "w") as fh:
         fh.write("# nodes: id x y\n")
-        for i, (x, y) in enumerate(mesh.nodes):
+        for i, (x, y) in enumerate(mesh.nodes.tolist()):
             fh.write(f"{i} {x!r} {y!r}\n")
         for tag, tris in (("triangles_f", mesh.triangles_f), ("triangles_s", mesh.triangles_s)):
             fh.write(f"# {tag}: id n0 n1 n2\n")

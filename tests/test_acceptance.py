@@ -147,16 +147,16 @@ class TestCriterion5SlantedInterface:
 class TestCriterion6Cutoff:
     def test_cutoff_function(self):
         trace_exact = all(
-            cutoff.trace_not_one_measure(cutoff.CutoffConfig(2.0**-j)) == 2.0 * 2.0**-j
+            cutoff.trace_not_one_measure(2.0**-j) == 2.0 * 2.0**-j
             for j in range(2, 11)
         )
         ratios = [
-            cutoff.grad_energy(cutoff.CutoffConfig(2.0**-j)) / (1.0 + math.log(2.0**j))
+            cutoff.grad_energy(2.0**-j) / (1.0 + math.log(2.0**j))
             for j in range(2, 11)
         ]
         growth_ok = max(ratios) <= 4.0
         small = [2.0**-j for j in (7, 8, 9, 10)]
-        energies = [cutoff.grad_energy(cutoff.CutoffConfig(d)) for d in small]
+        energies = [cutoff.grad_energy(d) for d in small]
         slope = np.polyfit([math.log(1.0 / d) for d in small], energies, 1)[0]
         target = 2.0 / (1.0 - small[-1]) + 2.0 * (1.0 - small[-1]) / 3.0
         slope_ok = abs(slope - target) / target <= 0.15

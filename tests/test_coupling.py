@@ -96,7 +96,7 @@ class TestZeroData:
         mesh = meshing.uniform_split_mesh(4)
         params = SchemeParams(k=k, dt=0.125, T=0.25)
         ops = CoupledOperators(mesh, params)
-        final, ledger = run(params, mesh, SourceData.zero(), zero_state(ops), ops)
+        final, ledger = run(params, mesh, SourceData(), zero_state(ops), ops)
         assert np.abs(final.u).max() == 0.0
         assert np.abs(final.w).max() == 0.0
         assert np.abs(final.lam).max() == 0.0
@@ -107,7 +107,7 @@ class TestZeroData:
         mesh = meshing.uniform_split_mesh(4)
         params = SchemeParams(k=k, dt=0.125, T=0.25)
         ops = CoupledOperators(mesh, params)
-        final = run_monolithic(params, mesh, SourceData.zero(), zero_state(ops), ops)
+        final = run_monolithic(params, mesh, SourceData(), zero_state(ops), ops)
         assert np.abs(final.u).max() < 1e-14
         assert np.abs(final.w).max() < 1e-14
 
@@ -274,7 +274,7 @@ class TestSchemeIdentities:
         w0 = np.zeros(ops.dof_s.n_dofs)
         q0 = fem.interpolate(ops.dof_s, lambda x, y, t: np.ones_like(x), 0.0)
         state = SchemeState(0, np.zeros(ops.dof_f.n_dofs), w0, q0, np.zeros(ops.n_if))
-        w1, q1 = solid_step(params, ops, state, SourceData.zero(), params.dt)
+        w1, q1 = solid_step(params, ops, state, SourceData(), params.dt)
         lhs = 0.5 * (q1 + q0)
         rhs = (w1 - w0) / params.dt
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -296,7 +296,7 @@ class TestEnergyLedger:
         params = SchemeParams(k=k, dt=0.1, alpha=1.0, T=1.0)
         ops = CoupledOperators(mesh, params)
         state = random_state(ops, np.random.default_rng(seed), k)
-        _, ledger = run(params, mesh, SourceData.zero(), state, ops)
+        _, ledger = run(params, mesh, SourceData(), state, ops)
         assert ledger.relative_defect() <= 1e-10
         assert all(s >= -1e-14 for s in ledger.S)
 
@@ -327,7 +327,7 @@ class TestEnergyLedger:
             ops = CoupledOperators(mesh, params)
             for seed in range(10):
                 state = random_state(ops, np.random.default_rng(100 + seed), k)
-                _, ledger = run(params, mesh, SourceData.zero(), state, ops)
+                _, ledger = run(params, mesh, SourceData(), state, ops)
                 assert ledger.relative_defect() <= 1e-10
 
     @pytest.mark.parametrize("dt", [0.5, 0.1, 0.01])
@@ -336,7 +336,7 @@ class TestEnergyLedger:
         params = SchemeParams(k=2, dt=dt, alpha=1.0, T=10 * dt)
         ops = CoupledOperators(mesh, params)
         state = random_state(ops, np.random.default_rng(8), 2)
-        _, ledger = run(params, mesh, SourceData.zero(), state, ops)
+        _, ledger = run(params, mesh, SourceData(), state, ops)
         z0 = ledger.Z[0]
         assert all(z <= z0 * (1.0 + 1e-12) for z in ledger.Z)
 
@@ -363,7 +363,7 @@ class TestInitialData:
         state = zero_state(ops)
         state.q = np.ones(ops.dof_s.n_dofs)
         with pytest.raises(ValueError):
-            run(params, mesh, SourceData.zero(), state, ops)
+            run(params, mesh, SourceData(), state, ops)
 
 
 class TestMonolithic:
@@ -489,7 +489,7 @@ class TestSharedDiscretization:
         ops = CoupledOperators(mesh, params)
         gc.disable()
         try:
-            run_monolithic(params, mesh, SourceData.zero(), zero_state(ops), ops)
+            run_monolithic(params, mesh, SourceData(), zero_state(ops), ops)
             assert len(made) == 3
             oracle = weakref.ref(made.pop())
             assert oracle() is None
@@ -637,13 +637,16 @@ class TestOutputs:
         lines = path.read_text().splitlines()
         assert lines[0] == "step 1"
         assert [l.split()[0] for l in lines[1:]] == ["u", "w", "q", "lambda"]
+        # plain float tokens that read back bit for bit
+        for line, vec in zip(lines[1:], (final.u, final.w, final.q, final.lam)):
+            assert np.array([float(v) for v in line.split()[1:]]).tobytes() == vec.tobytes()
 
     def test_energy_csv(self, tmp_path):
         mesh = meshing.uniform_split_mesh(3)
         params = SchemeParams(k=1, dt=0.25, T=0.5)
         ops = CoupledOperators(mesh, params)
         state = random_state(ops, np.random.default_rng(0), 1)
-        _, ledger = run(params, mesh, SourceData.zero(), state, ops)
+        _, ledger = run(params, mesh, SourceData(), state, ops)
         path = tmp_path / "energy.csv"
         coupling.write_energy_csv(ledger, path)
         lines = path.read_text().splitlines()

@@ -160,7 +160,7 @@ class TestEnergyAudit:
 class TestCutoffReport:
     def test_columns_and_rows(self):
         csv = harness.cutoff_report(
-            [cutoff.verify_assumptions(cutoff.CutoffConfig(dt)) for dt in (0.25, 0.125)])
+            [cutoff.verify_assumptions(dt) for dt in (0.25, 0.125)])
         lines = csv.strip().splitlines()
         assert lines[0] == "dt,grad_energy,closed_form,growth_ratio,trace_measure,passed"
         assert len(lines) == 3
@@ -254,6 +254,7 @@ class TestCli:
         ["mesh-dump", "--case", "pp_slanted", "--dt", "0"],
         ["mesh-dump", "--case", "pp_conforming", "--dt", "0"],
         ["run", "--case", "pp_slanted", "--dt", "0.05"],
+        ["cutoff-verify", "--dt-max", "0.5", "--dt-min", "0.25"],
     ])
     def test_dt_without_a_study_mesh_exit_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -309,9 +310,9 @@ class TestCli:
         checked = []
         original = cutoff.verify_assumptions
 
-        def counting(cfg, *args, **kwargs):
-            checked.append(cfg.dt)
-            return original(cfg, *args, **kwargs)
+        def counting(dt):
+            checked.append(dt)
+            return original(dt)
 
         monkeypatch.setattr(cutoff, "verify_assumptions", counting)
         code = cli.main(["cutoff-verify", "--dt-max", "0.25", "--dt-min", "0.0625",

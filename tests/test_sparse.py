@@ -6,6 +6,12 @@ import pytest
 from rrsplit.sparse import factorize, from_triplets
 
 
+def entries(triplets):
+    """The (rows, cols, values) arrays of a list of (row, col, value) triplets."""
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals, dtype=float)
+
+
 def dense_of(triplets, shape):
     A = np.zeros(shape)
     for i, j, v in triplets:
@@ -15,11 +21,11 @@ def dense_of(triplets, shape):
 
 class TestFromTriplets:
     def test_identity(self):
-        A = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+        A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 1, 1.0)]))
         np.testing.assert_allclose(A.toarray(), np.eye(2))
 
     def test_duplicates_summed(self):
-        A = from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+        A = from_triplets(2, 2, entries([(0, 0, 1.0), (0, 0, 2.0)]))
         assert A.nnz == 1
         assert A[0, 0] == pytest.approx(3.0)
 
@@ -27,13 +33,8 @@ class TestFromTriplets:
         # P1 mass matrix of the reference triangle, against dense assembly
         mass = (np.ones((3, 3)) + np.eye(3)) / 24.0
         trips = [(i, j, mass[i, j]) for i in range(3) for j in range(3)]
-        A = from_triplets(3, 3, trips)
+        A = from_triplets(3, 3, entries(trips))
         np.testing.assert_allclose(A.toarray(), dense_of(trips, (3, 3)), rtol=1e-15)
-
-    def test_tuple_of_three_triplets(self):
-        # three triplets in a tuple are entries, not (rows, cols, values)
-        A = from_triplets(3, 3, ((0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)))
-        np.testing.assert_array_equal(A.toarray(), np.diag([1.0, 2.0, 3.0]))
 
     def test_tuple_of_arrays(self):
         rows, cols = np.array([0, 2, 0]), np.array([1, 0, 1])
@@ -41,20 +42,25 @@ class TestFromTriplets:
         np.testing.assert_array_equal(A.toarray(), [[0.0, 4.0], [0.0, 0.0], [2.0, 0.0]])
 
     def test_structural_zero_kept(self):
-        A = from_triplets(2, 2, [(0, 1, 0.0)])
+        A = from_triplets(2, 2, entries([(0, 1, 0.0)]))
         assert A.nnz == 1
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            from_triplets(2, 2, [(2, 0, 1.0)])
-        with pytest.raises(IndexError):
-            from_triplets(2, 2, [(0, -1, 1.0)])
+        # scipy's own checks; a study records the ValueError as a failed row
+        with pytest.raises(ValueError, match="index 2 exceeds"):
+            from_triplets(2, 2, entries([(2, 0, 1.0)]))
+        with pytest.raises(ValueError, match="negative axis 1 index"):
+            from_triplets(2, 2, entries([(0, -1, 1.0)]))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            from_triplets(2, 2, (np.array([0, 1]), np.array([0]), np.array([1.0])))
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(11)
         trips = [(int(r), int(c), float(v)) for r, c, v in
                  zip(rng.integers(0, 6, 40), rng.integers(0, 5, 40), rng.standard_normal(40))]
-        A = from_triplets(6, 5, trips)
+        A = from_triplets(6, 5, entries(trips))
         assert A.shape == (6, 5)
         assert A.indptr[0] == 0 and A.indptr[-1] == A.nnz
         assert np.all(np.diff(A.indptr) >= 0)
@@ -66,25 +72,25 @@ class TestFromTriplets:
 
 class TestSpmv:
     def test_identity(self):
-        A = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
+        A = from_triplets(3, 3, entries([(i, i, 1.0) for i in range(3)]))
         np.testing.assert_allclose(A @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_zero_matrix(self):
-        A = from_triplets(3, 3, [])
+        A = from_triplets(3, 3, entries([]))
         np.testing.assert_allclose(A @ np.array([1.0, 2.0, 3.0]), np.zeros(3))
 
     def test_random_against_dense(self):
         rng = np.random.default_rng(5)
         trips = [(int(r), int(c), float(v)) for r, c, v in
                  zip(rng.integers(0, 5, 30), rng.integers(0, 5, 30), rng.standard_normal(30))]
-        A = from_triplets(5, 5, trips)
+        A = from_triplets(5, 5, entries(trips))
         x = rng.standard_normal(5)
         ref = dense_of(trips, (5, 5)) @ x
         err = np.linalg.norm(A @ x - ref) / np.linalg.norm(ref)
         assert err < 1e-14
 
     def test_dimension_mismatch(self):
-        A = from_triplets(3, 2, [(0, 0, 1.0)])
+        A = from_triplets(3, 2, entries([(0, 0, 1.0)]))
         with pytest.raises(ValueError):
             A @ np.ones(3)
 
@@ -93,11 +99,11 @@ class TestSolveSpd:
     """Symmetric positive definite systems through the cached LU."""
 
     def test_identity(self):
-        A = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+        A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 1, 1.0)]))
         np.testing.assert_allclose(factorize(A).solve([4.0, 5.0]), [4.0, 5.0])
 
     def test_diagonal(self):
-        A = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 4.0)])
+        A = from_triplets(2, 2, entries([(0, 0, 2.0), (1, 1, 4.0)]))
         np.testing.assert_allclose(factorize(A).solve([2.0, 4.0]), [1.0, 1.0])
 
     def test_time_step_system_vs_dense(self):
@@ -118,7 +124,7 @@ class TestSolveSpd:
         B = rng.standard_normal((6, 6))
         D = B @ B.T + 6.0 * np.eye(6)
         trips = [(i, j, D[i, j]) for i in range(6) for j in range(6)]
-        A = from_triplets(6, 6, trips)
+        A = from_triplets(6, 6, entries(trips))
         b = rng.standard_normal(6)
         lu = factorize(A)
         for rhs in (b, 2.0 * b):  # the factorization is reused across right-hand sides
@@ -126,7 +132,7 @@ class TestSolveSpd:
             assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_zero_rhs(self):
-        A = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+        A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 1, 1.0)]))
         np.testing.assert_allclose(factorize(A).solve([0.0, 0.0]), 0.0)
 
 
@@ -134,25 +140,25 @@ class TestSolveGeneral:
     """Inputs the SPD-only factorization accepts or reports."""
 
     def test_identity(self):
-        A = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
+        A = from_triplets(3, 3, entries([(i, i, 1.0) for i in range(3)]))
         b = np.array([0.3, -1.2, 2.0])
         np.testing.assert_allclose(factorize(A).solve(b), b)
 
     def test_singular_reported(self):
         # SuperLU raises RuntimeError, which a study records as a failed row
-        A = from_triplets(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
+        A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 0, 1.0)]))
         with pytest.raises(RuntimeError):
             factorize(A)
 
     def test_spd_factorization_failure_reported(self):
         # a zero pivot, so a study records the row as failed
-        A = from_triplets(2, 2, [(0, 0, 0.0), (1, 1, 0.0)])
+        A = from_triplets(2, 2, entries([(0, 0, 0.0), (1, 1, 0.0)]))
         with pytest.raises(RuntimeError):
             factorize(A)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            factorize(from_triplets(2, 3, [(0, 0, 1.0), (1, 1, 1.0)]))
+        with pytest.raises(ValueError, match="square"):
+            factorize(from_triplets(2, 3, entries([(0, 0, 1.0), (1, 1, 1.0)])))
 
 
 class TestAssembledAgreement:
