@@ -6,13 +6,15 @@ u = amp e^{rate_u t} p below the interface, w = amp e^{rate_w t} p above it,
 and q = w (k = 1) or dw/dt (k = 2). `_separable_case` derives every closure
 from that form, including f_f = du/dt - nu_f lap(u), f_s = dq/dt - nu_s lap(w),
 g_D = q - u and g_N = nu_s grad(w).n_s + nu_f grad(u).n_f. `residual_oracle`
-certifies them against central finite differences before any run leans on them.
+certifies them against central finite differences, and the time factors of the
+forcing, before any run leans on them: a run assembles each load once at t = 0
+and scales it by e^{rate t}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import exp, pi
 from typing import Callable
 
 import numpy as np
@@ -41,6 +43,8 @@ class ManufacturedCase:
     g_D: Callable
     g_N: Callable
     l_consistent: Callable
+    rate_u: float  # f_f(x, y, t) = e^{rate_u t} f_f(x, y, 0), likewise grad_u
+    rate_w: float  # f_s(x, y, t) = e^{rate_w t} f_s(x, y, 0), likewise grad_w
 
 
 # Profiles: value, gradient and Laplacian of p, each led by the time factor s.
@@ -126,7 +130,7 @@ def _separable_case(name, k, geometry, profile, amp, rate_u, rate_w, nu_f, nu_s)
         exact_u=exact_u, exact_w=exact_w, exact_q=exact_q,
         exact_l=l_consistent if rate_u == rate_w else l_stated,
         grad_u=grad_u, grad_w=grad_w, f_f=f_f, f_s=f_s,
-        g_D=g_D, g_N=g_N, l_consistent=l_consistent,
+        g_D=g_D, g_N=g_N, l_consistent=l_consistent, rate_u=rate_u, rate_w=rate_w,
     )
 
 
@@ -171,7 +175,9 @@ def residual_oracle(case: ManufacturedCase, sample_points, t: float) -> float:
     Checks |du/dt - nu_f lap(u) - f_f| and |dq/dt - nu_s lap(w) - f_s| at the
     sample points, plus |q - u - g_D| and |flux sum - g_N| at 50 interface points,
     with all derivatives taken by finite differences so the check is
-    independent of the hand-written closed forms.
+    independent of the hand-written closed forms. It also checks the time
+    factors the runs lean on, |f(x, y, t) - e^{rate t} f(x, y, 0)| for f_f and
+    grad_u (rate_u) and for f_s and grad_w (rate_w) at the sample points.
     """
     pts = np.asarray(sample_points, dtype=float)
     x1, x2 = pts[:, 0], pts[:, 1]
@@ -182,6 +188,10 @@ def residual_oracle(case: ManufacturedCase, sample_points, t: float) -> float:
         case.exact_w, x1, x2, t
     ) - case.f_s(x1, x2, t)
     worst = max(np.abs(res_f).max(), np.abs(res_s).max())
+    for rate, fn in ((case.rate_u, case.f_f), (case.rate_u, case.grad_u),
+                     (case.rate_w, case.f_s), (case.rate_w, case.grad_w)):
+        drift = np.asarray(fn(x1, x2, t)) - exp(rate * t) * np.asarray(fn(x1, x2, 0.0))
+        worst = max(worst, np.abs(drift).max())
 
     xi = np.linspace(0.0, 1.0, 50)
     yi = case.geometry.curve_y(xi)

@@ -51,18 +51,64 @@ class SchemeParams:
         return int(round(self.T / self.dt))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceData:
-    """Volume forcing and interface data; None means identically zero."""
+    """Volume forcing and interface data; None means identically zero.
+
+    Each volume forcing comes with its rate, f(x, y, t) = e^{rate t} f(x, y, 0)
+    (``rate_f`` for ``f_f``, ``rate_s`` for ``f_s``), so a run assembles its load
+    once and scales it per step; a forcing without a rate raises ValueError.
+    The interface data g_D and g_N are evaluated at every step.
+    """
 
     f_f: Optional[Callable] = None
     f_s: Optional[Callable] = None
     g_D: Optional[Callable] = None
     g_N: Optional[Callable] = None
+    rate_f: Optional[float] = None
+    rate_s: Optional[float] = None
+
+    def __post_init__(self):
+        for side in ("f", "s"):
+            if getattr(self, f"f_{side}") is not None and getattr(self, f"rate_{side}") is None:
+                raise ValueError(f"f_{side} needs rate_{side}: a forcing is e^(rate t) f(x, y, 0)")
 
     @staticmethod
     def from_case(case) -> "SourceData":
-        return SourceData(f_f=case.f_f, f_s=case.f_s, g_D=case.g_D, g_N=case.g_N)
+        return SourceData(f_f=case.f_f, f_s=case.f_s, g_D=case.g_D, g_N=case.g_N,
+                          rate_f=case.rate_u, rate_s=case.rate_w)
+
+    def assemble(self, ops: "CoupledOperators") -> "RunSources":
+        """This data on ops for one run: each load assembled once, at t = 0."""
+        def base(dofmap, f):
+            return np.zeros(dofmap.n_dofs) if f is None else fem.assemble_load(dofmap, f, 0.0)
+
+        return RunSources(self.g_D, self.g_N, base(ops.dof_f, self.f_f),
+                          base(ops.dof_s, self.f_s), self.rate_f or 0.0, self.rate_s or 0.0)
+
+
+@dataclass(frozen=True)
+class RunSources:
+    """One run's sources, as the steppers read them: per-step interface data and
+    the loads at t = 0 (``load_f``, ``load_s``) with their rates."""
+
+    g_D: Optional[Callable]
+    g_N: Optional[Callable]
+    load_f: np.ndarray
+    load_s: np.ndarray
+    rate_f: float
+    rate_s: float
+
+    def fluid_load(self, t: float) -> np.ndarray:
+        """Fluid load at t."""
+        return math.exp(self.rate_f * t) * self.load_f
+
+    def solid_load(self, params: SchemeParams, t_next: float) -> np.ndarray:
+        """Solid load at t_next; for k = 2 the midpoint average matching the w^{n+1/2} bracket."""
+        scale = math.exp(self.rate_s * t_next)
+        if params.k == 2:
+            scale = 0.5 * (scale + math.exp(self.rate_s * (t_next - params.dt)))
+        return scale * self.load_s
 
 
 @dataclass
@@ -96,8 +142,10 @@ class CoupledOperators:
     """Operators and Robin factorizations for one (mesh, params) pair.
 
     The dofmaps, mass, stiffness and interface mass depend on the mesh alone
-    and are shared by every bundle on that mesh (``_mesh_operators``); the
-    step matrices and the two Robin LUs are this bundle's own.
+    and are shared by every bundle on that mesh (``_mesh_operators``); the two
+    Robin LUs are this bundle's own. The step matrices they are built from are
+    not kept: only the coupled oracle reads them, and it builds its own with
+    ``step_matrices``.
     """
 
     def __init__(self, mesh: CoupledMesh, params: SchemeParams):
@@ -113,14 +161,13 @@ class CoupledOperators:
         self.n_if = mesh.interface_nodes.size
 
         R_f, R_s = self.dof_f.R, self.dof_s.R
-        # the Robin-free step matrices; the coupled oracle reuses them
-        self.A_s, self.A_f = self.step_matrices()
+        A_s, A_f = self.step_matrices()
         a = params.alpha
         robin_s = (a if params.k == 1 else a / params.dt) * (R_s.T @ self.M_if @ R_s)
         robin_f = a * (R_f.T @ self.M_if @ R_f)
         # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
-        self._solid = sparse.factorize(self.A_s + robin_s)
-        self._fluid = sparse.factorize(self.A_f + robin_f)
+        self._solid = sparse.factorize(A_s + robin_s)
+        self._fluid = sparse.factorize(A_f + robin_f)
 
     def step_matrices(self):
         """Solid and fluid step matrices without interface terms, (A_s, A_f)."""
@@ -163,13 +210,6 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
     return shared
 
 
-def load(dofmap: DofMap, fn, t) -> np.ndarray:
-    """Load vector of fn(., t) over the dofmap's subdomain; zero when fn is None."""
-    if fn is None:
-        return np.zeros(dofmap.n_dofs)
-    return fem.assemble_load(dofmap, fn, t)
-
-
 def solid_history(params: SchemeParams, ops: CoupledOperators, state: SchemeState) -> np.ndarray:
     """The solid right-hand side's terms in w^n and q^n, without interface terms."""
     dt, M_s, w_n = params.dt, ops.M_s, state.w
@@ -177,15 +217,6 @@ def solid_history(params: SchemeParams, ops: CoupledOperators, state: SchemeStat
         return M_s @ w_n / dt
     return ((2.0 / dt**2) * (M_s @ w_n) + (2.0 / dt) * (M_s @ state.q)
             - (params.nu_s / 2.0) * (ops.K_s @ w_n))
-
-
-def solid_forcing(params: SchemeParams, ops: CoupledOperators, sources: SourceData,
-                  t_next: float) -> np.ndarray:
-    """Solid load at t_next; for k = 2 the midpoint average matching the w^{n+1/2} bracket."""
-    f = load(ops.dof_s, sources.f_s, t_next)
-    if params.k == 2 and sources.f_s is not None:
-        f = 0.5 * (f + load(ops.dof_s, sources.f_s, t_next - params.dt))
-    return f
 
 
 def solid_velocity(params: SchemeParams, state: SchemeState, w_next: np.ndarray) -> np.ndarray:
@@ -196,7 +227,7 @@ def solid_velocity(params: SchemeParams, state: SchemeState, w_next: np.ndarray)
 
 
 def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-               sources: SourceData, t_next: float):
+               sources: RunSources, t_next: float):
     """Upper-subdomain solve with the Robin data of the previous step."""
     k, dt, a, M_if = params.k, params.dt, params.alpha, ops.M_if
     g_D = ops.interface_values(sources.g_D, t_next)
@@ -206,13 +237,13 @@ def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
     if k == 2:
         robin = (a / dt) * (M_if @ fem.trace_restrict(ops.dof_s, state.w)) + robin
     rhs = solid_history(params, ops, state) + ops.dof_s.R.T @ robin
-    rhs += solid_forcing(params, ops, sources, t_next)
+    rhs += sources.solid_load(params, t_next)
     w_next = ops._solid.solve(rhs)
     return w_next, solid_velocity(params, state, w_next)
 
 
 def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-               w_next: np.ndarray, sources: SourceData, t_next: float):
+               w_next: np.ndarray, sources: RunSources, t_next: float):
     """Lower-subdomain solve followed by the pointwise interface update."""
     k, dt, a = params.k, params.dt, params.alpha
     g_D = ops.interface_values(sources.g_D, t_next)
@@ -222,7 +253,7 @@ def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
         w_dot_tr = (fem.trace_restrict(ops.dof_s, w_next)
                     - fem.trace_restrict(ops.dof_s, state.w)) / dt
     rhs = ops.M_f @ state.u / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (w_dot_tr - g_D)))
-    rhs += load(ops.dof_f, sources.f_f, t_next)
+    rhs += sources.fluid_load(t_next)
     u_next = ops._fluid.solve(rhs)
     u_tr = fem.trace_restrict(ops.dof_f, u_next)
     lam_next = state.lam - a * (u_tr - w_dot_tr + g_D)
@@ -230,7 +261,7 @@ def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
 
 
 def advance(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-            sources: SourceData) -> SchemeState:
+            sources: RunSources) -> SchemeState:
     """One loosely coupled step: solid solve, then fluid solve, then the update."""
     t_next = (state.step_index + 1) * params.dt
     w_next, q_next = solid_step(params, ops, state, sources, t_next)
@@ -311,10 +342,10 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
     _check_ops(ops, mesh, params)
     if params.k == 1 and not np.array_equal(initial.q, initial.w):
         raise ValueError("k=1 requires q0 = w0")
-    state = initial
+    state, step_sources = initial, sources.assemble(ops)
     ledger = EnergyLedger(Z=[energy_Z(params, ops, state)], S=[])
     for _ in range(params.n_steps):
-        new = advance(params, ops, state, sources)
+        new = advance(params, ops, state, step_sources)
         _check_finite(new)
         ledger.S.append(energy_S(params, ops, state, new))
         ledger.Z.append(energy_Z(params, ops, new))
@@ -339,9 +370,10 @@ def _monolithic_system(ops: CoupledOperators):
     Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid dof to its merged
     dof (an interface dof to the solid dof at the same node).
 
-    Returns (lu, Pf, F, M_FF in upper banded form, c). ``run_monolithic``
-    builds it once per call and drops it on return, so the oracle LU never
-    outlives the run.
+    Returns (lu, Pf, F, M_FF in upper banded form, c, A_s, A_f), with A_s and
+    A_f from ``ops.step_matrices()``. ``run_monolithic`` builds it once per
+    call and drops it on return, so the oracle LU and the step matrices never
+    outlive the run.
     """
     params, dof_s, dof_f = ops.params, ops.dof_s, ops.dof_f
     F = np.flatnonzero(dof_s.interface_dofs >= 0)
@@ -355,25 +387,26 @@ def _monolithic_system(ops: CoupledOperators):
     n_rest = n_f - F.size
     merged[merged < 0] = n_s + np.arange(n_rest)
     Pf = sparse.from_triplets(n_f, n_s + n_rest, (np.arange(n_f), merged, np.ones(n_f)))
-    K = Pf.T @ ops.A_f @ Pf + sp.block_diag((ops.A_s / c, sp.csr_array((n_rest, n_rest))))
+    A_s, A_f = ops.step_matrices()
+    K = Pf.T @ A_f @ Pf + sp.block_diag((A_s / c, sp.csr_array((n_rest, n_rest))))
     M_FF = ops.M_if[F][:, F]  # tridiagonal
     band = np.stack([np.r_[0.0, M_FF.diagonal(1)], M_FF.diagonal()])
-    return sparse.factorize(K), Pf, F, band, c
+    return sparse.factorize(K), Pf, F, band, c, A_s, A_f
 
 
 def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-                    sources: SourceData, t_next: float, system) -> SchemeState:
+                    sources: RunSources, t_next: float, system) -> SchemeState:
     """One implicit step of the fully coupled system (the strongly coupled oracle).
 
     ``system`` is ``_monolithic_system(ops)``.
     """
     k, dt = params.k, params.dt
-    lu, Pf, F, M_FF, c = system
+    lu, Pf, F, M_FF, c, A_s, A_f = system
     n_s = ops.dof_s.n_dofs
 
     g_N = ops.interface_values(sources.g_N, t_next)
     g_D = ops.interface_values(sources.g_D, t_next)
-    rhs_s = solid_history(params, ops, state) + solid_forcing(params, ops, sources, t_next)
+    rhs_s = solid_history(params, ops, state) + sources.solid_load(params, t_next)
     rhs_s += ops.dof_s.R.T @ (ops.M_if @ g_N)
     if k == 1:
         rhs_c = ops.M_if @ g_D
@@ -381,20 +414,20 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
         w_tr = fem.trace_restrict(ops.dof_s, state.w)
         q_tr = fem.trace_restrict(ops.dof_s, state.q)
         rhs_c = ops.M_if @ (g_D + (2.0 / dt) * w_tr + q_tr)
-    rhs_f = ops.M_f @ state.u / dt + load(ops.dof_f, sources.f_f, t_next)
+    rhs_f = ops.M_f @ state.u / dt + sources.fluid_load(t_next)
 
     # the interface jump v - u, fixed by the constraint, lifted into the fluid dofs
     jump = np.zeros(ops.n_if)
     jump[F] = linalg.solveh_banded(M_FF, rhs_c[F], check_finite=False)
     jump_f = ops.dof_f.R.T @ jump
-    rhs = Pf.T @ (rhs_f + ops.A_f @ jump_f)
+    rhs = Pf.T @ (rhs_f + A_f @ jump_f)
     rhs[:n_s] += rhs_s
     z = lu.solve(rhs)
     u_next = Pf @ z - jump_f
     w_next = z[:n_s] / c
     # the multiplier from the solid interface rows A_s w + R_s.T M_if[:, F] lam_F = rhs_s
     lam_full = np.zeros(ops.n_if)
-    resid = fem.trace_restrict(ops.dof_s, rhs_s - ops.A_s @ w_next)
+    resid = fem.trace_restrict(ops.dof_s, rhs_s - A_s @ w_next)
     lam_full[F] = linalg.solveh_banded(M_FF, resid[F], check_finite=False)
     q_next = solid_velocity(params, state, w_next)
     return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_full)
@@ -405,11 +438,11 @@ def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
                    callback: Callable | None = None) -> SchemeState:
     """Advance the strongly coupled oracle n_steps from the initial state."""
     _check_ops(ops, mesh, params)
+    state, step_sources = initial, sources.assemble(ops)
     system = _monolithic_system(ops)
-    state = initial
     for _ in range(params.n_steps):
         t_next = (state.step_index + 1) * params.dt
-        state = monolithic_step(params, ops, state, sources, t_next, system)
+        state = monolithic_step(params, ops, state, step_sources, t_next, system)
         _check_finite(state)
         if callback is not None:
             callback(state)

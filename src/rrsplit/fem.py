@@ -3,7 +3,10 @@
 Assembly of mass/stiffness/interface-mass operators over the free degrees
 of freedom of one subdomain, load vectors by quadrature, nodal trace
 restriction onto the interface, and quadrature error norms against smooth
-exact fields.
+exact fields. The L2 norm evaluates its exact field per call; the H1
+seminorm reads the exact gradient from a profile at the quadrature points,
+built once (``gradient_profile``) and scaled per call, as a load vector
+assembled once is scaled by the caller (``coupling.RunSources``).
 """
 
 from __future__ import annotations
@@ -216,16 +219,22 @@ def trace_restrict(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     return dofmap.R @ u
 
 
-def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
-    """Triangle block, weight, barycentric coordinates, x and y of each degree-4 point.
+def _norm_blocks(n_tris: int):
+    """Triangle block, weight and barycentric coordinates of each degree-4 point.
 
-    Blocks of 16384 triangles, one point at a time, keep each closure call's
-    arrays in cache and bound the memory the norms add on the finest mesh.
+    Blocks of 16384 triangles, one point at a time, keep each pass's arrays in
+    cache and bound the memory the norms add on the finest mesh.
     """
-    px, py = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
-    for blk in (slice(s, s + 16384) for s in range(0, len(tris), 16384)):
+    for blk in (slice(s, s + 16384) for s in range(0, n_tris, 16384)):
         for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY):
-            yield blk, w, b, px[blk] @ b, py[blk] @ b
+            yield blk, w, b
+
+
+def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
+    """``_norm_blocks`` with the x and y of each point."""
+    px, py = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
+    for blk, w, b in _norm_blocks(len(tris)):
+        yield blk, w, b, px[blk] @ b, py[blk] @ b
 
 
 def l2_error(dofmap: DofMap, u: np.ndarray, exact, t: float) -> float:
@@ -239,13 +248,30 @@ def l2_error(dofmap: DofMap, u: np.ndarray, exact, t: float) -> float:
     return float(np.sqrt(max(areas @ acc, 0.0)))
 
 
-def h1_semi_error(dofmap: DofMap, u: np.ndarray, exact_gradient, t: float) -> float:
-    """L2 norm of grad(u) - exact_gradient(., t) over the dofmap's subdomain."""
+def gradient_profile(dofmap: DofMap, exact_gradient, t: float) -> list:
+    """exact_gradient(., t) at the degree-4 points of the dofmap's subdomain.
+
+    One (gx, gy) pair of arrays per point, in the order ``h1_semi_error`` visits
+    them. A caller whose gradient is e^{rate t} g(x, y) builds the profile once
+    and passes e^{rate t} as the scale at each t.
+    """
+    tris = _quad_data(dofmap.mesh, dofmap.subdomain)[0]
+    profile = []
+    for *_, x, y in _norm_points(dofmap.mesh, tris):
+        gx, gy = exact_gradient(x, y, t)
+        profile.append((np.broadcast_to(gx, x.shape), np.broadcast_to(gy, y.shape)))
+    return profile
+
+
+def h1_semi_error(dofmap: DofMap, u: np.ndarray, gradient: list, scale: float) -> float:
+    """L2 norm of grad(u) - scale * gradient over the dofmap's subdomain.
+
+    ``gradient`` is a ``gradient_profile`` of the same dofmap.
+    """
     tris, areas, grads = _quad_data(dofmap.mesh, dofmap.subdomain)
     ghx, ghy = np.einsum("bt,xbt->xt", nodal_values(dofmap, u)[tris.T], grads)
     acc = np.zeros(tris.shape[0])
-    for blk, w, _, x, y in _norm_points(dofmap.mesh, tris):
-        gx, gy = exact_gradient(x, y, t)
-        dx, dy = ghx[blk] - gx, ghy[blk] - gy  # new arrays: gx, gy may be scalars or read-only
+    for (blk, w, _), (gx, gy) in zip(_norm_blocks(len(tris)), gradient, strict=True):
+        dx, dy = ghx[blk] - scale * gx, ghy[blk] - scale * gy
         acc[blk] += w * (np.square(dx, out=dx) + np.square(dy, out=dy))
     return float(np.sqrt(max(areas @ acc, 0.0)))

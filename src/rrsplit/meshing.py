@@ -209,9 +209,8 @@ def validate(mesh: CoupledMesh) -> list[str]:
         bad = np.flatnonzero(areas <= 0.0)
         for t in bad:
             problems.append(f"{name} triangle {t} has non-positive area {areas[t]:.3e}")
-    total = _signed_areas(mesh.nodes, mesh.triangles_f).sum() + _signed_areas(
-        mesh.nodes, mesh.triangles_s
-    ).sum()
+    total = float(_signed_areas(mesh.nodes, mesh.triangles_f).sum()
+                  + _signed_areas(mesh.nodes, mesh.triangles_s).sum())
     if abs(total - 1.0) > _TOL:
         problems.append(f"subdomain areas sum to {total!r}, expected 1")
 
@@ -240,11 +239,10 @@ def validate(mesh: CoupledMesh) -> list[str]:
             )
 
     seg = mesh.nodes[mesh.interface_segments]
-    seg_len = np.sqrt(((seg[:, 1] - seg[:, 0]) ** 2).sum(axis=1)).sum()
-    if abs(seg_len - mesh.geometry.length()) > _TOL:
-        problems.append(
-            f"interface segments sum to {seg_len!r}, expected {mesh.geometry.length()!r}"
-        )
+    seg_len = float(np.sqrt(((seg[:, 1] - seg[:, 0]) ** 2).sum(axis=1)).sum())
+    length = float(mesh.geometry.length())
+    if abs(seg_len - length) > _TOL:
+        problems.append(f"interface segments sum to {seg_len!r}, expected {length!r}")
     return problems
 
 

@@ -48,7 +48,7 @@ class TestCriterion2SchemeIdentities:
         params = SchemeParams(k=k, dt=0.05, alpha=1.0, T=0.25)
         ops = CoupledOperators(mesh, params)
         state = initial_state(case, mesh, ops)
-        sources = SourceData.from_case(case)
+        sources = SourceData.from_case(case).assemble(ops)
         worst_con = worst_strong = 0.0
         for _ in range(params.n_steps):
             new = advance(params, ops, state, sources)

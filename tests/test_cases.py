@@ -1,6 +1,7 @@
 """Tests for the manufactured-solution registry and its residual oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ class TestResidualOracle:
         ys = case.geometry.curve_y(xs)
         assert np.abs(case.exact_q(xs, ys, 0.2) - case.exact_u(xs, ys, 0.2)
                       - case.g_D(xs, ys, 0.2)).max() < 1e-12
+
+    def test_oracle_catches_a_wrong_time_factor(self):
+        # the closures still decay like e^{-t}, so every PDE residual stays at
+        # rounding; only the time-factor check sees that rate_u no longer fits
+        good = get_case("pp_conforming")
+        bad = replace(good, rate_u=0.0)
+        pts = sample_points(good, 50, np.random.default_rng(0))
+        assert residual_oracle(good, pts, 0.25) < 1e-5
+        assert residual_oracle(bad, pts, 0.0) < 1e-5  # e^{rate 0} = 1 for any rate
+        assert residual_oracle(bad, pts, 0.25) > 0.1
 
     def test_oracle_catches_wrong_forcing(self):
         case = get_case("pp_conforming")

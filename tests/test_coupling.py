@@ -8,12 +8,13 @@ sparse assembly and the stepper share no code with the oracle.
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rrsplit import coupling, fem, meshing, sparse
-from rrsplit.cases import get_case
+from rrsplit.cases import CASE_NAMES, get_case
 from rrsplit.coupling import (
     CoupledOperators,
     SchemeParams,
@@ -112,6 +113,52 @@ class TestZeroData:
         assert np.abs(final.w).max() < 1e-14
 
 
+class TestRateScaledLoads:
+    """A run assembles each load once, at t = 0, and scales it by e^{rate t}."""
+
+    def test_forcing_without_its_rate_rejected(self):
+        f = get_case("pp_conforming").f_f
+        for kwargs in ({"f_f": f}, {"f_s": f}, {"f_f": f, "rate_s": -1.0}):
+            with pytest.raises(ValueError, match="needs rate_"):
+                SourceData(**kwargs)
+        sources = SourceData(f_f=f, rate_f=-1.0)
+        with pytest.raises(AttributeError):  # frozen: no forcing can lose its rate later
+            sources.f_s = f
+
+    def test_each_side_scales_by_its_own_rate(self):
+        # the registry's one case with two rates has f_f = 0, so this takes made-up data
+        ops = CoupledOperators(meshing.uniform_split_mesh(4), SchemeParams(k=1, dt=0.25))
+        f_f = lambda x, y, t: np.exp(-1.0 * t) * x * (1.0 - x)
+        f_s = lambda x, y, t: np.exp(2.0 * t) * y
+        sources = SourceData(f_f=f_f, f_s=f_s, rate_f=-1.0, rate_s=2.0).assemble(ops)
+        for got, ref in ((sources.fluid_load(0.5), fem.assemble_load(ops.dof_f, f_f, 0.5)),
+                         (sources.solid_load(ops.params, 0.5),
+                          fem.assemble_load(ops.dof_s, f_s, 0.5))):
+            np.testing.assert_allclose(got, ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_scaled_loads_match_assembly_at_t(self, name):
+        case = get_case(name)
+        mesh = (meshing.slanted_interface_mesh(2) if case.geometry.kind == "slanted"
+                else meshing.uniform_split_mesh(8))
+        dt = 1.0 / 16
+        ops = CoupledOperators(mesh, SchemeParams(k=case.k, dt=dt))
+        sources = SourceData.from_case(case).assemble(ops)
+
+        def check(got, dof, f, times, exact, rate):
+            ref = sum(fem.assemble_load(dof, f, s) for s in times) / len(times)
+            # pp_uniform's f_f cancels to rounding: scale by the size of its terms
+            size = max(np.abs(ref).max(),
+                       abs(rate) * np.abs(fem.assemble_load(dof, exact, times[0])).max())
+            assert np.abs(got - ref).max() <= 1e-13 * size, (times, dof.subdomain)
+
+        for t in (dt, 0.125, 0.25, 1.0):
+            check(sources.fluid_load(t), ops.dof_f, case.f_f, (t,), case.exact_u, case.rate_u)
+            for k, times in ((1, (t,)), (2, (t, t - dt))):  # k = 2: the midpoint average
+                check(sources.solid_load(SchemeParams(k=k, dt=dt), t), ops.dof_s, case.f_s,
+                      times, case.exact_w, case.rate_w)
+
+
 class TestStepsAgainstDenseReference:
     def setup_method(self):
         self.mesh = meshing.uniform_split_mesh(4)
@@ -132,7 +179,7 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        w1, q1 = solid_step(params, ops, state, self.sources, t1)
+        w1, q1 = solid_step(params, ops, state, self.sources.assemble(ops), t1)
 
         dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
         dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
@@ -166,8 +213,9 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        w1, _ = solid_step(params, ops, state, self.sources, t1)
-        u1, lam1 = fluid_step(params, ops, state, w1, self.sources, t1)
+        sources = self.sources.assemble(ops)
+        w1, _ = solid_step(params, ops, state, sources, t1)
+        u1, lam1 = fluid_step(params, ops, state, w1, sources, t1)
 
         dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
         dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
@@ -197,7 +245,7 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        new = monolithic_step(params, ops, state, self.sources, t1,
+        new = monolithic_step(params, ops, state, self.sources.assemble(ops), t1,
                               coupling._monolithic_system(ops))
 
         dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
@@ -250,7 +298,7 @@ class TestSchemeIdentities:
         ops = CoupledOperators(mesh, params)
         case = get_case("ph_uniform" if k == 2 else "pp_uniform")
         state = initial_state(case, mesh, ops)
-        sources = SourceData.from_case(case)
+        sources = SourceData.from_case(case).assemble(ops)
         for _ in range(params.n_steps):
             new = advance(params, ops, state, sources)
             t1 = new.step_index * params.dt
@@ -274,7 +322,7 @@ class TestSchemeIdentities:
         w0 = np.zeros(ops.dof_s.n_dofs)
         q0 = fem.interpolate(ops.dof_s, lambda x, y, t: np.ones_like(x), 0.0)
         state = SchemeState(0, np.zeros(ops.dof_f.n_dofs), w0, q0, np.zeros(ops.n_if))
-        w1, q1 = solid_step(params, ops, state, SourceData(), params.dt)
+        w1, q1 = solid_step(params, ops, state, SourceData().assemble(ops), params.dt)
         lhs = 0.5 * (q1 + q0)
         rhs = (w1 - w0) / params.dt
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -452,7 +500,13 @@ class TestSharedDiscretization:
         for name in ("M_f", "K_f", "M_s", "K_s", "M_if"):
             assert getattr(ops1, name) is getattr(ops2, name)
         assert ops1.dof_f.R is ops2.dof_f.R and ops1.dof_s.R is ops2.dof_s.R
-        assert ops1.A_s is not ops2.A_s and ops1._fluid is not ops2._fluid
+        assert ops1._solid is not ops2._solid and ops1._fluid is not ops2._fluid
+        # the bundles keep no step matrices; each oracle system builds its own pair
+        assert not {"A_s", "A_f"} & (vars(ops1).keys() | vars(ops2).keys())
+        for ops in (ops1, ops2):
+            *_, A_s, A_f = coupling._monolithic_system(ops)
+            for got, ref in zip((A_s, A_f), ops.step_matrices()):
+                assert (got != ref).nnz == 0
         assert sorted(assembled) == [("assemble_mass", "f"), ("assemble_mass", "s"),
                                      ("assemble_stiffness", "f"), ("assemble_stiffness", "s")]
 
@@ -558,12 +612,12 @@ class TestNonFiniteGuard:
         mesh = meshing.uniform_split_mesh(4)
         params = SchemeParams(k=1, dt=0.0625, T=0.25)
         ops = CoupledOperators(mesh, params)
-        f_f = case.f_f
+        g_D = case.g_D
 
         def nan_from_t(x, y, t):  # NaN from the third step on
-            return f_f(x, y, t) + (np.nan if t > 0.15 else 0.0)
+            return g_D(x, y, t) + (np.nan if t > 0.15 else 0.0)
 
-        sources = SourceData(f_f=nan_from_t, f_s=case.f_s, g_D=case.g_D, g_N=case.g_N)
+        sources = replace(SourceData.from_case(case), g_D=nan_from_t)
         run_fn = getattr(coupling, stepper)
         with pytest.raises(FloatingPointError, match="non-finite u at step 3"):
             run_fn(params, mesh, sources, initial_state(case, mesh, ops), ops)

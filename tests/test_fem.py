@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rrsplit import fem, meshing
+from rrsplit.cases import CASE_NAMES, get_case
 from rrsplit.fem import (
     assemble_interface_mass,
     assemble_load,
@@ -15,6 +16,7 @@ from rrsplit.fem import (
     element_geometry,
     element_mass,
     element_stiffness,
+    gradient_profile,
     h1_semi_error,
     interpolate,
     l2_error,
@@ -29,6 +31,11 @@ QUAD_DEG2_W = np.full(3, 1.0 / 3.0)
 QUADRATURE_KEYS = {(sub, rule) for sub in ("f", "s") for rule in (None, "load")}
 REF_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TRI = np.array([[0, 1, 2]])
+
+
+def h1_at(dof, field, exact_gradient, t):
+    """h1_semi_error against exact_gradient(., t), its profile built at t itself."""
+    return h1_semi_error(dof, field, gradient_profile(dof, exact_gradient, t), 1.0)
 
 
 class TestElementKernels:
@@ -282,7 +289,7 @@ class TestErrorNorms:
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "s", include_dirichlet=True)
         field = interpolate(dof, lambda x, y, t: 3.0 * x + y, 0.0)
-        err = h1_semi_error(
+        err = h1_at(
             dof, field, lambda x, y, t: (3.0 * np.ones_like(x), np.ones_like(y)), 0.0
         )
         assert err < 1e-13
@@ -290,7 +297,7 @@ class TestErrorNorms:
     def test_h1_zero_field_against_unit_gradient(self):
         mesh = meshing.uniform_split_mesh(4)
         dof = build_dofmap(mesh, "s")
-        err = h1_semi_error(
+        err = h1_at(
             dof, np.zeros(dof.n_dofs), lambda x, y, t: (np.ones_like(x), np.zeros_like(y)), 0.0
         )
         assert err == pytest.approx(math.sqrt(0.25), rel=1e-12)
@@ -309,7 +316,7 @@ class TestErrorNorms:
         for n in (8, 16):
             mesh = meshing.uniform_split_mesh(n)
             dof = build_dofmap(mesh, "f", include_dirichlet=True)
-            errs.append(h1_semi_error(dof, interpolate(dof, f, 0.0), grad, 0.0))
+            errs.append(h1_at(dof, interpolate(dof, f, 0.0), grad, 0.0))
         assert 1.6 <= errs[0] / errs[1] <= 2.6
 
 
@@ -325,7 +332,7 @@ class TestNormsWithScalarClosures:
         mesh = MESHES[family]()
         dof = build_dofmap(mesh, subdomain, include_dirichlet=True)
         field = interpolate(dof, lambda x, y, t: 0.2 * x - 0.4 * y + 1.0, 0.0)
-        assert h1_semi_error(dof, field, lambda x, y, t: (0.2, -0.4), 0.0) <= 1e-13
+        assert h1_at(dof, field, lambda x, y, t: (0.2, -0.4), 0.0) <= 1e-13
 
 
 class TestDofMap:
@@ -382,11 +389,28 @@ def _seed_h1(dof, field, exact_gradient, t):
     return math.sqrt(val)
 
 
+class TestGradientProfile:
+    """run_row builds each exact gradient's profile once and scales it per step."""
+
+    @pytest.mark.parametrize("subdomain", ["f", "s"])
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_scaled_profile_matches_the_closure(self, name, subdomain):
+        case = get_case(name)
+        mesh = (meshing.slanted_interface_mesh(2) if case.geometry.kind == "slanted"
+                else meshing.uniform_split_mesh(8))
+        dof = build_dofmap(mesh, subdomain)
+        exact, grad, rate = ((case.exact_u, case.grad_u, case.rate_u) if subdomain == "f"
+                             else (case.exact_w, case.grad_w, case.rate_w))
+        profile = gradient_profile(dof, grad, 0.0)
+        for t in (0.0, 0.0625, 0.25, 1.0):
+            field = interpolate(dof, exact, t)  # small errors, as a study measures
+            got = h1_semi_error(dof, field, profile, math.exp(rate * t))
+            assert got == pytest.approx(_seed_h1(dof, field, grad, t), rel=1e-13), t
+
+
 class TestQuadratureMemo:
     @staticmethod
     def _setup(subdomain):
-        from rrsplit.cases import get_case
-
         case = get_case("pp_slanted")
         mesh = meshing.slanted_interface_mesh(3)
         dof = build_dofmap(mesh, subdomain)
@@ -406,13 +430,11 @@ class TestQuadratureMemo:
             b = assemble_load(dof, f, 0.2)
             assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
             assert l2_error(dof, field, exact, 0.2) == pytest.approx(ref_l2, rel=1e-14)
-            assert h1_semi_error(dof, field, grad, 0.2) == pytest.approx(ref_h1, rel=1e-14)
+            assert h1_at(dof, field, grad, 0.2) == pytest.approx(ref_h1, rel=1e-14)
 
     @pytest.mark.parametrize("subdomain", ["f", "s"])
     def test_norms_over_several_triangle_blocks(self, subdomain):
         # 32768 triangles per subdomain: the norms visit them in two blocks
-        from rrsplit.cases import get_case
-
         case = get_case("pp_slanted")
         mesh = meshing.slanted_interface_mesh(5)
         assert fem.subdomain_triangles(mesh, subdomain).shape[0] > 16384
@@ -422,7 +444,7 @@ class TestQuadratureMemo:
         field = interpolate(dof, lambda x, y, t: np.sin(3.0 * x) * y, 0.0)
         assert l2_error(dof, field, exact, 0.2) == pytest.approx(
             _seed_l2(dof, field, exact, 0.2), rel=1e-14)
-        assert h1_semi_error(dof, field, grad, 0.2) == pytest.approx(
+        assert h1_at(dof, field, grad, 0.2) == pytest.approx(
             _seed_h1(dof, field, grad, 0.2), rel=1e-14)
 
     def test_geometry_built_once_per_subdomain(self, monkeypatch):
@@ -439,7 +461,7 @@ class TestQuadratureMemo:
             for t in (0.0, 0.1, 0.2):
                 assemble_load(dof, f, t)
                 l2_error(dof, field, exact, t)
-                h1_semi_error(dof, field, grad, t)
+                h1_at(dof, field, grad, t)
             assert built == [fem.subdomain_triangles(mesh, sub).shape[0]]
             built.clear()
 

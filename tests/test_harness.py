@@ -4,6 +4,7 @@ import argparse
 import math
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,18 +115,25 @@ class TestRunStudy:
         assert all(e is not None for e in table.errors["L2_final_U"])
 
 
+    def test_wrong_time_factor_fails_the_study(self):
+        # each run scales its t = 0 loads by e^{rate t}: a rate that does not
+        # fit the forcing is refused before any row runs
+        case = replace(get_case("pp_conforming"), rate_u=0.0)
+        with pytest.raises(ValueError, match="residual check failed"):
+            run_study(StudyConfig(case=case, dt_list=[0.25]))
+
     @staticmethod
     def _case_failing_with(exc_type):
         # raises only while stepping: the residual check evaluates t = 0 and T
         case = get_case("pp_conforming")
-        f_f = case.f_f
+        g_D = case.g_D
 
         def failing(x, y, t):
             if 0.0 < t < 0.25:
                 raise exc_type("forcing failed")
-            return f_f(x, y, t)
+            return g_D(x, y, t)
 
-        case.f_f = failing
+        case.g_D = failing
         return case
 
     def test_row_failure_is_recorded(self):

@@ -121,6 +121,16 @@ class TestValidate:
         mesh.nodes[mesh.interface_nodes[2], 1] += 1e-6
         assert any("off the interface" in v for v in validate(mesh))
 
+    def test_messages_print_plain_floats(self):
+        # under numpy 2 the repr of a numpy scalar reads np.float64(...)
+        mesh = uniform_split_mesh(4)
+        mesh.nodes[0, 0] -= 0.1
+        mesh.nodes[mesh.interface_nodes[1], 0] += 0.3
+        problems = validate(mesh)
+        assert "subdomain areas sum to 1.0125, expected 1" in problems
+        assert "interface segments sum to 1.1, expected 1.0" in problems
+        assert not [v for v in problems if "np.float64" in v]
+
 
 class TestGeometry:
     def test_horizontal_normal(self):
