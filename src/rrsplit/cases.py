@@ -7,8 +7,8 @@ and q = w (k = 1) or dw/dt (k = 2). `_separable_case` derives every closure
 from that form, including f_f = du/dt - nu_f lap(u), f_s = dq/dt - nu_s lap(w),
 g_D = q - u and g_N = nu_s grad(w).n_s + nu_f grad(u).n_f. `residual_oracle`
 certifies them against central finite differences, and the time factors of the
-forcing, before any run leans on them: a run assembles each load once at t = 0
-and scales it by e^{rate t}.
+forcing, relative to the size of each equation, before any run leans on them:
+a run assembles each load once at t = 0 and scales it by e^{rate t}.
 """
 
 from __future__ import annotations
@@ -169,39 +169,51 @@ def _fd_gradient(fn, x1, x2, t, h=_FD_SPACE):
     )
 
 
-def residual_oracle(case: ManufacturedCase, sample_points, t: float) -> float:
-    """Max residual of the synthesized data, by central finite differences.
+def residual_checks(case: ManufacturedCase, sample_points, t: float) -> list:
+    """The terms of each equation the synthesized data must satisfy, as a list of
+    tuples of arrays that sum to zero for exact data.
 
-    Checks |du/dt - nu_f lap(u) - f_f| and |dq/dt - nu_s lap(w) - f_s| at the
-    sample points, plus |q - u - g_D| and |flux sum - g_N| at 50 interface points,
-    with all derivatives taken by finite differences so the check is
-    independent of the hand-written closed forms. It also checks the time
-    factors the runs lean on, |f(x, y, t) - e^{rate t} f(x, y, 0)| for f_f and
-    grad_u (rate_u) and for f_s and grad_w (rate_w) at the sample points.
+    The equations are du/dt - nu_f lap(u) = f_f and dq/dt - nu_s lap(w) = f_s
+    at the sample points, q - u = g_D and the flux sum = g_N at 50 interface
+    points, all derivatives taken by central finite differences so the check is
+    independent of the hand-written closed forms, and the time factors the runs
+    lean on, f(x, y, t) = e^{rate t} f(x, y, 0) for f_f and grad_u (rate_u) and
+    for f_s and grad_w (rate_w) at the sample points.
     """
     pts = np.asarray(sample_points, dtype=float)
     x1, x2 = pts[:, 0], pts[:, 1]
-    res_f = _fd_time(case.exact_u, x1, x2, t) - case.nu_f * _fd_laplacian(
-        case.exact_u, x1, x2, t
-    ) - case.f_f(x1, x2, t)
-    res_s = _fd_time(case.exact_q, x1, x2, t) - case.nu_s * _fd_laplacian(
-        case.exact_w, x1, x2, t
-    ) - case.f_s(x1, x2, t)
-    worst = max(np.abs(res_f).max(), np.abs(res_s).max())
+    checks = [
+        (_fd_time(case.exact_u, x1, x2, t), -(case.nu_f * _fd_laplacian(case.exact_u, x1, x2, t)),
+         -case.f_f(x1, x2, t)),
+        (_fd_time(case.exact_q, x1, x2, t), -(case.nu_s * _fd_laplacian(case.exact_w, x1, x2, t)),
+         -case.f_s(x1, x2, t)),
+    ]
     for rate, fn in ((case.rate_u, case.f_f), (case.rate_u, case.grad_u),
                      (case.rate_w, case.f_s), (case.rate_w, case.grad_w)):
-        drift = np.asarray(fn(x1, x2, t)) - exp(rate * t) * np.asarray(fn(x1, x2, 0.0))
-        worst = max(worst, np.abs(drift).max())
+        checks.append((np.asarray(fn(x1, x2, t)), -(exp(rate * t) * np.asarray(fn(x1, x2, 0.0)))))
 
     xi = np.linspace(0.0, 1.0, 50)
     yi = case.geometry.curve_y(xi)
-    kin = case.exact_q(xi, yi, t) - case.exact_u(xi, yi, t) - case.g_D(xi, yi, t)
+    checks.append((case.exact_q(xi, yi, t), -case.exact_u(xi, yi, t), -case.g_D(xi, yi, t)))
     nfx, nfy = case.geometry.normal_f()
     ufx, ufy = _fd_gradient(case.exact_u, xi, yi, t)
     wfx, wfy = _fd_gradient(case.exact_w, xi, yi, t)
-    flux = case.nu_f * (ufx * nfx + ufy * nfy) - case.nu_s * (wfx * nfx + wfy * nfy)
-    dyn = flux - case.g_N(xi, yi, t)
-    return float(max(worst, np.abs(kin).max(), np.abs(dyn).max()))
+    checks.append((case.nu_f * (ufx * nfx + ufy * nfy), -(case.nu_s * (wfx * nfx + wfy * nfy)),
+                   -case.g_N(xi, yi, t)))
+    return checks
+
+
+def residual_oracle(case: ManufacturedCase, sample_points, t: float) -> float:
+    """Max residual of the synthesized data relative to the size of its equation.
+
+    For each of ``residual_checks``, the largest |sum of the terms| over the
+    points divided by the largest |term| there, so a data field of size 1e-3
+    is held to the same relative accuracy as one of size 1 (an equation whose
+    terms all vanish has residual 0).
+    """
+    tiny = np.finfo(float).tiny
+    return max(float(np.abs(sum(terms)).max() / max(max(np.abs(a).max() for a in terms), tiny))
+               for terms in residual_checks(case, sample_points, t))
 
 
 def sample_points(case: ManufacturedCase, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -137,6 +137,11 @@ class EnergyLedger:
         """identity_defect over Z^0 (floored at 1e-30, so zero data gives 0)."""
         return self.identity_defect() / max(self.Z[0], 1e-30)
 
+    def monotone(self) -> bool:
+        """Z^{n+1} <= Z^n + 1e-12 Z^0 at every step: no level stores more than the last."""
+        z = np.asarray(self.Z)
+        return bool(np.all(np.diff(z) <= 1e-12 * z[0]))
+
 
 class CoupledOperators:
     """Operators and Robin factorizations for one (mesh, params) pair.

@@ -3,10 +3,13 @@
 Assembly of mass/stiffness/interface-mass operators over the free degrees
 of freedom of one subdomain, load vectors by quadrature, nodal trace
 restriction onto the interface, and quadrature error norms against smooth
-exact fields. The L2 norm evaluates its exact field per call; the H1
-seminorm reads the exact gradient from a profile at the quadrature points,
-built once (``gradient_profile``) and scaled per call, as a load vector
-assembled once is scaled by the caller (``coupling.RunSources``).
+exact fields. The L2 norm evaluates its exact field per call. The H1
+seminorm reads the exact gradient from a profile built once
+(``gradient_profile``): its per-triangle means at the quadrature points and
+one scalar spread about them. Each call scales the profile, as a load vector
+assembled once is scaled by the caller (``coupling.RunSources``), and gets
+the discrete gradient from one sparse matvec with the memoized P1 gradient
+operator.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ QUAD_DEG4_BARY = np.array(
     [[_a, _a, _b], [_a, _b, _a], [_b, _a, _a], [_c, _c, _d], [_c, _d, _c], [_d, _c, _c]]
 )
 QUAD_DEG4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
+_W = float(QUAD_DEG4_W.sum())
 
 
 @dataclass
@@ -152,9 +156,11 @@ def assemble_interface_mass(mesh: CoupledMesh) -> sp.csr_array:
 def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
     """Per-subdomain quadrature data, memoized on the mesh and built on first use.
 
-    ``rule=None`` gives (tris, areas, grads), grads[x, i] the x component of the
-    gradient of basis i per triangle; ``rule="load"`` gives ``_load_operator``'s
-    x, y, P. Vertex coordinates and norm points are not kept: more peak memory.
+    ``rule=None`` gives (tris, areas, G): G is the CSR P1 gradient operator,
+    (2 nt, n_nodes) with rows x components then y components, so
+    ``G @ nodal_values(dofmap, u)`` is each triangle's constant gradient.
+    ``rule="load"`` gives ``_load_operator``'s x, y, P. Vertex coordinates and
+    norm points are not kept: more peak memory.
     """
     key = (subdomain, rule)
     data = mesh._cache.get(key)
@@ -162,7 +168,13 @@ def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
         if rule is None:
             tris = subdomain_triangles(mesh, subdomain)
             areas, grads = element_geometry(mesh.nodes, tris)
-            data = (tris, areas, grads.transpose(2, 1, 0).copy())
+            nt = len(tris)
+            # three entries per row, in the triangle's vertex order: built as CSR, no sort
+            G = sp.csr_array((grads.transpose(2, 0, 1).ravel(),
+                              np.tile(tris, (2, 1)).ravel().astype(np.int32),
+                              np.arange(0, 6 * nt + 1, 3, dtype=np.int32)),
+                             shape=(2 * nt, mesh.n_nodes))
+            data = (tris, areas, G)
         else:
             data = _load_operator(mesh, *_quad_data(mesh, subdomain)[:2])
         mesh._cache[key] = data
@@ -219,22 +231,16 @@ def trace_restrict(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     return dofmap.R @ u
 
 
-def _norm_blocks(n_tris: int):
-    """Triangle block, weight and barycentric coordinates of each degree-4 point.
-
-    Blocks of 16384 triangles, one point at a time, keep each pass's arrays in
-    cache and bound the memory the norms add on the finest mesh.
-    """
-    for blk in (slice(s, s + 16384) for s in range(0, n_tris, 16384)):
-        for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY):
-            yield blk, w, b
-
-
 def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
-    """``_norm_blocks`` with the x and y of each point."""
+    """Per block of 16384 triangles: its slice and, for each degree-4 point,
+    the weight, barycentric coordinates, x and y.
+
+    Blocks keep each pass's arrays in cache and bound the memory the norms add
+    on the finest mesh.
+    """
     px, py = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
-    for blk, w, b in _norm_blocks(len(tris)):
-        yield blk, w, b, px[blk] @ b, py[blk] @ b
+    for blk in (slice(s, s + 16384) for s in range(0, len(tris), 16384)):
+        yield blk, [(w, b, px[blk] @ b, py[blk] @ b) for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY)]
 
 
 def l2_error(dofmap: DofMap, u: np.ndarray, exact, t: float) -> float:
@@ -242,36 +248,51 @@ def l2_error(dofmap: DofMap, u: np.ndarray, exact, t: float) -> float:
     tris, areas, _ = _quad_data(dofmap.mesh, dofmap.subdomain)
     uh = nodal_values(dofmap, u)[tris]
     acc = np.zeros(tris.shape[0])
-    for blk, w, b, x, y in _norm_points(dofmap.mesh, tris):
-        d = uh[blk] @ b - exact(x, y, t)
-        acc[blk] += w * (d * d)
+    for blk, points in _norm_points(dofmap.mesh, tris):
+        for w, b, x, y in points:
+            d = uh[blk] @ b - exact(x, y, t)
+            acc[blk] += w * (d * d)
     return float(np.sqrt(max(areas @ acc, 0.0)))
 
 
-def gradient_profile(dofmap: DofMap, exact_gradient, t: float) -> list:
-    """exact_gradient(., t) at the degree-4 points of the dofmap's subdomain.
+def gradient_profile(dofmap: DofMap, exact_gradient, t: float):
+    """exact_gradient(., t) on the dofmap's subdomain as (m, spread).
 
-    One (gx, gy) pair of arrays per point, in the order ``h1_semi_error`` visits
-    them. A caller whose gradient is e^{rate t} g(x, y) builds the profile once
-    and passes e^{rate t} as the scale at each t.
+    m, of shape (2, nt), is each triangle's weighted mean of the gradient over
+    the degree-4 points; spread is sum_T area_T sum_p w_p |g(x_p) - m_T|^2.
+    A P1 gradient g_h is constant per triangle, so with W = sum_p w_p
+
+        sum_p w_p |g_h - s g(x_p)|^2 = W |g_h - s m_T|^2 + s^2 sum_p w_p |g(x_p) - m_T|^2
+
+    and ``h1_semi_error`` needs nothing else. The spread is summed from
+    squared deviations, never as sum w|g|^2 - W|m|^2, which cancels digits.
+    A caller whose gradient is e^{rate t} g(x, y) builds the profile once and
+    passes e^{rate t} as the scale at each t.
     """
-    tris = _quad_data(dofmap.mesh, dofmap.subdomain)[0]
-    profile = []
-    for *_, x, y in _norm_points(dofmap.mesh, tris):
-        gx, gy = exact_gradient(x, y, t)
-        profile.append((np.broadcast_to(gx, x.shape), np.broadcast_to(gy, y.shape)))
-    return profile
+    tris, areas, _ = _quad_data(dofmap.mesh, dofmap.subdomain)
+    m = np.empty((2, len(tris)))
+    spread = 0.0
+    for blk, points in _norm_points(dofmap.mesh, tris):
+        g = [np.array([np.broadcast_to(c, x.shape) for c in exact_gradient(x, y, t)])
+             for *_, x, y in points]
+        # the mean as an offset from the first point: exactly g for a constant gradient
+        mean = g[0] + sum(w * (gp - g[0]) for w, gp in zip(QUAD_DEG4_W, g)) / _W
+        dev = sum(w * np.square(gp - mean).sum(0) for w, gp in zip(QUAD_DEG4_W, g))
+        m[:, blk] = mean
+        spread += float(areas[blk] @ dev)
+    return m, spread
 
 
-def h1_semi_error(dofmap: DofMap, u: np.ndarray, gradient: list, scale: float) -> float:
+def h1_semi_error(dofmap: DofMap, u: np.ndarray, profile, scale: float) -> float:
     """L2 norm of grad(u) - scale * gradient over the dofmap's subdomain.
 
-    ``gradient`` is a ``gradient_profile`` of the same dofmap.
+    ``profile`` is a ``gradient_profile`` (m, spread) of the same dofmap: one
+    sparse matvec gives the gradient of u per triangle, and the closed form
+    there adds scale^2 * spread to the area-weighted |grad(u) - scale * m|^2.
     """
-    tris, areas, grads = _quad_data(dofmap.mesh, dofmap.subdomain)
-    ghx, ghy = np.einsum("bt,xbt->xt", nodal_values(dofmap, u)[tris.T], grads)
-    acc = np.zeros(tris.shape[0])
-    for (blk, w, _), (gx, gy) in zip(_norm_blocks(len(tris)), gradient, strict=True):
-        dx, dy = ghx[blk] - scale * gx, ghy[blk] - scale * gy
-        acc[blk] += w * (np.square(dx, out=dx) + np.square(dy, out=dy))
-    return float(np.sqrt(max(areas @ acc, 0.0)))
+    _, areas, G = _quad_data(dofmap.mesh, dofmap.subdomain)
+    m, spread = profile
+    d = G @ nodal_values(dofmap, u)
+    d -= scale * m.ravel()
+    acc = _W * float((np.square(d, out=d).reshape(2, -1) @ areas).sum()) + scale**2 * spread
+    return float(np.sqrt(max(acc, 0.0)))

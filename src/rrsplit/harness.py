@@ -169,13 +169,14 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
     """Sweep the dt list; returns errors and rates per requested norm.
 
     The case's synthesized data must pass the finite-difference residual
-    check before any row is run.
+    check before any row is run: a residual of 1e-5 relative to the size of
+    its equation fails it, whatever the size of the case's data.
     """
     case = cfg.case
     pts = sample_points(case, 50, np.random.default_rng(0))
     gap = max(residual_oracle(case, pts, t) for t in (0.0, cfg.final_time))
     if gap >= 1e-5:
-        raise ValueError(f"manufactured-data residual check failed ({gap:.3e})")
+        raise ValueError(f"manufactured-data residual check failed (relative {gap:.3e})")
     norms = _DEFAULT_NORMS.get(case.name, ("L2_final_U", "L2_final_W"))
     table = ConvergenceTable(case_name=case.name, norms=norms)
     table.errors = {n: [] for n in norms}
@@ -230,7 +231,7 @@ def energy_audit(k: int, alpha: float, dt: float, n_steps: int = 20, mesh_n: int
         "seed": seed,
         "Z0": ledger.Z[0],
         "max_relative_defect": defect,
-        "monotone": bool(all(z <= ledger.Z[0] * (1 + 1e-12) for z in ledger.Z)),
+        "monotone": ledger.monotone(),
         "passed": defect <= 1e-10,
         "ledger": ledger,
     }

@@ -407,6 +407,58 @@ class TestGradientProfile:
             got = h1_semi_error(dof, field, profile, math.exp(rate * t))
             assert got == pytest.approx(_seed_h1(dof, field, grad, t), rel=1e-13), t
 
+    def test_spread_is_zero_for_a_constant_gradient(self):
+        dof = build_dofmap(meshing.slanted_interface_mesh(3), "f")
+        m, spread = gradient_profile(dof, lambda x, y, t: (3.7, 1e3), 0.0)
+        assert spread == 0.0
+        assert np.all(m[0] == 3.7) and np.all(m[1] == 1e3)
+
+    @pytest.mark.parametrize("subdomain", ["f", "s"])
+    def test_spread_of_a_linear_gradient_has_its_closed_form(self, subdomain):
+        # g = A (x, y) + c: the degree-4 rule is exact, so m is g at the centroid and
+        # the spread is sum_T area/12 sum_i |A (v_i - centroid)|^2. The offset c makes
+        # |g|^2 about 1e8 times the spread, which sum w|g|^2 - W|m|^2 cannot resolve.
+        A, c = np.array([[2.0, -1.0], [0.5, 3.0]]), np.array([300.0, -1200.0])
+        mesh = meshing.slanted_interface_mesh(3)
+        dof = build_dofmap(mesh, subdomain)
+        m, spread = gradient_profile(dof, lambda x, y, t: A @ np.array([x, y]) + c[:, None], 0.0)
+        tris = fem.subdomain_triangles(mesh, subdomain)
+        areas, _ = element_geometry(mesh.nodes, tris)
+        v = mesh.nodes[tris]
+        centroid = v.mean(axis=1)
+        np.testing.assert_allclose(m.T, centroid @ A.T + c, rtol=1e-14, atol=0)
+        expected = np.einsum("t,tix->", areas / 12.0, ((v - centroid[:, None]) @ A.T) ** 2)
+        assert spread == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("subdomain", ["f", "s"])
+    def test_interpolant_on_level_5_matches_the_per_point_reference(self, subdomain):
+        # the interpolant's error is small against the gradient itself, as in a study
+        case = get_case("pp_slanted")
+        exact, grad, rate = ((case.exact_u, case.grad_u, case.rate_u) if subdomain == "f"
+                             else (case.exact_w, case.grad_w, case.rate_w))
+        dof = build_dofmap(meshing.slanted_interface_mesh(5), subdomain)
+        profile = gradient_profile(dof, grad, 0.0)
+        field = interpolate(dof, exact, 0.25)
+        got = h1_semi_error(dof, field, profile, math.exp(rate * 0.25))
+        assert got == pytest.approx(_seed_h1(dof, field, grad, 0.25), rel=1e-13)
+
+
+class TestGradientOperator:
+    @pytest.mark.parametrize("include_dirichlet", [False, True])
+    @pytest.mark.parametrize("family, subdomain", sorted(AREAS))
+    def test_matches_element_geometry(self, family, subdomain, include_dirichlet):
+        mesh = MESHES[family]()
+        dof = build_dofmap(mesh, subdomain, include_dirichlet=include_dirichlet)
+        u = np.random.default_rng(3).standard_normal(dof.n_dofs)
+        tris, _, G = fem._quad_data(mesh, subdomain)
+        nt = len(tris)
+        assert G.shape == (2 * nt, mesh.n_nodes) and G.indices.dtype == np.int32
+        np.testing.assert_array_equal(G.indptr, np.arange(0, 6 * nt + 1, 3))
+        _, grads = element_geometry(mesh.nodes, tris)
+        ref = np.einsum("tbx,tb->xt", grads, fem.nodal_values(dof, u)[tris])
+        np.testing.assert_allclose((G @ fem.nodal_values(dof, u)).reshape(2, nt), ref,
+                                   rtol=0, atol=1e-12 * np.abs(ref).max())
+
 
 class TestQuadratureMemo:
     @staticmethod

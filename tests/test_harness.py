@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rrsplit import cli, cutoff, harness, meshing
+from rrsplit import cli, coupling, cutoff, harness, meshing
 from rrsplit.cases import get_case
 from rrsplit.harness import StudyConfig, energy_audit, rates, run_study, table_to_csv
 
@@ -122,6 +122,15 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="residual check failed"):
             run_study(StudyConfig(case=case, dt_list=[0.25]))
 
+    @pytest.mark.parametrize("name", ["pp_slanted", "ph_uniform"])
+    def test_half_percent_wrong_forcing_fails_the_study(self, name):
+        # data of size 1e-3: the check is relative, so 0.5% off is refused
+        case = get_case(name)
+        f_f = case.f_f
+        bad = replace(case, f_f=lambda x, y, t: 1.005 * f_f(x, y, t))
+        with pytest.raises(ValueError, match="residual check failed"):
+            run_study(StudyConfig(case=bad, dt_list=[0.25]))
+
     @staticmethod
     def _case_failing_with(exc_type):
         # raises only while stepping: the residual check evaluates t = 0 and T
@@ -155,6 +164,14 @@ class TestEnergyAudit:
     def test_k2_large_step_large_alpha(self):
         rep = energy_audit(k=2, alpha=10.0, dt=0.5, n_steps=10, seed=6)
         assert rep["passed"]
+
+    def test_monotone_checks_consecutive_levels(self, monkeypatch):
+        # Z rises from 0.5 to 0.8 but never above Z^0: not monotone
+        rising = coupling.EnergyLedger(Z=[1.0, 0.5, 0.8, 0.3], S=[0.5, -0.3, 0.5])
+        assert not rising.monotone()
+        assert coupling.EnergyLedger(Z=[1.0, 0.5, 0.5, 0.3], S=[0.5, 0.0, 0.2]).monotone()
+        monkeypatch.setattr(coupling, "run", lambda params, mesh, src, state0, ops: (state0, rising))
+        assert not energy_audit(k=1, alpha=1.0, dt=0.1, n_steps=3, seed=7)["monotone"]
 
     def test_zero_initial_data_trivially_passes(self):
         # force zero data through the seeded generator contract
