@@ -89,8 +89,8 @@ class SourceData:
 
 @dataclass(frozen=True)
 class RunSources:
-    """One run's sources, as the steppers read them: per-step interface data and
-    the loads at t = 0 (``load_f``, ``load_s``) with their rates."""
+    """One run's sources: the interface data and the loads at t = 0 (``load_f``,
+    ``load_s``) with their rates; ``at`` gives one step's values."""
 
     g_D: Optional[Callable]
     g_N: Optional[Callable]
@@ -99,16 +99,15 @@ class RunSources:
     rate_f: float
     rate_s: float
 
-    def fluid_load(self, t: float) -> np.ndarray:
-        """Fluid load at t."""
-        return math.exp(self.rate_f * t) * self.load_f
-
-    def solid_load(self, params: SchemeParams, t_next: float) -> np.ndarray:
-        """Solid load at t_next; for k = 2 the midpoint average matching the w^{n+1/2} bracket."""
+    def at(self, params: SchemeParams, ops: "CoupledOperators", t_next: float):
+        """The sources of the step to t_next, (g_D, g_N, load_s, load_f), each evaluated
+        once: the interface data and the fluid load at t_next, and the solid load at
+        t_next, for k = 2 the midpoint average matching the w^{n+1/2} bracket."""
         scale = math.exp(self.rate_s * t_next)
         if params.k == 2:
             scale = 0.5 * (scale + math.exp(self.rate_s * (t_next - params.dt)))
-        return scale * self.load_s
+        return (ops.interface_values(self.g_D, t_next), ops.interface_values(self.g_N, t_next),
+                scale * self.load_s, math.exp(self.rate_f * t_next) * self.load_f)
 
 
 @dataclass
@@ -231,34 +230,33 @@ def solid_velocity(params: SchemeParams, state: SchemeState, w_next: np.ndarray)
     return (2.0 / params.dt) * (w_next - state.w) - state.q
 
 
-def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-               sources: RunSources, t_next: float):
-    """Upper-subdomain solve with the Robin data of the previous step."""
+def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState, step_sources):
+    """Upper-subdomain solve with the Robin data of the previous step; ``step_sources``
+    is the step's ``RunSources.at`` tuple."""
     k, dt, a, M_if = params.k, params.dt, params.alpha, ops.M_if
-    g_D = ops.interface_values(sources.g_D, t_next)
-    g_N = ops.interface_values(sources.g_N, t_next)
+    g_D, g_N, load_s, _ = step_sources
     u_tr = fem.trace_restrict(ops.dof_f, state.u)
     robin = M_if @ (a * (u_tr + g_D) - state.lam + g_N)
     if k == 2:
         robin = (a / dt) * (M_if @ fem.trace_restrict(ops.dof_s, state.w)) + robin
-    rhs = solid_history(params, ops, state) + ops.dof_s.R.T @ robin
-    rhs += sources.solid_load(params, t_next)
+    rhs = solid_history(params, ops, state) + ops.dof_s.R.T @ robin + load_s
     w_next = ops._solid.solve(rhs)
     return w_next, solid_velocity(params, state, w_next)
 
 
 def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-               w_next: np.ndarray, sources: RunSources, t_next: float):
-    """Lower-subdomain solve followed by the pointwise interface update."""
+               w_next: np.ndarray, step_sources):
+    """Lower-subdomain solve followed by the pointwise interface update; ``step_sources``
+    as in ``solid_step``."""
     k, dt, a = params.k, params.dt, params.alpha
-    g_D = ops.interface_values(sources.g_D, t_next)
+    g_D, _, _, load_f = step_sources
     if k == 1:
         w_dot_tr = fem.trace_restrict(ops.dof_s, w_next)
     else:
         w_dot_tr = (fem.trace_restrict(ops.dof_s, w_next)
                     - fem.trace_restrict(ops.dof_s, state.w)) / dt
     rhs = ops.M_f @ state.u / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (w_dot_tr - g_D)))
-    rhs += sources.fluid_load(t_next)
+    rhs += load_f
     u_next = ops._fluid.solve(rhs)
     u_tr = fem.trace_restrict(ops.dof_f, u_next)
     lam_next = state.lam - a * (u_tr - w_dot_tr + g_D)
@@ -268,9 +266,9 @@ def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
 def advance(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
             sources: RunSources) -> SchemeState:
     """One loosely coupled step: solid solve, then fluid solve, then the update."""
-    t_next = (state.step_index + 1) * params.dt
-    w_next, q_next = solid_step(params, ops, state, sources, t_next)
-    u_next, lam_next = fluid_step(params, ops, state, w_next, sources, t_next)
+    step_sources = sources.at(params, ops, (state.step_index + 1) * params.dt)
+    w_next, q_next = solid_step(params, ops, state, step_sources)
+    u_next, lam_next = fluid_step(params, ops, state, w_next, step_sources)
     return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_next)
 
 
@@ -321,6 +319,14 @@ def _check_ops(ops: CoupledOperators, mesh: CoupledMesh, params: SchemeParams | 
         raise ValueError(f"ops were built for {ops.params}, not {params}")
 
 
+def _check_start(params: SchemeParams, mesh: CoupledMesh, ops: CoupledOperators,
+                 initial: SchemeState):
+    """Raise ValueError unless ops fit this run and a k = 1 start has q0 = w0."""
+    _check_ops(ops, mesh, params)
+    if params.k == 1 and not np.array_equal(initial.q, initial.w):
+        raise ValueError("k=1 requires q0 = w0")
+
+
 def initial_state(case, mesh: CoupledMesh, ops: CoupledOperators) -> SchemeState:
     """Interpolants of the exact fields at t = 0."""
     _check_ops(ops, mesh)
@@ -344,9 +350,7 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
         initial: SchemeState, ops: CoupledOperators,
         callback: Callable | None = None) -> tuple[SchemeState, EnergyLedger]:
     """Advance n_steps from the initial state; returns final state and energy ledger."""
-    _check_ops(ops, mesh, params)
-    if params.k == 1 and not np.array_equal(initial.q, initial.w):
-        raise ValueError("k=1 requires q0 = w0")
+    _check_start(params, mesh, ops, initial)
     state, step_sources = initial, sources.assemble(ops)
     ledger = EnergyLedger(Z=[energy_Z(params, ops, state)], S=[])
     for _ in range(params.n_steps):
@@ -400,7 +404,7 @@ def _monolithic_system(ops: CoupledOperators):
 
 
 def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-                    sources: RunSources, t_next: float, system) -> SchemeState:
+                    sources: RunSources, system) -> SchemeState:
     """One implicit step of the fully coupled system (the strongly coupled oracle).
 
     ``system`` is ``_monolithic_system(ops)``.
@@ -409,9 +413,8 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
     lu, Pf, F, M_FF, c, A_s, A_f = system
     n_s = ops.dof_s.n_dofs
 
-    g_N = ops.interface_values(sources.g_N, t_next)
-    g_D = ops.interface_values(sources.g_D, t_next)
-    rhs_s = solid_history(params, ops, state) + sources.solid_load(params, t_next)
+    g_D, g_N, load_s, load_f = sources.at(params, ops, (state.step_index + 1) * dt)
+    rhs_s = solid_history(params, ops, state) + load_s
     rhs_s += ops.dof_s.R.T @ (ops.M_if @ g_N)
     if k == 1:
         rhs_c = ops.M_if @ g_D
@@ -419,7 +422,7 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
         w_tr = fem.trace_restrict(ops.dof_s, state.w)
         q_tr = fem.trace_restrict(ops.dof_s, state.q)
         rhs_c = ops.M_if @ (g_D + (2.0 / dt) * w_tr + q_tr)
-    rhs_f = ops.M_f @ state.u / dt + sources.fluid_load(t_next)
+    rhs_f = ops.M_f @ state.u / dt + load_f
 
     # the interface jump v - u, fixed by the constraint, lifted into the fluid dofs
     jump = np.zeros(ops.n_if)
@@ -442,12 +445,11 @@ def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
                    initial: SchemeState, ops: CoupledOperators,
                    callback: Callable | None = None) -> SchemeState:
     """Advance the strongly coupled oracle n_steps from the initial state."""
-    _check_ops(ops, mesh, params)
+    _check_start(params, mesh, ops, initial)
     state, step_sources = initial, sources.assemble(ops)
     system = _monolithic_system(ops)
     for _ in range(params.n_steps):
-        t_next = (state.step_index + 1) * params.dt
-        state = monolithic_step(params, ops, state, step_sources, t_next, system)
+        state = monolithic_step(params, ops, state, step_sources, system)
         _check_finite(state)
         if callback is not None:
             callback(state)

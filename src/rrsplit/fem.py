@@ -7,7 +7,7 @@ exact fields. The L2 norm evaluates its exact field per call. The H1
 seminorm reads the exact gradient from a profile built once
 (``gradient_profile``): its per-triangle means at the quadrature points and
 one scalar spread about them. Each call scales the profile, as a load vector
-assembled once is scaled by the caller (``coupling.RunSources``), and gets
+assembled once is scaled per step (``coupling.RunSources.at``), and gets
 the discrete gradient from one sparse matvec with the memoized P1 gradient
 operator.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .meshing import CoupledMesh
+from .meshing import CoupledMesh, signed_areas
 from .sparse import from_triplets
 
 # Degree-4 six-point rule for norms (loads use edge midpoints, see _load_operator).
@@ -159,8 +159,10 @@ def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
     ``rule=None`` gives (tris, areas, G): G is the CSR P1 gradient operator,
     (2 nt, n_nodes) with rows x components then y components, so
     ``G @ nodal_values(dofmap, u)`` is each triangle's constant gradient.
-    ``rule="load"`` gives ``_load_operator``'s x, y, P. Vertex coordinates and
-    norm points are not kept: more peak memory.
+    ``rule="load"`` gives ``_load_operator``'s x, y, P; it takes its areas from
+    ``signed_areas``, the same arithmetic as ``element_geometry``'s, so a run
+    that computes no norm builds no G. Vertex coordinates and norm points are
+    not kept: more peak memory.
     """
     key = (subdomain, rule)
     data = mesh._cache.get(key)
@@ -176,7 +178,8 @@ def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
                              shape=(2 * nt, mesh.n_nodes))
             data = (tris, areas, G)
         else:
-            data = _load_operator(mesh, *_quad_data(mesh, subdomain)[:2])
+            tris = subdomain_triangles(mesh, subdomain)
+            data = _load_operator(mesh, tris, signed_areas(mesh.nodes, tris))
         mesh._cache[key] = data
     return data
 

@@ -25,12 +25,14 @@ _DEFAULT_NORMS = {
     "pp_slanted": ("L2_final_U", "L2_final_W", "accumulated_gradU", "accumulated_gradW"),
 }
 
-_CSV_COLUMN = {
-    "L2_final_U": "U",
-    "L2_final_W": "W",
-    "L2_final_Q": "Q",
-    "accumulated_gradU": "GradU",
-    "accumulated_gradW": "GradW",
+# per norm: CSV column, subdomain, state field and the case's exact closure (the
+# field at T, or for an accumulated norm its gradient, whose rate is rate_<field>)
+_NORMS = {
+    "L2_final_U": ("U", "f", "u", "exact_u"),
+    "L2_final_W": ("W", "s", "w", "exact_w"),
+    "L2_final_Q": ("Q", "s", "q", "exact_q"),
+    "accumulated_gradU": ("GradU", "f", "u", "grad_u"),
+    "accumulated_gradW": ("GradW", "s", "w", "grad_w"),
 }
 
 
@@ -126,24 +128,26 @@ def run_row(cfg: StudyConfig, dt: float, norms):
     state0 = coupling.initial_state(case, mesh, ops)
     sources = coupling.SourceData.from_case(case)
 
-    # per wanted norm: dofmap, field, exact gradient and its rate
-    grads = {name: spec for name, *spec in (
-        ("accumulated_gradU", ops.dof_f, "u", case.grad_u, case.rate_u),
-        ("accumulated_gradW", ops.dof_s, "w", case.grad_w, case.rate_w)) if name in norms}
-    grad_acc = dict.fromkeys(grads, 0.0)
+    specs = {}  # per wanted norm: dofmap, state field and exact closure
+    for name in norms:
+        _, sub, field, exact = _NORMS[name]
+        specs[name] = (getattr(ops, "dof_" + sub), field, getattr(case, exact))
+    grad_acc = {name: 0.0 for name in norms if name.startswith("accumulated")}
     # each gradient's profile at t = 0, built at the first step: by then the run has
     # assembled its loads, whose quadrature set-up would otherwise overlap it in memory
     profiles = {}
 
     def on_step(state):
         t = state.step_index * dt
-        for name, (dof, field, grad, rate) in grads.items():
+        for name in grad_acc:
+            dof, field, grad = specs[name]
             if name not in profiles:
                 profiles[name] = fem.gradient_profile(dof, grad, 0.0)
+            scale = math.exp(getattr(case, "rate_" + field) * t)
             grad_acc[name] += fem.h1_semi_error(dof, getattr(state, field), profiles[name],
-                                                math.exp(rate * t)) ** 2
+                                                scale) ** 2
 
-    callback = on_step if grads else None
+    callback = on_step if grad_acc else None
     if cfg.use_oracle:
         final = coupling.run_monolithic(params, mesh, sources, state0, ops, callback=callback)
         ledger = None
@@ -151,17 +155,10 @@ def run_row(cfg: StudyConfig, dt: float, norms):
         final, ledger = coupling.run(params, mesh, sources, state0, ops, callback=callback)
     profiles.clear()  # not needed by the final-time norms below
 
-    T = cfg.final_time
     values = {}
-    for norm in norms:
-        if norm == "L2_final_U":
-            values[norm] = fem.l2_error(ops.dof_f, final.u, case.exact_u, T)
-        elif norm == "L2_final_W":
-            values[norm] = fem.l2_error(ops.dof_s, final.w, case.exact_w, T)
-        elif norm == "L2_final_Q":
-            values[norm] = fem.l2_error(ops.dof_s, final.q, case.exact_q, T)
-        else:
-            values[norm] = math.sqrt(dt * grad_acc[norm])
+    for name, (dof, field, exact) in specs.items():
+        values[name] = (math.sqrt(dt * grad_acc[name]) if name in grad_acc
+                        else fem.l2_error(dof, getattr(final, field), exact, cfg.final_time))
     return final, ledger, values
 
 
@@ -256,7 +253,7 @@ def _fmt(v) -> str:
 def table_to_csv(table: ConvergenceTable) -> str:
     cols = ["dt"]
     for n in table.norms:
-        tag = _CSV_COLUMN[n]
+        tag = _NORMS[n][0]
         cols += [f"err{tag}", f"rate{tag}"]
     lines = [",".join(cols)]
     for i, dt in enumerate(table.dts):
@@ -285,7 +282,7 @@ def emit_plot_script(table: ConvergenceTable, csv_path, script_path) -> None:
     plots = []
     for j, n in enumerate(table.norms):
         col = 2 + 2 * j
-        plots.append(f"'{os.path.basename(csv_path)}' using 1:{col} with linespoints title '{_CSV_COLUMN[n]}'")
+        plots.append(f"'{os.path.basename(csv_path)}' using 1:{col} with linespoints title '{_NORMS[n][0]}'")
     lines.append("plot " + ", \\\n     ".join(plots))
     with open(script_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

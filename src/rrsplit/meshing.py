@@ -2,8 +2,9 @@
 
 Two families are provided: a structured grid split by the horizontal line
 y = 3/4, and a mapped non-uniform grid matched to the slanted line
-y = x/2 + 1/4. Both subdomains share one node array; interface nodes are
-literally the same node ids in both triangulations.
+y = x/2 + 1/4, both made by one two-block builder. Both subdomains share
+one node array; interface nodes are literally the same node ids in both
+triangulations.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class CoupledMesh:
         return self.nodes.shape[0]
 
 
-def _signed_areas(nodes, tris):
+def signed_areas(nodes, tris):
+    """Signed triangle areas, positive for counterclockwise vertices."""
     p = nodes[tris]
     v1 = p[:, 1] - p[:, 0]
     v2 = p[:, 2] - p[:, 0]
@@ -112,27 +114,6 @@ def _square_boundary_mask(nodes):
     )
 
 
-def _assemble_mesh(nodes, cells_f, cells_s, interface_ids, geometry):
-    tri_f = _split_cells(*cells_f, nodes)
-    tri_s = _split_cells(*cells_s, nodes)
-    boundary = _square_boundary_mask(nodes)
-    dir_f = np.unique(tri_f[boundary[tri_f]])
-    dir_s = np.unique(tri_s[boundary[tri_s]])
-    segments = np.stack([interface_ids[:-1], interface_ids[1:]], axis=1)
-    h_max = max(_max_edge(nodes, tri_f), _max_edge(nodes, tri_s))
-    return CoupledMesh(
-        nodes=nodes,
-        triangles_f=tri_f,
-        triangles_s=tri_s,
-        exterior_dirichlet_f=dir_f,
-        exterior_dirichlet_s=dir_s,
-        interface_nodes=interface_ids,
-        interface_segments=segments,
-        h_max=h_max,
-        geometry=geometry,
-    )
-
-
 def _grid_cells(row_ids):
     """Quad corner ids (a, b, c, d) for all cells of stacked node rows."""
     a = row_ids[:-1, :-1].ravel()
@@ -140,6 +121,30 @@ def _grid_cells(row_ids):
     c = row_ids[1:, 1:].ravel()
     d = row_ids[1:, :-1].ravel()
     return a, b, c, d
+
+
+def _two_block_mesh(n_x: int, m_f: int, m_s: int, geometry: InterfaceGeometry) -> CoupledMesh:
+    """Uniform-x grid mapped between the interface line and the bottom (m_f even
+    rows) and top (m_s even rows) edges; row m_f of its one id grid is the interface."""
+    xs = np.linspace(0.0, 1.0, n_x + 1)
+    y_line = geometry.curve_y(xs)
+    ys = np.concatenate([np.linspace(0.0, y_line, m_f + 1), np.linspace(y_line, 1.0, m_s + 1)[1:]])
+    nodes = np.column_stack([np.tile(xs, m_f + m_s + 1), ys.ravel()])
+    ids = np.arange(nodes.shape[0]).reshape(ys.shape)
+    tri_f = _split_cells(*_grid_cells(ids[: m_f + 1]), nodes)
+    tri_s = _split_cells(*_grid_cells(ids[m_f:]), nodes)
+    boundary = _square_boundary_mask(nodes)
+    return CoupledMesh(
+        nodes=nodes,
+        triangles_f=tri_f,
+        triangles_s=tri_s,
+        exterior_dirichlet_f=np.unique(tri_f[boundary[tri_f]]),
+        exterior_dirichlet_s=np.unique(tri_s[boundary[tri_s]]),
+        interface_nodes=ids[m_f],
+        interface_segments=np.stack([ids[m_f, :-1], ids[m_f, 1:]], axis=1),
+        h_max=max(_max_edge(nodes, tri_f), _max_edge(nodes, tri_s)),
+        geometry=geometry,
+    )
 
 
 def uniform_split_mesh(n: int) -> CoupledMesh:
@@ -151,17 +156,7 @@ def uniform_split_mesh(n: int) -> CoupledMesh:
     """
     if n < 2:
         raise ValueError("uniform_split_mesh requires n >= 2")
-    m_f = math.ceil(3 * n / 4)
-    m_s = math.ceil(n / 4)
-    xs = np.linspace(0.0, 1.0, n + 1)
-    ys = np.concatenate([np.linspace(0.0, 0.75, m_f + 1), np.linspace(0.75, 1.0, m_s + 1)[1:]])
-    X, Y = np.meshgrid(xs, ys)
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    ids = np.arange(nodes.shape[0]).reshape(len(ys), n + 1)
-    cells_f = _grid_cells(ids[: m_f + 1])
-    cells_s = _grid_cells(ids[m_f:])
-    interface_ids = ids[m_f]
-    return _assemble_mesh(nodes, cells_f, cells_s, interface_ids, InterfaceGeometry.horizontal())
+    return _two_block_mesh(n, math.ceil(3 * n / 4), math.ceil(n / 4), InterfaceGeometry.horizontal())
 
 
 def slanted_interface_mesh(level: int) -> CoupledMesh:
@@ -175,42 +170,19 @@ def slanted_interface_mesh(level: int) -> CoupledMesh:
     if not 0 <= level <= 10:
         raise ValueError("slanted_interface_mesh level must be in [0, 10]")
     m = 4 * 2**level
-    geometry = InterfaceGeometry.slanted()
-    xs = np.linspace(0.0, 1.0, m + 1)
-    y_line = geometry.slope * xs + geometry.intercept
-    eta = np.linspace(0.0, 1.0, m + 1)
-
-    # Lower block rows j = 0..m (row m is the interface), upper rows j = 1..m.
-    nodes_f = np.column_stack(
-        [np.tile(xs, m + 1), (eta[:, None] * y_line[None, :]).ravel()]
-    )
-    nodes_s = np.column_stack(
-        [
-            np.tile(xs, m),
-            (y_line[None, :] + eta[1:, None] * (1.0 - y_line[None, :])).ravel(),
-        ]
-    )
-    nodes = np.concatenate([nodes_f, nodes_s])
-    n_lower = (m + 1) * (m + 1)
-    ids_f = np.arange(n_lower).reshape(m + 1, m + 1)
-    ids_s = np.concatenate(
-        [ids_f[-1:], n_lower + np.arange(m * (m + 1)).reshape(m, m + 1)]
-    )
-    cells_f = _grid_cells(ids_f)
-    cells_s = _grid_cells(ids_s)
-    return _assemble_mesh(nodes, cells_f, cells_s, ids_f[-1], geometry)
+    return _two_block_mesh(m, m, m, InterfaceGeometry.slanted())
 
 
 def validate(mesh: CoupledMesh) -> list[str]:
     """Check mesh invariants; returns a list of violations (empty means valid)."""
     problems = []
     for name, tris in (("fluid", mesh.triangles_f), ("solid", mesh.triangles_s)):
-        areas = _signed_areas(mesh.nodes, tris)
+        areas = signed_areas(mesh.nodes, tris)
         bad = np.flatnonzero(areas <= 0.0)
         for t in bad:
             problems.append(f"{name} triangle {t} has non-positive area {areas[t]:.3e}")
-    total = float(_signed_areas(mesh.nodes, mesh.triangles_f).sum()
-                  + _signed_areas(mesh.nodes, mesh.triangles_s).sum())
+    total = float(signed_areas(mesh.nodes, mesh.triangles_f).sum()
+                  + signed_areas(mesh.nodes, mesh.triangles_s).sum())
     if abs(total - 1.0) > _TOL:
         problems.append(f"subdomain areas sum to {total!r}, expected 1")
 

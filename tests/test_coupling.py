@@ -131,9 +131,9 @@ class TestRateScaledLoads:
         f_f = lambda x, y, t: np.exp(-1.0 * t) * x * (1.0 - x)
         f_s = lambda x, y, t: np.exp(2.0 * t) * y
         sources = SourceData(f_f=f_f, f_s=f_s, rate_f=-1.0, rate_s=2.0).assemble(ops)
-        for got, ref in ((sources.fluid_load(0.5), fem.assemble_load(ops.dof_f, f_f, 0.5)),
-                         (sources.solid_load(ops.params, 0.5),
-                          fem.assemble_load(ops.dof_s, f_s, 0.5))):
+        *_, load_s, load_f = sources.at(ops.params, ops, 0.5)
+        for got, ref in ((load_f, fem.assemble_load(ops.dof_f, f_f, 0.5)),
+                         (load_s, fem.assemble_load(ops.dof_s, f_s, 0.5))):
             np.testing.assert_allclose(got, ref, rtol=1e-13)
 
     @pytest.mark.parametrize("name", CASE_NAMES)
@@ -153,9 +153,10 @@ class TestRateScaledLoads:
             assert np.abs(got - ref).max() <= 1e-13 * size, (times, dof.subdomain)
 
         for t in (dt, 0.125, 0.25, 1.0):
-            check(sources.fluid_load(t), ops.dof_f, case.f_f, (t,), case.exact_u, case.rate_u)
+            check(sources.at(ops.params, ops, t)[3], ops.dof_f, case.f_f, (t,), case.exact_u,
+                  case.rate_u)
             for k, times in ((1, (t,)), (2, (t, t - dt))):  # k = 2: the midpoint average
-                check(sources.solid_load(SchemeParams(k=k, dt=dt), t), ops.dof_s, case.f_s,
+                check(sources.at(SchemeParams(k=k, dt=dt), ops, t)[2], ops.dof_s, case.f_s,
                       times, case.exact_w, case.rate_w)
 
 
@@ -179,7 +180,7 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        w1, q1 = solid_step(params, ops, state, self.sources.assemble(ops), t1)
+        w1, q1 = solid_step(params, ops, state, self.sources.assemble(ops).at(params, ops, t1))
 
         dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
         dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
@@ -213,9 +214,9 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        sources = self.sources.assemble(ops)
-        w1, _ = solid_step(params, ops, state, sources, t1)
-        u1, lam1 = fluid_step(params, ops, state, w1, sources, t1)
+        step_sources = self.sources.assemble(ops).at(params, ops, t1)
+        w1, _ = solid_step(params, ops, state, step_sources)
+        u1, lam1 = fluid_step(params, ops, state, w1, step_sources)
 
         dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
         dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
@@ -245,7 +246,7 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        new = monolithic_step(params, ops, state, self.sources.assemble(ops), t1,
+        new = monolithic_step(params, ops, state, self.sources.assemble(ops),
                               coupling._monolithic_system(ops))
 
         dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
@@ -322,7 +323,8 @@ class TestSchemeIdentities:
         w0 = np.zeros(ops.dof_s.n_dofs)
         q0 = fem.interpolate(ops.dof_s, lambda x, y, t: np.ones_like(x), 0.0)
         state = SchemeState(0, np.zeros(ops.dof_f.n_dofs), w0, q0, np.zeros(ops.n_if))
-        w1, q1 = solid_step(params, ops, state, SourceData().assemble(ops), params.dt)
+        w1, q1 = solid_step(params, ops, state,
+                            SourceData().assemble(ops).at(params, ops, params.dt))
         lhs = 0.5 * (q1 + q0)
         rhs = (w1 - w0) / params.dt
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -404,14 +406,15 @@ class TestInitialData:
         xs, ys = mesh.nodes[mesh.interface_nodes].T
         np.testing.assert_allclose(lam0, 1e-3 * xs * (1 - xs) * (1 - 2 * ys), rtol=1e-14)
 
-    def test_k1_rejects_mismatched_q0(self):
+    @pytest.mark.parametrize("stepper", ["run", "run_monolithic"])
+    def test_k1_rejects_mismatched_q0(self, stepper):
         mesh = meshing.uniform_split_mesh(4)
         params = SchemeParams(k=1, dt=0.25, T=0.25)
         ops = CoupledOperators(mesh, params)
         state = zero_state(ops)
         state.q = np.ones(ops.dof_s.n_dofs)
         with pytest.raises(ValueError):
-            run(params, mesh, SourceData(), state, ops)
+            getattr(coupling, stepper)(params, mesh, SourceData(), state, ops)
 
 
 class TestMonolithic:
@@ -603,6 +606,24 @@ def test_final_state_fingerprints(case_name, stepper):
         assert got == pytest.approx(expected[name], rel=1e-12), name
     if ledger is not None:
         assert ledger.Z[-1] == pytest.approx(expected["Z"], rel=1e-12)
+
+
+@pytest.mark.parametrize("stepper", ["run", "run_monolithic"])
+def test_interface_data_evaluated_once_per_step(stepper):
+    mesh = meshing.uniform_split_mesh(4)
+    params = SchemeParams(k=1, dt=0.0625, T=0.25)
+    ops = CoupledOperators(mesh, params)
+    calls = {"g_D": 0, "g_N": 0}
+
+    def counting(name, scale):
+        def g(x, y, t):
+            calls[name] += 1
+            return scale * x * (1.0 - x) * (1.0 + t)
+        return g
+
+    sources = SourceData(g_D=counting("g_D", 0.3), g_N=counting("g_N", -0.2))
+    getattr(coupling, stepper)(params, mesh, sources, zero_state(ops), ops)
+    assert calls == {"g_D": params.n_steps, "g_N": params.n_steps}
 
 
 class TestNonFiniteGuard:

@@ -517,6 +517,19 @@ class TestQuadratureMemo:
             assert built == [fem.subdomain_triangles(mesh, sub).shape[0]]
             built.clear()
 
+    def test_forced_run_without_norms_builds_no_gradient_operator(self):
+        # the loads read the triangles and their areas, not the norms' memo that holds G
+        from rrsplit import coupling
+
+        case = get_case("pp_slanted")
+        mesh = meshing.slanted_interface_mesh(2)
+        params = coupling.SchemeParams(k=case.k, dt=0.125, T=0.25)
+        ops = coupling.CoupledOperators(mesh, params)
+        coupling.run(params, mesh, coupling.SourceData.from_case(case),
+                     coupling.initial_state(case, mesh, ops), ops)
+        # the operators and the two load memos, and no (subdomain, None) memo with its G
+        assert mesh._cache.keys() == {"operators", ("f", "load"), ("s", "load")}
+
     def test_operators_share_geometry_between_mass_and_stiffness(self, monkeypatch):
         from rrsplit.coupling import CoupledOperators, SchemeParams
 

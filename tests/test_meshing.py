@@ -1,5 +1,6 @@
 """Tests for the two mesh families and the mesh validator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -91,6 +92,41 @@ class TestSlantedInterfaceMesh:
             slanted_interface_mesh(-1)
         with pytest.raises(ValueError):
             slanted_interface_mesh(11)
+
+
+# sha256 prefixes of nodes, triangles_f, triangles_s, interface_nodes and the two
+# Dirichlet sets, then h_max; recorded before both families moved to one builder
+MESH_FINGERPRINTS = {
+    ("uniform", 2): ("9e56786190fe6353", "8c0fd26e8053c0f5", "d2e866314e6b6985",
+                     "239b893ce036f83d", "0bc861556876d889", "cbadd4c5c3201656", 0.625),
+    ("uniform", 3): ("306107c327917ffb", "6caf66633d003d8a", "a9f4fd18168f39d2",
+                     "0fa8ed3fec0deaf6", "1a91401c958e96a8", "e8fc4d33fd2d4b35",
+                     0.4166666666666667),
+    ("uniform", 5): ("cf98dce1acc7bc40", "175b47ee74dfa1fd", "8f26854319980a32",
+                     "9c24081f3ab65838", "96e7701f5ba2cf06", "22602583f95b0ab7",
+                     0.27414640249326644),
+    ("uniform", 8): ("148418ec2093039d", "c5005af92f203e8c", "76c7e02e30a3bb1f",
+                     "a3b921d2d6ca52ee", "00bd383376821b9e", "5f8073808e9b76bc",
+                     0.1767766952966369),
+    ("slanted", 0): ("f3458cd5e5de2bfe", "ce8a17c3737fde87", "98088c297c012eb8",
+                     "1e678e0dbd27fcaa", "1a5d02ed4fe130e5", "4031e3a61d5f80e7",
+                     0.29481191037676885),
+    ("slanted", 1): ("0cac6be8025581f4", "eb153ffe606027f1", "572b31b7e04fa1c5",
+                     "cc01db1137ca828b", "64da2fe7f4968453", "90ed766941ddf2fb",
+                     0.15169131124177812),
+    ("slanted", 2): ("54165c34306fc5f5", "bf1a5a4f90234000", "65439b3d02d772da",
+                     "03b6751b5a060119", "32b55faefc883b03", "9cc843de44ec0f0e",
+                     0.07696898630952356),
+}
+
+
+@pytest.mark.parametrize("family, size", sorted(MESH_FINGERPRINTS))
+def test_mesh_fingerprints(family, size):
+    mesh = uniform_split_mesh(size) if family == "uniform" else slanted_interface_mesh(size)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+                for a in (mesh.nodes, mesh.triangles_f, mesh.triangles_s, mesh.interface_nodes,
+                          mesh.exterior_dirichlet_f, mesh.exterior_dirichlet_s))
+    assert got + (mesh.h_max,) == MESH_FINGERPRINTS[family, size]
 
 
 class TestInterfaceLength:
