@@ -4,7 +4,8 @@ Usage, from the root of a checkout: python .github/gate_table.py WORKLOAD...
 
 Every gate is listed with its value, its recorded reference and the relative
 drift, so the margin to the 1e-10 tolerance shows on the CPU and BLAS kernel
-that ran it. A second table gives each workload's pass wall seconds and the
+that ran it; the header also names glibc's mmap threshold, which moves the
+peak RSS below. A second table gives each workload's pass wall seconds and the
 process peak RSS after it (``ru_maxrss``, so a peak carries over to the
 workloads after it), which shows a memory regression. Both tables are
 appended to $GITHUB_STEP_SUMMARY when that is set. Exits 1 if any gate fails.
@@ -28,7 +29,9 @@ def split(detail):
 
 def main(names) -> int:
     kernel = os.environ.get("OPENBLAS_CORETYPE", "default")
-    lines = [f"gate tolerance REL_TOL = {workloads.REL_TOL:g}, OpenBLAS kernel: {kernel}", "",
+    mmap = os.environ.get("MALLOC_MMAP_THRESHOLD_", "dynamic")
+    lines = [f"gate tolerance REL_TOL = {workloads.REL_TOL:g}, OpenBLAS kernel: {kernel}, "
+             f"glibc mmap threshold: {mmap}", "",
              "| workload | check | ok | value | reference | relative drift |",
              "| --- | --- | --- | --- | --- | --- |"]
     costs = ["", "| workload | pass wall s | process peak RSS MiB |", "| --- | --- | --- |"]

@@ -149,7 +149,9 @@ class CoupledOperators:
     and are shared by every bundle on that mesh (``_mesh_operators``); the two
     Robin LUs are this bundle's own. The step matrices they are built from are
     not kept: only the coupled oracle reads them, and it builds its own with
-    ``step_matrices``.
+    ``step_matrices``. Each Robin matrix is dropped before the next LU: the
+    solid one is built, factored and freed before the fluid one is built, so
+    the fluid LU runs beside the solid factors alone.
     """
 
     def __init__(self, mesh: CoupledMesh, params: SchemeParams):
@@ -164,23 +166,22 @@ class CoupledOperators:
         self.if_x1, self.if_x2 = ifc[:, 0].copy(), ifc[:, 1].copy()
         self.n_if = mesh.interface_nodes.size
 
-        R_f, R_s = self.dof_f.R, self.dof_s.R
-        A_s, A_f = self.step_matrices()
-        a = params.alpha
-        robin_s = (a if params.k == 1 else a / params.dt) * (R_s.T @ self.M_if @ R_s)
-        robin_f = a * (R_f.T @ self.M_if @ R_f)
+        R_f, R_s, M_if, a = self.dof_f.R, self.dof_s.R, self.M_if, params.alpha
+        steps = self.step_matrices()
         # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
-        self._solid = sparse.factorize(A_s + robin_s)
-        self._fluid = sparse.factorize(A_f + robin_f)
+        self._solid = sparse.factorize(
+            next(steps) + (a if params.k == 1 else a / params.dt) * (R_s.T @ M_if @ R_s))
+        self._fluid = sparse.factorize(next(steps) + a * (R_f.T @ M_if @ R_f))
 
     def step_matrices(self):
-        """Solid and fluid step matrices without interface terms, (A_s, A_f)."""
+        """Solid and fluid step matrices without interface terms: yields A_s, then
+        A_f, so a caller can drop the first before the second is built."""
         p = self.params
         if p.k == 1:
-            A_s = (1.0 / p.dt) * self.M_s + p.nu_s * self.K_s
+            yield (1.0 / p.dt) * self.M_s + p.nu_s * self.K_s
         else:
-            A_s = (2.0 / p.dt**2) * self.M_s + (p.nu_s / 2.0) * self.K_s
-        return A_s, (1.0 / p.dt) * self.M_f + p.nu_f * self.K_f
+            yield (2.0 / p.dt**2) * self.M_s + (p.nu_s / 2.0) * self.K_s
+        yield (1.0 / p.dt) * self.M_f + p.nu_f * self.K_f
 
     def interface_values(self, fn, t) -> np.ndarray:
         if fn is None:

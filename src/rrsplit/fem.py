@@ -68,7 +68,7 @@ def build_dofmap(mesh: CoupledMesh, subdomain: str, include_dirichlet: bool = Fa
     sub_nodes = np.flatnonzero(np.bincount(tris.ravel(), minlength=mesh.n_nodes))
     dirichlet = mesh.exterior_dirichlet_f if subdomain == "f" else mesh.exterior_dirichlet_s
     free = sub_nodes if include_dirichlet else sub_nodes[~np.isin(sub_nodes, dirichlet)]
-    node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int32 if mesh.n_nodes < 2**31 else np.int64)
     node_to_dof[free] = np.arange(free.size)
     idofs = node_to_dof[mesh.interface_nodes]
     carried = np.flatnonzero(idofs >= 0)
@@ -111,13 +111,20 @@ def element_stiffness(areas: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 
 def _scatter_blocks(blocks: np.ndarray, tris: np.ndarray, dofmap: DofMap) -> sp.csr_array:
+    """The (nt, 3, 3) element blocks summed into a matrix over the free dofs.
+
+    A per-triangle mask picks the (i, j) entries whose two vertices both carry
+    a dof, in the blocks' own order, straight from the blocks and the
+    broadcast int32 dof numbers: the triplets hold the kept entries only, and
+    no full-length copy of them is made first.
+    """
     dof = dofmap.node_to_dof[tris]
-    rows = np.broadcast_to(dof[:, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(dof[:, None, :], blocks.shape).ravel()
-    vals = blocks.ravel()
-    keep = (rows >= 0) & (cols >= 0)
+    free = dof >= 0
+    keep = free[:, :, None] & free[:, None, :]
+    rows = np.broadcast_to(dof[:, :, None], blocks.shape)[keep]
+    cols = np.broadcast_to(dof[:, None, :], blocks.shape)[keep]
     n = dofmap.n_dofs
-    return from_triplets(n, n, (rows[keep], cols[keep], vals[keep]))
+    return from_triplets(n, n, (rows, cols, blocks[keep]))
 
 
 def assemble_mass(dofmap: DofMap, geometry=None) -> sp.csr_array:

@@ -12,10 +12,16 @@ def from_triplets(n_rows, n_cols, entries) -> sp.csr_array:
 
     Duplicate positions are summed, explicit zeros are kept and column
     indices come out sorted. scipy raises ValueError for arrays of unequal
-    length and for an index out of range.
+    length and for an index out of range. ``indices`` and ``indptr`` are
+    int32 when n_rows, n_cols and the number of triplets are all below 2**31,
+    and int64 otherwise, whatever the dtype of ``rows`` and ``cols``; int32
+    rows and cols are used as they are, without a copy.
     """
     rows, cols, vals = entries
-    return sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+    A = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols))
+    if max(n_rows, n_cols, A.nnz) < 2**31:
+        A.coords = sp.safely_cast_index_arrays(A)
+    return A.tocsr()
 
 
 class Factorization:

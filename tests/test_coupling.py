@@ -6,7 +6,9 @@ sparse assembly and the stepper share no code with the oracle.
 """
 
 import gc
+import hashlib
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -606,6 +608,84 @@ def test_final_state_fingerprints(case_name, stepper):
         assert got == pytest.approx(expected[name], rel=1e-12), name
     if ledger is not None:
         assert ledger.Z[-1] == pytest.approx(expected["Z"], rel=1e-12)
+
+
+# sha256 prefixes of each operator's data, indptr and indices (index arrays cast
+# to int64), recorded while the triplet path still built int64 indices
+OPERATOR_FINGERPRINTS = {
+    ("uniform", 8): {
+        "M_f": ("6c623f1c7271cba9", "ee46a0418e395d69", "e8a487236306b79e"),
+        "K_f": ("29d3bf1720d034b4", "ee46a0418e395d69", "e8a487236306b79e"),
+        "M_s": ("9014ea5d0beb0c77", "e3556e5c4c4c2863", "c61176dadefcb863"),
+        "K_s": ("349e2db892a12978", "e3556e5c4c4c2863", "c61176dadefcb863"),
+        "M_if": ("41096352a84f87a8", "ed8a5222513e52fe", "d1f874e86e6d80c9"),
+        "R_f": ("022451970ff25a1c", "8be4ac08a7e42038", "26d76fc89d5624b9"),
+        "R_s": ("022451970ff25a1c", "8be4ac08a7e42038", "81845a01dafa45c9"),
+        "Pf": ("09ac88f11d677f2e", "a37cddc35bb52859", "b63f6e015d536ad5"),
+    },
+    ("uniform", 33): {
+        "M_f": ("f2935843ae80e0a4", "eeb8ec74af359f72", "ad9d3f018afaf8a9"),
+        "K_f": ("cbdf48a7804e7ca8", "eeb8ec74af359f72", "ad9d3f018afaf8a9"),
+        "M_s": ("5e63a143a0d34cb6", "83389779fdc57e03", "a9a194c8cbcb1bbb"),
+        "K_s": ("e57c1919659c0899", "83389779fdc57e03", "a9a194c8cbcb1bbb"),
+        "M_if": ("5d9b929fec6c7641", "dffd17d1ee917e84", "2fc51078cd5dde7f"),
+        "R_f": ("acfc7c36fce590b1", "6d1a9055e913592c", "13cf4a30b5556e19"),
+        "R_s": ("acfc7c36fce590b1", "6d1a9055e913592c", "bcc9bcfc670935c6"),
+        "Pf": ("e6b8b8a54e4eff0e", "b4d8c759628f1e73", "511ecbd866ac0a20"),
+    },
+    ("slanted", 1): {
+        "M_f": ("d376b3730027ff8f", "387055a39772c8a6", "50126caabe213139"),
+        "K_f": ("51a3f6ea6c667a58", "387055a39772c8a6", "50126caabe213139"),
+        "M_s": ("9bf7c3c69d2d8bfd", "387055a39772c8a6", "50126caabe213139"),
+        "K_s": ("447237d6fe76caaf", "387055a39772c8a6", "50126caabe213139"),
+        "M_if": ("1fe1d77f19d37ddc", "ed8a5222513e52fe", "d1f874e86e6d80c9"),
+        "R_f": ("022451970ff25a1c", "8be4ac08a7e42038", "37081da55207d0e1"),
+        "R_s": ("022451970ff25a1c", "8be4ac08a7e42038", "81845a01dafa45c9"),
+        "Pf": ("2ea08de9b8f77f82", "43f1a99a51253ac9", "00bbfd2f180993b5"),
+    },
+    ("slanted", 3): {
+        "M_f": ("cbbb45c3f18ccf54", "e2f66f2c6ea9adb4", "aea25781aa287452"),
+        "K_f": ("39a9ba8f3e556512", "e2f66f2c6ea9adb4", "aea25781aa287452"),
+        "M_s": ("f696eb111d09661c", "e2f66f2c6ea9adb4", "aea25781aa287452"),
+        "K_s": ("1170bc9b50ef2c94", "e2f66f2c6ea9adb4", "aea25781aa287452"),
+        "M_if": ("c2d84c5f0e1129a9", "5e1b82d6758b43d8", "76d7ea2abd7fb5fb"),
+        "R_f": ("39f2f7deec2496ab", "c5e1c3d02dcdf328", "d39c5c644c0ac7bd"),
+        "R_s": ("39f2f7deec2496ab", "c5e1c3d02dcdf328", "3a769b546b52d0c3"),
+        "Pf": ("7b2d2921913416cf", "10c7bc34a873a5b5", "838588b5cf3b2509"),
+    },
+}
+
+
+@pytest.mark.parametrize("family, size", sorted(OPERATOR_FINGERPRINTS))
+def test_operator_fingerprints(family, size):
+    mesh = (meshing.uniform_split_mesh(size) if family == "uniform"
+            else meshing.slanted_interface_mesh(size))
+    ops = CoupledOperators(mesh, SchemeParams(k=1, dt=0.125, T=0.25))
+    operators = {"M_f": ops.M_f, "K_f": ops.K_f, "M_s": ops.M_s, "K_s": ops.K_s,
+                 "M_if": ops.M_if, "R_f": ops.dof_f.R, "R_s": ops.dof_s.R,
+                 "Pf": coupling._monolithic_system(ops)[1]}
+    for name, A in operators.items():
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                    for a in (A.data, A.indptr.astype(np.int64), A.indices.astype(np.int64)))
+        assert got == OPERATOR_FINGERPRINTS[family, size][name], name
+        assert A.indices.dtype == A.indptr.dtype == np.int32, name
+
+
+def test_operator_assembly_traced_peak():
+    # tracemalloc counts numpy's buffers exactly, unlike RSS, which also holds
+    # what the allocator kept. The lean triplet path peaks at 2.87 MiB here
+    # (bound 3.2 MiB, 11% above it); full-length int64 triplets and their
+    # masked copies peak at 4.57 MiB.
+    mesh = meshing.uniform_split_mesh(64)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        coupling._mesh_operators(mesh)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * 2**20
 
 
 @pytest.mark.parametrize("stepper", ["run", "run_monolithic"])

@@ -52,6 +52,15 @@ class TestFromTriplets:
         with pytest.raises(ValueError, match="negative axis 1 index"):
             from_triplets(2, 2, entries([(0, -1, 1.0)]))
 
+    def test_index_beyond_int32_keeps_int64(self):
+        # one row, so the CSR arrays stay two entries long however wide the matrix is
+        n = 2**31 + 2
+        A = from_triplets(1, n, (np.array([0]), np.array([n - 1]), np.array([2.5])))
+        assert A.indices.dtype == A.indptr.dtype == np.int64
+        assert A.indices.tolist() == [n - 1] and A.data.tolist() == [2.5]
+        with pytest.raises(ValueError, match=f"index {n} exceeds"):
+            from_triplets(1, n, (np.array([0]), np.array([n]), np.array([1.0])))
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             from_triplets(2, 2, (np.array([0, 1]), np.array([0]), np.array([1.0])))
@@ -62,6 +71,7 @@ class TestFromTriplets:
                  zip(rng.integers(0, 6, 40), rng.integers(0, 5, 40), rng.standard_normal(40))]
         A = from_triplets(6, 5, entries(trips))
         assert A.shape == (6, 5)
+        assert A.indices.dtype == A.indptr.dtype == np.int32  # from int64 triplets
         assert A.indptr[0] == 0 and A.indptr[-1] == A.nnz
         assert np.all(np.diff(A.indptr) >= 0)
         for i in range(6):
