@@ -197,11 +197,21 @@ def main(argv=None) -> int:
         if bad := set(defaults) - {a.dest for a in flags}:
             parser.error(f"unknown config keys: {sorted(bad)}")
         for a in (f for f in flags if f.dest in defaults):
-            a.required, a.default = False, defaults[a.dest]
-            if a.nargs == 0:  # a store_true flag; argparse converts other defaults by type
-                if a.default.lower() not in ("true", "false"):
-                    parser.error(f"config key {a.dest}: expected true or false, got {a.default!r}")
-                a.default = a.default.lower() == "true"
+            value = defaults[a.dest]
+            if a.nargs == 0:  # a store_true flag
+                if value.lower() not in ("true", "false"):
+                    parser.error(f"config key {a.dest}: expected true or false, got {value!r}")
+                value = value.lower() == "true"
+            elif a.type is not None:
+                try:
+                    value = a.type(value)
+                except ValueError:
+                    parser.error(f"config key {a.dest}: invalid {a.type.__name__} value {value!r}")
+            # argparse never checks a default against the choices: check the key here
+            if a.choices is not None and value not in a.choices:
+                parser.error(f"config key {a.dest}: invalid choice {value!r} "
+                             f"(choose from {', '.join(map(str, a.choices))})")
+            a.required, a.default = False, value
     args = parser.parse_args(argv)
     try:
         handler = {

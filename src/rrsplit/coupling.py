@@ -8,7 +8,8 @@ parabolic); k = 2 runs the midpoint/Newmark member on the upper subdomain
 (parabolic - hyperbolic). A strongly coupled stepper, its interface
 multiplier eliminated into one SPD system, serves as the oracle, and an
 exact per-step energy ledger supports the stored-plus-dissipated balance
-audit.
+audit. Each step reads its parameters from its ``CoupledOperators`` alone,
+and a run's sources are one function of time, ``SourceData.assemble(ops)``.
 """
 
 from __future__ import annotations
@@ -78,36 +79,22 @@ class SourceData:
         return SourceData(f_f=case.f_f, f_s=case.f_s, g_D=case.g_D, g_N=case.g_N,
                           rate_f=case.rate_u, rate_s=case.rate_w)
 
-    def assemble(self, ops: "CoupledOperators") -> "RunSources":
-        """This data on ops for one run: each load assembled once, at t = 0."""
-        def base(dofmap, f):
-            return np.zeros(dofmap.n_dofs) if f is None else fem.assemble_load(dofmap, f, 0.0)
+    def assemble(self, ops: "CoupledOperators") -> Callable:
+        """This data on ops for one run: ``at(t_next)``, the step's (g_D, g_N, load_s,
+        load_f). Loads are assembled here, at t = 0, and scaled to t_next; for k = 2
+        the solid load is the midpoint average matching the w^{n+1/2} bracket."""
+        load_f, load_s = (np.zeros(d.n_dofs) if f is None else fem.assemble_load(d, f, 0.0)
+                          for d, f in ((ops.dof_f, self.f_f), (ops.dof_s, self.f_s)))
+        rate_f, rate_s, k, dt = self.rate_f or 0.0, self.rate_s or 0.0, ops.params.k, ops.params.dt
 
-        return RunSources(self.g_D, self.g_N, base(ops.dof_f, self.f_f),
-                          base(ops.dof_s, self.f_s), self.rate_f or 0.0, self.rate_s or 0.0)
+        def at(t_next: float):
+            scale = math.exp(rate_s * t_next)
+            if k == 2:
+                scale = 0.5 * (scale + math.exp(rate_s * (t_next - dt)))
+            return (ops.interface_values(self.g_D, t_next), ops.interface_values(self.g_N, t_next),
+                    scale * load_s, math.exp(rate_f * t_next) * load_f)
 
-
-@dataclass(frozen=True)
-class RunSources:
-    """One run's sources: the interface data and the loads at t = 0 (``load_f``,
-    ``load_s``) with their rates; ``at`` gives one step's values."""
-
-    g_D: Optional[Callable]
-    g_N: Optional[Callable]
-    load_f: np.ndarray
-    load_s: np.ndarray
-    rate_f: float
-    rate_s: float
-
-    def at(self, params: SchemeParams, ops: "CoupledOperators", t_next: float):
-        """The sources of the step to t_next, (g_D, g_N, load_s, load_f), each evaluated
-        once: the interface data and the fluid load at t_next, and the solid load at
-        t_next, for k = 2 the midpoint average matching the w^{n+1/2} bracket."""
-        scale = math.exp(self.rate_s * t_next)
-        if params.k == 2:
-            scale = 0.5 * (scale + math.exp(self.rate_s * (t_next - params.dt)))
-        return (ops.interface_values(self.g_D, t_next), ops.interface_values(self.g_N, t_next),
-                scale * self.load_s, math.exp(self.rate_f * t_next) * self.load_f)
+        return at
 
 
 @dataclass
@@ -215,41 +202,40 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
     return shared
 
 
-def solid_history(params: SchemeParams, ops: CoupledOperators, state: SchemeState) -> np.ndarray:
+def solid_history(ops: CoupledOperators, state: SchemeState) -> np.ndarray:
     """The solid right-hand side's terms in w^n and q^n, without interface terms."""
-    dt, M_s, w_n = params.dt, ops.M_s, state.w
-    if params.k == 1:
+    p, dt, M_s, w_n = ops.params, ops.params.dt, ops.M_s, state.w
+    if p.k == 1:
         return M_s @ w_n / dt
     return ((2.0 / dt**2) * (M_s @ w_n) + (2.0 / dt) * (M_s @ state.q)
-            - (params.nu_s / 2.0) * (ops.K_s @ w_n))
+            - (p.nu_s / 2.0) * (ops.K_s @ w_n))
 
 
-def solid_velocity(params: SchemeParams, state: SchemeState, w_next: np.ndarray) -> np.ndarray:
+def solid_velocity(ops: CoupledOperators, state: SchemeState, w_next: np.ndarray) -> np.ndarray:
     """q^{n+1}: w^{n+1} itself for k = 1, (2/dt)(w^{n+1} - w^n) - q^n for k = 2."""
-    if params.k == 1:
+    if ops.params.k == 1:
         return w_next
-    return (2.0 / params.dt) * (w_next - state.w) - state.q
+    return (2.0 / ops.params.dt) * (w_next - state.w) - state.q
 
 
-def solid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState, step_sources):
+def solid_step(ops: CoupledOperators, state: SchemeState, step_sources):
     """Upper-subdomain solve with the Robin data of the previous step; ``step_sources``
-    is the step's ``RunSources.at`` tuple."""
-    k, dt, a, M_if = params.k, params.dt, params.alpha, ops.M_if
+    is the step's tuple from the run's source function (``SourceData.assemble``)."""
+    k, dt, a, M_if = ops.params.k, ops.params.dt, ops.params.alpha, ops.M_if
     g_D, g_N, load_s, _ = step_sources
     u_tr = fem.trace_restrict(ops.dof_f, state.u)
     robin = M_if @ (a * (u_tr + g_D) - state.lam + g_N)
     if k == 2:
         robin = (a / dt) * (M_if @ fem.trace_restrict(ops.dof_s, state.w)) + robin
-    rhs = solid_history(params, ops, state) + ops.dof_s.R.T @ robin + load_s
+    rhs = solid_history(ops, state) + ops.dof_s.R.T @ robin + load_s
     w_next = ops._solid.solve(rhs)
-    return w_next, solid_velocity(params, state, w_next)
+    return w_next, solid_velocity(ops, state, w_next)
 
 
-def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-               w_next: np.ndarray, step_sources):
+def fluid_step(ops: CoupledOperators, state: SchemeState, w_next: np.ndarray, step_sources):
     """Lower-subdomain solve followed by the pointwise interface update; ``step_sources``
     as in ``solid_step``."""
-    k, dt, a = params.k, params.dt, params.alpha
+    k, dt, a = ops.params.k, ops.params.dt, ops.params.alpha
     g_D, _, _, load_f = step_sources
     if k == 1:
         w_dot_tr = fem.trace_restrict(ops.dof_s, w_next)
@@ -264,12 +250,12 @@ def fluid_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
     return u_next, lam_next
 
 
-def advance(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-            sources: RunSources) -> SchemeState:
-    """One loosely coupled step: solid solve, then fluid solve, then the update."""
-    step_sources = sources.at(params, ops, (state.step_index + 1) * params.dt)
-    w_next, q_next = solid_step(params, ops, state, step_sources)
-    u_next, lam_next = fluid_step(params, ops, state, w_next, step_sources)
+def advance(ops: CoupledOperators, state: SchemeState, sources: Callable) -> SchemeState:
+    """One loosely coupled step: solid solve, fluid solve, then the interface update;
+    ``sources`` is the run's ``SourceData.assemble(ops)``."""
+    step_sources = sources((state.step_index + 1) * ops.params.dt)
+    w_next, q_next = solid_step(ops, state, step_sources)
+    u_next, lam_next = fluid_step(ops, state, w_next, step_sources)
     return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_next)
 
 
@@ -277,31 +263,30 @@ def _quad_form(A: sp.csr_array, x: np.ndarray) -> float:
     return float(x @ (A @ x))
 
 
-def energy_Z(params: SchemeParams, ops: CoupledOperators, state: SchemeState) -> float:
+def energy_Z(ops: CoupledOperators, state: SchemeState) -> float:
     """Stored energy at one time level; the solid strain term is there for k = 2 only."""
-    dt, a = params.dt, params.alpha
+    p, dt, a = ops.params, ops.params.dt, ops.params.alpha
     u_tr = fem.trace_restrict(ops.dof_f, state.u)
     z = 0.5 * _quad_form(ops.M_s, state.q)
     z += 0.5 * _quad_form(ops.M_f, state.u)
-    if params.k == 2:
-        z += 0.5 * params.nu_s * _quad_form(ops.K_s, state.w)
+    if p.k == 2:
+        z += 0.5 * p.nu_s * _quad_form(ops.K_s, state.w)
     z += 0.5 * dt * a * _quad_form(ops.M_if, u_tr)
     z += 0.5 * (dt / a) * _quad_form(ops.M_if, state.lam)
     return z
 
 
-def energy_S(params: SchemeParams, ops: CoupledOperators, state_n: SchemeState,
-             state_next: SchemeState) -> float:
+def energy_S(ops: CoupledOperators, state_n: SchemeState, state_next: SchemeState) -> float:
     """Dissipated energy of one step (nonnegative).
 
     The solid's viscous term and backward Euler's velocity-jump term are there
     for k = 1 only: for k = 2 the solid is hyperbolic and the midpoint rule
     dissipates nothing there.
     """
-    dt, a = params.dt, params.alpha
-    s = params.nu_f * dt * _quad_form(ops.K_f, state_next.u)
-    if params.k == 1:
-        s += params.nu_s * dt * _quad_form(ops.K_s, state_next.w)
+    p, dt, a = ops.params, ops.params.dt, ops.params.alpha
+    s = p.nu_f * dt * _quad_form(ops.K_f, state_next.u)
+    if p.k == 1:
+        s += p.nu_s * dt * _quad_form(ops.K_s, state_next.w)
         s += 0.5 * _quad_form(ops.M_s, state_next.q - state_n.q)
         q_half = state_next.q
     else:
@@ -353,12 +338,12 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
     """Advance n_steps from the initial state; returns final state and energy ledger."""
     _check_start(params, mesh, ops, initial)
     state, step_sources = initial, sources.assemble(ops)
-    ledger = EnergyLedger(Z=[energy_Z(params, ops, state)], S=[])
+    ledger = EnergyLedger(Z=[energy_Z(ops, state)], S=[])
     for _ in range(params.n_steps):
-        new = advance(params, ops, state, step_sources)
+        new = advance(ops, state, step_sources)
         _check_finite(new)
-        ledger.S.append(energy_S(params, ops, state, new))
-        ledger.Z.append(energy_Z(params, ops, new))
+        ledger.S.append(energy_S(ops, state, new))
+        ledger.Z.append(energy_Z(ops, new))
         state = new
         if callback is not None:
             callback(state)
@@ -404,18 +389,18 @@ def _monolithic_system(ops: CoupledOperators):
     return sparse.factorize(K), Pf, F, band, c, A_s, A_f
 
 
-def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeState,
-                    sources: RunSources, system) -> SchemeState:
+def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable,
+                    system) -> SchemeState:
     """One implicit step of the fully coupled system (the strongly coupled oracle).
 
-    ``system`` is ``_monolithic_system(ops)``.
+    ``sources`` is as in ``advance``; ``system`` is ``_monolithic_system(ops)``.
     """
-    k, dt = params.k, params.dt
+    k, dt = ops.params.k, ops.params.dt
     lu, Pf, F, M_FF, c, A_s, A_f = system
     n_s = ops.dof_s.n_dofs
 
-    g_D, g_N, load_s, load_f = sources.at(params, ops, (state.step_index + 1) * dt)
-    rhs_s = solid_history(params, ops, state) + load_s
+    g_D, g_N, load_s, load_f = sources((state.step_index + 1) * dt)
+    rhs_s = solid_history(ops, state) + load_s
     rhs_s += ops.dof_s.R.T @ (ops.M_if @ g_N)
     if k == 1:
         rhs_c = ops.M_if @ g_D
@@ -438,7 +423,7 @@ def monolithic_step(params: SchemeParams, ops: CoupledOperators, state: SchemeSt
     lam_full = np.zeros(ops.n_if)
     resid = fem.trace_restrict(ops.dof_s, rhs_s - A_s @ w_next)
     lam_full[F] = linalg.solveh_banded(M_FF, resid[F], check_finite=False)
-    q_next = solid_velocity(params, state, w_next)
+    q_next = solid_velocity(ops, state, w_next)
     return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_full)
 
 
@@ -450,7 +435,7 @@ def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
     state, step_sources = initial, sources.assemble(ops)
     system = _monolithic_system(ops)
     for _ in range(params.n_steps):
-        state = monolithic_step(params, ops, state, step_sources, system)
+        state = monolithic_step(ops, state, step_sources, system)
         _check_finite(state)
         if callback is not None:
             callback(state)

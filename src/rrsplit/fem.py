@@ -7,7 +7,7 @@ exact fields. The L2 norm evaluates its exact field per call. The H1
 seminorm reads the exact gradient from a profile built once
 (``gradient_profile``): its per-triangle means at the quadrature points and
 one scalar spread about them. Each call scales the profile, as a load vector
-assembled once is scaled per step (``coupling.RunSources.at``), and gets
+assembled once is scaled per step (``coupling.SourceData.assemble``), and gets
 the discrete gradient from one sparse matvec with the memoized P1 gradient
 operator.
 """

@@ -77,13 +77,13 @@ class ConvergenceTable:
     norms: tuple
     dts: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)   # norm -> list of floats
-    rate_table: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def finalize(self):
-        self.rate_table = {n: rates(self.errors[n]) for n in self.norms}
-        return self
+    @property
+    def rate_table(self) -> dict:
+        """norm -> ``rates`` of its errors, derived on each read."""
+        return {n: rates(self.errors[n]) for n in self.norms}
 
 
 def rates(errors) -> list:
@@ -193,7 +193,7 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
                 table.failures.append((dt, f"{n} below measurement floor ({err:.3e})"))
     if case.name == "pp_uniform":
         table.notes.append(_multiplier_mismatch_note(case, cfg.final_time))
-    return table.finalize()
+    return table
 
 
 def _multiplier_mismatch_note(case, T):
@@ -255,12 +255,12 @@ def table_to_csv(table: ConvergenceTable) -> str:
     for n in table.norms:
         tag = _NORMS[n][0]
         cols += [f"err{tag}", f"rate{tag}"]
-    lines = [",".join(cols)]
+    lines, rate_table = [",".join(cols)], table.rate_table
     for i, dt in enumerate(table.dts):
         row = [f"{dt:.6g}"]
         for n in table.norms:
             row.append(_fmt(table.errors[n][i]))
-            row.append(_fmt(table.rate_table[n][i]))
+            row.append(_fmt(rate_table[n][i]))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

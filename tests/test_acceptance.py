@@ -51,8 +51,8 @@ class TestCriterion2SchemeIdentities:
         sources = SourceData.from_case(case).assemble(ops)
         worst_con = worst_strong = 0.0
         for _ in range(params.n_steps):
-            new = advance(params, ops, state, sources)
-            g_D = ops.interface_values(sources.g_D, new.step_index * params.dt)
+            new = advance(ops, state, sources)
+            g_D = ops.interface_values(case.g_D, new.step_index * params.dt)
             w_tr = fem.trace_restrict(ops.dof_s, new.w)
             if k == 1:
                 w_dot = w_tr

@@ -412,6 +412,21 @@ class TestCli:
         assert exc.value.code == 2
         assert "oracle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("run", "case=nope\ndt=0.25\n", "case"),
+        ("run", "case=pp_conforming\ndt=quarter\n", "dt"),
+        ("energy-audit", "k=3\n", "k"),
+    ])
+    def test_config_value_outside_its_flag_exit_2(self, tmp_path, capsys, command, text, key):
+        # as a bad --case, --dt or --k on the command line would: argparse's exit 2
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfgfile), command])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"config key {key}:" in err and "Traceback" not in err
+
     def test_output_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RRSPLIT_OUT_DIR", str(tmp_path))
         code = cli.main(["mesh-dump", "--case", "pp_conforming", "--dt", "0.25"])
