@@ -5,11 +5,15 @@ condition built from the previous fluid trace and interface unknown, then
 the lower (fluid-like) subdomain, then updates the interface unknown
 pointwise. k = 1 runs backward Euler on both subdomains (parabolic -
 parabolic); k = 2 runs the midpoint/Newmark member on the upper subdomain
-(parabolic - hyperbolic). A strongly coupled stepper, its interface
-multiplier eliminated into one SPD system, serves as the oracle, and an
-exact per-step energy ledger supports the stored-plus-dissipated balance
-audit. Each step reads its parameters from its ``CoupledOperators`` alone,
-and a run's sources are one function of time, ``SourceData.assemble(ops)``.
+(parabolic - hyperbolic). Either way the solid step solves for its interface
+velocity v (w^{n+1} for k = 1, (w^{n+1} - w^n)/dt for k = 2), so both
+couplings share one Robin form: the solid matrix carries alpha R^T M_if R,
+the fluid step couples to R v, and ``solid_levels`` maps v to the next
+(w, q). A strongly coupled stepper, its interface multiplier eliminated into
+one SPD system, serves as the oracle, and an exact per-step energy ledger
+supports the stored-plus-dissipated balance audit. Each step reads its
+parameters from its ``CoupledOperators`` alone, and a run's sources are one
+function of time, ``SourceData.assemble(ops)``.
 """
 
 from __future__ import annotations
@@ -113,11 +117,13 @@ class EnergyLedger:
     Z: list
     S: list
 
+    def balance(self) -> np.ndarray:
+        """Z^n + sum_{m<n} S^{m+1} per level n; the telescoped identity makes it Z^0."""
+        return np.asarray(self.Z) + np.concatenate([[0.0], np.cumsum(self.S)])
+
     def identity_defect(self) -> float:
-        """max over steps of |Z^n + sum_{m<n} S^{m+1} - Z^0|."""
-        z = np.asarray(self.Z)
-        cum = np.concatenate([[0.0], np.cumsum(self.S)])
-        return float(np.abs(z + cum - z[0]).max())
+        """max over levels of |balance - Z^0|."""
+        return float(np.abs(self.balance() - self.Z[0]).max())
 
     def relative_defect(self) -> float:
         """identity_defect over Z^0 (floored at 1e-30, so zero data gives 0)."""
@@ -156,18 +162,18 @@ class CoupledOperators:
         R_f, R_s, M_if, a = self.dof_f.R, self.dof_s.R, self.M_if, params.alpha
         steps = self.step_matrices()
         # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
-        self._solid = sparse.factorize(
-            next(steps) + (a if params.k == 1 else a / params.dt) * (R_s.T @ M_if @ R_s))
+        self._solid = sparse.factorize(next(steps) + a * (R_s.T @ M_if @ R_s))
         self._fluid = sparse.factorize(next(steps) + a * (R_f.T @ M_if @ R_f))
 
     def step_matrices(self):
-        """Solid and fluid step matrices without interface terms: yields A_s, then
-        A_f, so a caller can drop the first before the second is built."""
+        """Solid and fluid step matrices without interface terms, on the solid's
+        interface velocity v and on u: yields A_s, then A_f, so a caller can drop
+        the first before the second is built."""
         p = self.params
         if p.k == 1:
             yield (1.0 / p.dt) * self.M_s + p.nu_s * self.K_s
         else:
-            yield (2.0 / p.dt**2) * self.M_s + (p.nu_s / 2.0) * self.K_s
+            yield (2.0 / p.dt) * self.M_s + (p.nu_s * p.dt / 2.0) * self.K_s
         yield (1.0 / p.dt) * self.M_f + p.nu_f * self.K_f
 
     def interface_values(self, fn, t) -> np.ndarray:
@@ -204,49 +210,42 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
 
 def solid_history(ops: CoupledOperators, state: SchemeState) -> np.ndarray:
     """The solid right-hand side's terms in w^n and q^n, without interface terms."""
-    p, dt, M_s, w_n = ops.params, ops.params.dt, ops.M_s, state.w
+    p, dt, M_s = ops.params, ops.params.dt, ops.M_s
     if p.k == 1:
-        return M_s @ w_n / dt
-    return ((2.0 / dt**2) * (M_s @ w_n) + (2.0 / dt) * (M_s @ state.q)
-            - (p.nu_s / 2.0) * (ops.K_s @ w_n))
+        return M_s @ state.w / dt
+    return (2.0 / dt) * (M_s @ state.q) - p.nu_s * (ops.K_s @ state.w)
 
 
-def solid_velocity(ops: CoupledOperators, state: SchemeState, w_next: np.ndarray) -> np.ndarray:
-    """q^{n+1}: w^{n+1} itself for k = 1, (2/dt)(w^{n+1} - w^n) - q^n for k = 2."""
+def solid_levels(ops: CoupledOperators, state: SchemeState, v: np.ndarray):
+    """(w^{n+1}, q^{n+1}) from the solid's interface velocity v: (v, v) for k = 1,
+    (w^n + dt v, 2 v - q^n) for k = 2."""
     if ops.params.k == 1:
-        return w_next
-    return (2.0 / ops.params.dt) * (w_next - state.w) - state.q
+        return v, v
+    return state.w + ops.params.dt * v, 2.0 * v - state.q
 
 
-def solid_step(ops: CoupledOperators, state: SchemeState, step_sources):
-    """Upper-subdomain solve with the Robin data of the previous step; ``step_sources``
-    is the step's tuple from the run's source function (``SourceData.assemble``)."""
-    k, dt, a, M_if = ops.params.k, ops.params.dt, ops.params.alpha, ops.M_if
+def solid_step(ops: CoupledOperators, state: SchemeState, step_sources) -> np.ndarray:
+    """Upper-subdomain solve with the Robin data of the previous step, for the solid's
+    interface velocity v; ``step_sources`` is the step's tuple from the run's source
+    function (``SourceData.assemble``)."""
+    a, M_if = ops.params.alpha, ops.M_if
     g_D, g_N, load_s, _ = step_sources
     u_tr = fem.trace_restrict(ops.dof_f, state.u)
     robin = M_if @ (a * (u_tr + g_D) - state.lam + g_N)
-    if k == 2:
-        robin = (a / dt) * (M_if @ fem.trace_restrict(ops.dof_s, state.w)) + robin
-    rhs = solid_history(ops, state) + ops.dof_s.R.T @ robin + load_s
-    w_next = ops._solid.solve(rhs)
-    return w_next, solid_velocity(ops, state, w_next)
+    return ops._solid.solve(solid_history(ops, state) + ops.dof_s.R.T @ robin + load_s)
 
 
-def fluid_step(ops: CoupledOperators, state: SchemeState, w_next: np.ndarray, step_sources):
-    """Lower-subdomain solve followed by the pointwise interface update; ``step_sources``
-    as in ``solid_step``."""
-    k, dt, a = ops.params.k, ops.params.dt, ops.params.alpha
+def fluid_step(ops: CoupledOperators, state: SchemeState, v: np.ndarray, step_sources):
+    """Lower-subdomain solve coupled to the solid's interface velocity v, followed by
+    the pointwise interface update; ``step_sources`` as in ``solid_step``."""
+    dt, a = ops.params.dt, ops.params.alpha
     g_D, _, _, load_f = step_sources
-    if k == 1:
-        w_dot_tr = fem.trace_restrict(ops.dof_s, w_next)
-    else:
-        w_dot_tr = (fem.trace_restrict(ops.dof_s, w_next)
-                    - fem.trace_restrict(ops.dof_s, state.w)) / dt
-    rhs = ops.M_f @ state.u / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (w_dot_tr - g_D)))
+    v_tr = fem.trace_restrict(ops.dof_s, v)
+    rhs = ops.M_f @ state.u / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (v_tr - g_D)))
     rhs += load_f
     u_next = ops._fluid.solve(rhs)
     u_tr = fem.trace_restrict(ops.dof_f, u_next)
-    lam_next = state.lam - a * (u_tr - w_dot_tr + g_D)
+    lam_next = state.lam - a * (u_tr - v_tr + g_D)
     return u_next, lam_next
 
 
@@ -254,9 +253,9 @@ def advance(ops: CoupledOperators, state: SchemeState, sources: Callable) -> Sch
     """One loosely coupled step: solid solve, fluid solve, then the interface update;
     ``sources`` is the run's ``SourceData.assemble(ops)``."""
     step_sources = sources((state.step_index + 1) * ops.params.dt)
-    w_next, q_next = solid_step(ops, state, step_sources)
-    u_next, lam_next = fluid_step(ops, state, w_next, step_sources)
-    return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_next)
+    v = solid_step(ops, state, step_sources)
+    u_next, lam_next = fluid_step(ops, state, v, step_sources)
+    return SchemeState(state.step_index + 1, u_next, *solid_levels(ops, state, v), lam_next)
 
 
 def _quad_form(A: sp.csr_array, x: np.ndarray) -> float:
@@ -307,8 +306,10 @@ def _check_ops(ops: CoupledOperators, mesh: CoupledMesh, params: SchemeParams | 
 
 def _check_start(params: SchemeParams, mesh: CoupledMesh, ops: CoupledOperators,
                  initial: SchemeState):
-    """Raise ValueError unless ops fit this run and a k = 1 start has q0 = w0."""
+    """Raise ValueError unless ops fit this run and a k = 1 start has q0 = w0;
+    FloatingPointError if the start holds a non-finite value."""
     _check_ops(ops, mesh, params)
+    _check_finite(initial)
     if params.k == 1 and not np.array_equal(initial.q, initial.w):
         raise ValueError("k=1 requires q0 = w0")
 
@@ -356,14 +357,16 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
 def _monolithic_system(ops: CoupledOperators):
     """Condensed SPD system of the fully coupled step, factored.
 
-    The multiplier lives on the interface nodes F that carry a dof on both
-    sides, where the constraint rows read M_FF (v_F - u_F) = rhs_c[F] with
-    v = c w the solid velocity (c = 1 for k = 1, 2/dt for k = 2). So
-    u_F = v_F - M_FF^{-1} rhs_c[F], and adding the solid and fluid interface
-    rows cancels the multiplier. What is left is SPD on the merged dofs
-    [v | non-interface fluid dofs]: A_s / c on the solid block plus
-    Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid dof to its merged
-    dof (an interface dof to the solid dof at the same node).
+    The solid unknown is its interface velocity v, as in ``solid_step``, and
+    q^{n+1} = c v - (c - 1) q^n with c = 1 for k = 1 and c = 2 for k = 2. The
+    multiplier lives on the interface nodes F that carry a dof on both sides,
+    where the constraint R_s q^{n+1} - R_f u = g_D reads
+    M_FF ((c v)_F - u_F) = rhs_c[F], with rhs_c = M_if g_D for k = 1 and
+    M_if (g_D + R_s q^n) for k = 2. So u_F = (c v)_F - M_FF^{-1} rhs_c[F], and
+    adding the solid and fluid interface rows cancels the multiplier. What is
+    left is SPD on the merged dofs [c v | non-interface fluid dofs]: A_s / c on
+    the solid block plus Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid
+    dof to its merged dof (an interface dof to the solid dof at the same node).
 
     Returns (lu, Pf, F, M_FF in upper banded form, c, A_s, A_f), with A_s and
     A_f from ``ops.step_matrices()``. ``run_monolithic`` builds it once per
@@ -374,7 +377,7 @@ def _monolithic_system(ops: CoupledOperators):
     F = np.flatnonzero(dof_s.interface_dofs >= 0)
     if not np.array_equal(F, np.flatnonzero(dof_f.interface_dofs >= 0)):
         raise ValueError("the coupled oracle needs every interface dof on both sides")
-    c = 1.0 if params.k == 1 else 2.0 / params.dt
+    c = 1.0 if params.k == 1 else 2.0
 
     n_s, n_f = dof_s.n_dofs, dof_f.n_dofs
     merged = np.full(n_f, -1, dtype=np.int64)
@@ -395,22 +398,19 @@ def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable
 
     ``sources`` is as in ``advance``; ``system`` is ``_monolithic_system(ops)``.
     """
-    k, dt = ops.params.k, ops.params.dt
+    dt = ops.params.dt
     lu, Pf, F, M_FF, c, A_s, A_f = system
     n_s = ops.dof_s.n_dofs
 
     g_D, g_N, load_s, load_f = sources((state.step_index + 1) * dt)
     rhs_s = solid_history(ops, state) + load_s
     rhs_s += ops.dof_s.R.T @ (ops.M_if @ g_N)
-    if k == 1:
-        rhs_c = ops.M_if @ g_D
-    else:
-        w_tr = fem.trace_restrict(ops.dof_s, state.w)
-        q_tr = fem.trace_restrict(ops.dof_s, state.q)
-        rhs_c = ops.M_if @ (g_D + (2.0 / dt) * w_tr + q_tr)
+    if ops.params.k == 2:
+        g_D = g_D + fem.trace_restrict(ops.dof_s, state.q)
+    rhs_c = ops.M_if @ g_D
     rhs_f = ops.M_f @ state.u / dt + load_f
 
-    # the interface jump v - u, fixed by the constraint, lifted into the fluid dofs
+    # the interface jump c v - u, fixed by the constraint, lifted into the fluid dofs
     jump = np.zeros(ops.n_if)
     jump[F] = linalg.solveh_banded(M_FF, rhs_c[F], check_finite=False)
     jump_f = ops.dof_f.R.T @ jump
@@ -418,13 +418,12 @@ def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable
     rhs[:n_s] += rhs_s
     z = lu.solve(rhs)
     u_next = Pf @ z - jump_f
-    w_next = z[:n_s] / c
-    # the multiplier from the solid interface rows A_s w + R_s.T M_if[:, F] lam_F = rhs_s
+    v = z[:n_s] / c
+    # the multiplier from the solid interface rows A_s v + R_s.T M_if[:, F] lam_F = rhs_s
     lam_full = np.zeros(ops.n_if)
-    resid = fem.trace_restrict(ops.dof_s, rhs_s - A_s @ w_next)
+    resid = fem.trace_restrict(ops.dof_s, rhs_s - A_s @ v)
     lam_full[F] = linalg.solveh_banded(M_FF, resid[F], check_finite=False)
-    q_next = solid_velocity(ops, state, w_next)
-    return SchemeState(state.step_index + 1, u_next, w_next, q_next, lam_full)
+    return SchemeState(state.step_index + 1, u_next, *solid_levels(ops, state, v), lam_full)
 
 
 def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
@@ -460,9 +459,9 @@ def dump_checkpoint(state: SchemeState, path) -> None:
 
 def write_energy_csv(ledger: EnergyLedger, path) -> None:
     """Per-step energy bookkeeping: n, Z, S, Z_plus_cumS."""
-    cum = np.concatenate([[0.0], np.cumsum(ledger.S)])
+    balance = ledger.balance()
     with open(path, "w") as fh:
         fh.write("n,Z,S,Z_plus_cumS\n")
         for n, z in enumerate(ledger.Z):
             s = ledger.S[n - 1] if n >= 1 else 0.0
-            fh.write(f"{n},{z:.17g},{s:.17g},{z + cum[n]:.17g}\n")
+            fh.write(f"{n},{z:.17g},{s:.17g},{balance[n]:.17g}\n")

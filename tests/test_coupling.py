@@ -32,6 +32,7 @@ from rrsplit.coupling import (
     monolithic_step,
     run,
     run_monolithic,
+    solid_levels,
     solid_step,
 )
 
@@ -81,6 +82,42 @@ def dense_trace(dof, n_if):
         if d >= 0:
             R[k, d] = 1.0
     return R
+
+
+def dense_solid_step(mesh, params, state, gD, gN):
+    """The solid step in w-form, solved densely: (w^{n+1}, q^{n+1})."""
+    dof_s, M_s, K_s = dense_subdomain(mesh, "s")
+    dof_f = fem.build_dofmap(mesh, "f")
+    Mi = dense_interface(mesh)
+    R_s, R_f = dense_trace(dof_s, Mi.shape[0]), dense_trace(dof_f, Mi.shape[0])
+    a, dt, nus = params.alpha, params.dt, params.nu_s
+    robin = Mi @ (a * (R_f @ state.u + gD) - state.lam + gN)
+    if params.k == 1:
+        A = M_s / dt + nus * K_s + a * R_s.T @ Mi @ R_s
+        rhs = M_s @ state.w / dt + R_s.T @ robin
+    else:
+        A = 2.0 * M_s / dt**2 + 0.5 * nus * K_s + (a / dt) * R_s.T @ Mi @ R_s
+        rhs = (2.0 / dt**2) * M_s @ state.w
+        rhs += (2.0 / dt) * M_s @ state.q
+        rhs -= 0.5 * nus * K_s @ state.w
+        rhs += R_s.T @ ((a / dt) * Mi @ (R_s @ state.w) + robin)
+    w = np.linalg.solve(A, rhs)
+    return w, (w if params.k == 1 else (2.0 / dt) * (w - state.w) - state.q)
+
+
+def dense_fluid_step(mesh, params, state, w1, gD):
+    """The fluid step and interface update for the solid level w1, solved densely: (u, lam)."""
+    dof_s = fem.build_dofmap(mesh, "s")
+    dof_f, M_f, K_f = dense_subdomain(mesh, "f")
+    Mi = dense_interface(mesh)
+    R_s, R_f = dense_trace(dof_s, Mi.shape[0]), dense_trace(dof_f, Mi.shape[0])
+    a, dt = params.alpha, params.dt
+    w_dot = R_s @ w1 if params.k == 1 else R_s @ (w1 - state.w) / dt
+    A = M_f / dt + params.nu_f * K_f + a * R_f.T @ Mi @ R_f
+    rhs = M_f @ state.u / dt
+    rhs += R_f.T @ (Mi @ (state.lam + a * (w_dot - gD)))
+    u = np.linalg.solve(A, rhs)
+    return u, state.lam - a * (R_f @ u - w_dot + gD)
 
 
 def random_state(ops, rng, k):
@@ -181,38 +218,21 @@ class TestStepsAgainstDenseReference:
 
         self.sources = SourceData(g_D=g_D, g_N=g_N)
 
+    def interface_data(self, t):
+        xs, ys = self.mesh.nodes[self.mesh.interface_nodes].T
+        return self.sources.g_D(xs, ys, t), self.sources.g_N(xs, ys, t)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_solid_step(self, k):
         params = SchemeParams(k=k, dt=0.1, alpha=1.7, nu_f=0.8, nu_s=1.3, T=0.5)
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        w1, q1 = solid_step(ops, state, self.sources.assemble(ops)(t1))
+        w1, q1 = solid_levels(ops, state, solid_step(ops, state, self.sources.assemble(ops)(t1)))
 
-        dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
-        dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
-        Mi = dense_interface(self.mesh)
-        R_s = dense_trace(dof_s, Mi.shape[0])
-        R_f = dense_trace(dof_f, Mi.shape[0])
-        xs, ys = self.mesh.nodes[self.mesh.interface_nodes].T
-        gD = self.sources.g_D(xs, ys, t1)
-        gN = self.sources.g_N(xs, ys, t1)
-        a, dt, nus = params.alpha, params.dt, params.nu_s
-        u_tr = R_f @ state.u
-        robin = Mi @ (a * (u_tr + gD) - state.lam + gN)
-        if k == 1:
-            A = M_s / dt + nus * K_s + a * R_s.T @ Mi @ R_s
-            rhs = M_s @ state.w / dt + R_s.T @ robin
-        else:
-            A = 2.0 * M_s / dt**2 + 0.5 * nus * K_s + (a / dt) * R_s.T @ Mi @ R_s
-            rhs = (2.0 / dt**2) * M_s @ state.w
-            rhs += (2.0 / dt) * M_s @ state.q
-            rhs -= 0.5 * nus * K_s @ state.w
-            rhs += R_s.T @ ((a / dt) * Mi @ (R_s @ state.w) + robin)
-        ref = np.linalg.solve(A, rhs)
+        ref, ref_q = dense_solid_step(self.mesh, params, state, *self.interface_data(t1))
         assert np.abs(w1 - ref).max() < 1e-12
         if k == 2:
-            ref_q = (2.0 / dt) * (ref - state.w) - state.q
             assert np.abs(q1 - ref_q).max() < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -222,28 +242,34 @@ class TestStepsAgainstDenseReference:
         state = random_state(ops, self.rng, k)
         t1 = params.dt
         step_sources = self.sources.assemble(ops)(t1)
-        w1, _ = solid_step(ops, state, step_sources)
-        u1, lam1 = fluid_step(ops, state, w1, step_sources)
+        v = solid_step(ops, state, step_sources)
+        w1, _ = solid_levels(ops, state, v)
+        u1, lam1 = fluid_step(ops, state, v, step_sources)
 
-        dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
-        dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
-        Mi = dense_interface(self.mesh)
-        R_s = dense_trace(dof_s, Mi.shape[0])
-        R_f = dense_trace(dof_f, Mi.shape[0])
-        xs, ys = self.mesh.nodes[self.mesh.interface_nodes].T
-        gD = self.sources.g_D(xs, ys, t1)
-        a, dt = params.alpha, params.dt
-        if k == 1:
-            w_dot = R_s @ w1
-        else:
-            w_dot = R_s @ (w1 - state.w) / dt
-        A = M_f / dt + params.nu_f * K_f + a * R_f.T @ Mi @ R_f
-        rhs = M_f @ state.u / dt
-        rhs += R_f.T @ (Mi @ (state.lam + a * (w_dot - gD)))
-        ref = np.linalg.solve(A, rhs)
+        gD, _ = self.interface_data(t1)
+        ref, ref_lam = dense_fluid_step(self.mesh, params, state, w1, gD)
         assert np.abs(u1 - ref).max() < 1e-12
-        ref_lam = state.lam - a * (R_f @ ref - w_dot + gD)
         assert np.abs(lam1 - ref_lam).max() < 1e-11
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("dt", [2.0**-8, 0.5])
+    @pytest.mark.parametrize("alpha, nu_s, nu_f", [(1e3, 1e-2, 1e2), (1e-3, 1e2, 1e-2)])
+    def test_steps_at_parameter_corners(self, k, dt, alpha, nu_s, nu_f):
+        # entries far from one: each error is bounded relative to the size of its reference
+        params = SchemeParams(k=k, dt=dt, alpha=alpha, nu_f=nu_f, nu_s=nu_s, T=dt)
+        ops = CoupledOperators(self.mesh, params)
+        state = random_state(ops, self.rng, k)
+        step_sources = self.sources.assemble(ops)(dt)
+        v = solid_step(ops, state, step_sources)
+        w1, q1 = solid_levels(ops, state, v)
+        u1, lam1 = fluid_step(ops, state, v, step_sources)
+
+        gD, gN = self.interface_data(dt)
+        ref_w, ref_q = dense_solid_step(self.mesh, params, state, gD, gN)
+        ref_u, ref_lam = dense_fluid_step(self.mesh, params, state, w1, gD)
+        for name, got, ref in (("w", w1, ref_w), ("q", q1, ref_q), ("u", u1, ref_u),
+                               ("lam", lam1, ref_lam)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_monolithic_step(self, k):
@@ -330,7 +356,8 @@ class TestSchemeIdentities:
         w0 = np.zeros(ops.dof_s.n_dofs)
         q0 = fem.interpolate(ops.dof_s, lambda x, y, t: np.ones_like(x), 0.0)
         state = SchemeState(0, np.zeros(ops.dof_f.n_dofs), w0, q0, np.zeros(ops.n_if))
-        w1, q1 = solid_step(ops, state, SourceData().assemble(ops)(params.dt))
+        v = solid_step(ops, state, SourceData().assemble(ops)(params.dt))
+        w1, q1 = solid_levels(ops, state, v)
         lhs = 0.5 * (q1 + q0)
         rhs = (w1 - w0) / params.dt
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -747,6 +774,19 @@ class TestNonFiniteGuard:
         run_fn = getattr(coupling, stepper)
         with pytest.raises(FloatingPointError, match="non-finite u at step 3"):
             run_fn(params, mesh, sources, initial_state(case, mesh, ops), ops)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("stepper", ["run", "run_monolithic"])
+    @pytest.mark.parametrize("field", ["u", "w", "q", "lam"])
+    def test_non_finite_start_names_step_0(self, k, stepper, field):
+        # checked before anything reads the start: the k = 1 q0 = w0 test, the ledger's Z^0
+        mesh = meshing.uniform_split_mesh(4)
+        params = SchemeParams(k=k, dt=0.0625, T=0.25)
+        ops = CoupledOperators(mesh, params)
+        state = random_state(ops, np.random.default_rng(5), k)
+        getattr(state, field)[1] = np.inf if field == "lam" else np.nan
+        with pytest.raises(FloatingPointError, match=f"non-finite {field} at step 0"):
+            getattr(coupling, stepper)(params, mesh, SourceData(), state, ops)
 
 
 class TestMismatchedOperators:
