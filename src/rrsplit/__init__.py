@@ -18,7 +18,7 @@ from .coupling import (
 from .cutoff import grad_energy, phi, verify_assumptions
 from .fem import DofMap, assemble_interface_mass, assemble_mass, assemble_stiffness
 from .harness import ConvergenceTable, StudyConfig, energy_audit, rates, run_study
-from .meshing import CoupledMesh, InterfaceGeometry, slanted_interface_mesh, uniform_split_mesh, validate
+from .meshing import CoupledMesh, InterfaceGeometry, slanted_interface_mesh, uniform_split_mesh
 from .sparse import Factorization, factorize, from_triplets
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -132,7 +132,13 @@ def cmd_run(args) -> int:
     cfg = harness.StudyConfig(case=case, dt_list=(args.dt,), final_time=args.t_final,
                               alpha=args.alpha, use_oracle=args.oracle)
     norms = ("L2_final_U",) if args.oracle else ("L2_final_U", "L2_final_W")
-    final, ledger, errors = harness.run_row(cfg, args.dt, norms)
+    try:
+        final, ledger, errors = harness.run_row(cfg, args.dt, norms)
+    except harness.ROW_FAILURES as exc:
+        if type(exc) is ValueError:  # bad input, such as a step without a study mesh
+            raise
+        print(f"rrsplit run: failed at dt={args.dt:.6g}: {exc!r}", file=sys.stderr)
+        return 1
     print(f"errU={errors['L2_final_U']:.6g}")
     if not args.oracle:
         print(f"errW={errors['L2_final_W']:.6g}")

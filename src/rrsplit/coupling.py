@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import linalg
 
-from . import fem, sparse
+from . import fem, meshing, sparse
 from .fem import DofMap
 from .meshing import CoupledMesh
 
@@ -138,20 +138,21 @@ class EnergyLedger:
 class CoupledOperators:
     """Operators and Robin factorizations for one (mesh, params) pair.
 
-    The dofmaps, mass, stiffness and interface mass depend on the mesh alone
-    and are shared by every bundle on that mesh (``_mesh_operators``); the two
-    Robin LUs are this bundle's own. The step matrices they are built from are
-    not kept: only the coupled oracle reads them, and it builds its own with
-    ``step_matrices``. Each Robin matrix is dropped before the next LU: the
-    solid one is built, factored and freed before the fluid one is built, so
-    the fluid LU runs beside the solid factors alone.
+    The dofmaps, mass, stiffness, interface mass and each subdomain's
+    elimination order depend on the mesh alone and are shared by every bundle
+    on that mesh (``_mesh_operators``); the two Robin LUs are this bundle's
+    own. The step matrices they are built from are not kept: only the coupled
+    oracle reads them, and it builds its own with ``step_matrices``. Each
+    Robin matrix is dropped before the next LU: the solid one is built,
+    factored and freed before the fluid one is built, so the fluid LU runs
+    beside the solid factors alone.
     """
 
     def __init__(self, mesh: CoupledMesh, params: SchemeParams):
         self.params = params
         shared = _mesh_operators(mesh)
-        *dof_f, self.M_f, self.K_f = shared["f"]
-        *dof_s, self.M_s, self.K_s = shared["s"]
+        *dof_f, self.M_f, self.K_f, self.order_f = shared["f"]
+        *dof_s, self.M_s, self.K_s, self.order_s = shared["s"]
         self.dof_f: DofMap = DofMap("f", mesh, *dof_f)
         self.dof_s: DofMap = DofMap("s", mesh, *dof_s)
         self.M_if = shared["if"]
@@ -162,8 +163,8 @@ class CoupledOperators:
         R_f, R_s, M_if, a = self.dof_f.R, self.dof_s.R, self.M_if, params.alpha
         steps = self.step_matrices()
         # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
-        self._solid = sparse.factorize(next(steps) + a * (R_s.T @ M_if @ R_s))
-        self._fluid = sparse.factorize(next(steps) + a * (R_f.T @ M_if @ R_f))
+        self._solid = sparse.factorize(next(steps) + a * (R_s.T @ M_if @ R_s), self.order_s)
+        self._fluid = sparse.factorize(next(steps) + a * (R_f.T @ M_if @ R_f), self.order_f)
 
     def step_matrices(self):
         """Solid and fluid step matrices without interface terms, on the solid's
@@ -187,10 +188,11 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
     """The dt-independent operators of a mesh, built on first use and memoized on it.
 
     Per subdomain ``"f"``/``"s"``: the DofMap fields after subdomain and mesh
-    (node_to_dof, free_nodes, interface_dofs, R), then mass and stiffness;
-    ``"if"``: the interface mass. Only arrays and matrices are kept: a cached
-    DofMap points back at the mesh, and that cycle would keep every mesh alive
-    until the garbage collector runs.
+    (node_to_dof, free_nodes, interface_dofs, R), then mass and stiffness, then
+    the dofs in the nested-dissection order of the subdomain's block grid (the
+    elimination order of its LUs); ``"if"``: the interface mass. Only arrays
+    and matrices are kept: a cached DofMap points back at the mesh, and that
+    cycle would keep every mesh alive until the garbage collector runs.
     """
     shared = mesh._cache.get("operators")
     if shared is None:
@@ -200,8 +202,10 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
             # mass and stiffness share one element_geometry call; it is dropped
             # before the next subdomain's, and before the caller factors anything
             geometry = fem.element_geometry(mesh.nodes, fem.subdomain_triangles(mesh, sub))
+            order = dof.node_to_dof[meshing._dissect(getattr(mesh, "grid_" + sub))]
             shared[sub] = (dof.node_to_dof, dof.free_nodes, dof.interface_dofs, dof.R,
-                           fem.assemble_mass(dof, geometry), fem.assemble_stiffness(dof, geometry))
+                           fem.assemble_mass(dof, geometry), fem.assemble_stiffness(dof, geometry),
+                           order[order >= 0])
             del geometry
         shared["if"] = fem.assemble_interface_mass(mesh)
         mesh._cache["operators"] = shared
@@ -333,18 +337,31 @@ def _check_finite(state: SchemeState) -> None:
             raise FloatingPointError(f"non-finite {name} at step {state.step_index}")
 
 
+def _finite_energy(energy: Callable, ops: CoupledOperators, *states) -> float:
+    """``energy(ops, *states)``; FloatingPointError naming the last state's step if
+    it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, checked below
+        value = energy(ops, *states)
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite energy at step {states[-1].step_index}")
+    return value
+
+
 def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
         initial: SchemeState, ops: CoupledOperators,
         callback: Callable | None = None) -> tuple[SchemeState, EnergyLedger]:
-    """Advance n_steps from the initial state; returns final state and energy ledger."""
+    """Advance n_steps from the initial state; returns final state and energy ledger.
+
+    Raises FloatingPointError at the first step whose state, Z or S is not finite.
+    """
     _check_start(params, mesh, ops, initial)
     state, step_sources = initial, sources.assemble(ops)
-    ledger = EnergyLedger(Z=[energy_Z(ops, state)], S=[])
+    ledger = EnergyLedger(Z=[_finite_energy(energy_Z, ops, state)], S=[])
     for _ in range(params.n_steps):
         new = advance(ops, state, step_sources)
         _check_finite(new)
-        ledger.S.append(energy_S(ops, state, new))
-        ledger.Z.append(energy_Z(ops, new))
+        ledger.S.append(_finite_energy(energy_S, ops, state, new))
+        ledger.Z.append(_finite_energy(energy_Z, ops, new))
         state = new
         if callback is not None:
             callback(state)
@@ -367,6 +384,8 @@ def _monolithic_system(ops: CoupledOperators):
     left is SPD on the merged dofs [c v | non-interface fluid dofs]: A_s / c on
     the solid block plus Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid
     dof to its merged dof (an interface dof to the solid dof at the same node).
+    It is eliminated fluid-only dofs first, then solid-only dofs, each in its
+    subdomain's order, then the interface dofs, the separator of the two blocks.
 
     Returns (lu, Pf, F, M_FF in upper banded form, c, A_s, A_f), with A_s and
     A_f from ``ops.step_matrices()``. ``run_monolithic`` builds it once per
@@ -387,9 +406,15 @@ def _monolithic_system(ops: CoupledOperators):
     Pf = sparse.from_triplets(n_f, n_s + n_rest, (np.arange(n_f), merged, np.ones(n_f)))
     A_s, A_f = ops.step_matrices()
     K = Pf.T @ A_f @ Pf + sp.block_diag((A_s / c, sp.csr_array((n_rest, n_rest))))
+    del A_s, A_f  # built again after the LU, so that they are not alive beside it
+    fluid = merged[ops.order_f]
+    solid_only = np.ones(n_s, dtype=bool)
+    solid_only[dof_s.interface_dofs[F]] = False
+    order = np.concatenate([fluid[fluid >= n_s], ops.order_s[solid_only[ops.order_s]],
+                            dof_s.interface_dofs[F]])
     M_FF = ops.M_if[F][:, F]  # tridiagonal
     band = np.stack([np.r_[0.0, M_FF.diagonal(1)], M_FF.diagonal()])
-    return sparse.factorize(K), Pf, F, band, c, A_s, A_f
+    return (sparse.factorize(K, order), Pf, F, band, c, *ops.step_matrices())
 
 
 def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable,

@@ -188,8 +188,10 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
             continue
         for n in norms:
             err = values[n]
-            table.errors[n].append(err if err > 1e-12 else None)
-            if err <= 1e-12:
+            table.errors[n].append(err if 1e-12 < err < math.inf else None)
+            if not math.isfinite(err):
+                table.failures.append((dt, f"{n} is not finite ({err})"))
+            elif err <= 1e-12:
                 table.failures.append((dt, f"{n} below measurement floor ({err:.3e})"))
     if case.name == "pp_uniform":
         table.notes.append(_multiplier_mismatch_note(case, cfg.final_time))

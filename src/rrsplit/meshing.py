@@ -4,7 +4,8 @@ Two families are provided: a structured grid split by the horizontal line
 y = 3/4, and a mapped non-uniform grid matched to the slanted line
 y = x/2 + 1/4, both made by one two-block builder. Both subdomains share
 one node array; interface nodes are literally the same node ids in both
-triangulations.
+triangulations. Each block keeps its node ids as a grid, from which
+``_dissect`` derives a nested-dissection elimination order.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class CoupledMesh:
     both index into the shared ``nodes`` array. ``interface_nodes`` is
     ordered by increasing x, and ``exterior_dirichlet_*`` lists the nodes of
     each subdomain on the outer boundary of the square (the points where the
-    interface meets the boundary belong to both sets).
+    interface meets the boundary belong to both sets). ``grid_f`` and
+    ``grid_s`` hold each block's node ids row by row, bottom row first; both
+    include the interface row.
     """
 
     nodes: np.ndarray
@@ -69,6 +72,8 @@ class CoupledMesh:
     interface_segments: np.ndarray
     h_max: float
     geometry: InterfaceGeometry
+    grid_f: np.ndarray
+    grid_s: np.ndarray
     # built on first use: fem's quadrature data, coupling's dt-independent operators
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -144,7 +149,26 @@ def _two_block_mesh(n_x: int, m_f: int, m_s: int, geometry: InterfaceGeometry) -
         interface_segments=np.stack([ids[m_f, :-1], ids[m_f, 1:]], axis=1),
         h_max=max(_max_edge(nodes, tri_f), _max_edge(nodes, tri_s)),
         geometry=geometry,
+        grid_f=ids[: m_f + 1],
+        grid_s=ids[m_f:],
     )
+
+
+def _dissect(grid: np.ndarray) -> np.ndarray:
+    """The ids of a node grid in nested-dissection order (George, 1973).
+
+    The middle grid line across the longer side separates the two halves, since
+    every cell's diagonal stays inside one half: each half is ordered
+    recursively, then the line. Grids of at most 16 nodes go row by row.
+    """
+    rows, cols = grid.shape
+    if rows * cols <= 16:
+        return grid.ravel()
+    if rows >= cols:
+        mid = rows // 2
+        return np.concatenate([_dissect(grid[:mid]), _dissect(grid[mid + 1:]), grid[mid]])
+    mid = cols // 2
+    return np.concatenate([_dissect(grid[:, :mid]), _dissect(grid[:, mid + 1:]), grid[:, mid]])
 
 
 def uniform_split_mesh(n: int) -> CoupledMesh:
@@ -171,51 +195,6 @@ def slanted_interface_mesh(level: int) -> CoupledMesh:
         raise ValueError("slanted_interface_mesh level must be in [0, 10]")
     m = 4 * 2**level
     return _two_block_mesh(m, m, m, InterfaceGeometry.slanted())
-
-
-def validate(mesh: CoupledMesh) -> list[str]:
-    """Check mesh invariants; returns a list of violations (empty means valid)."""
-    problems = []
-    for name, tris in (("fluid", mesh.triangles_f), ("solid", mesh.triangles_s)):
-        areas = signed_areas(mesh.nodes, tris)
-        bad = np.flatnonzero(areas <= 0.0)
-        for t in bad:
-            problems.append(f"{name} triangle {t} has non-positive area {areas[t]:.3e}")
-    total = float(signed_areas(mesh.nodes, mesh.triangles_f).sum()
-                  + signed_areas(mesh.nodes, mesh.triangles_s).sum())
-    if abs(total - 1.0) > _TOL:
-        problems.append(f"subdomain areas sum to {total!r}, expected 1")
-
-    pts = mesh.nodes[mesh.interface_nodes]
-    off = np.abs(pts[:, 1] - mesh.geometry.curve_y(pts[:, 0]))
-    for k in np.flatnonzero(off > _TOL):
-        problems.append(
-            f"interface node {mesh.interface_nodes[k]} off the interface line by {off[k]:.3e}"
-        )
-
-    for name, tris in (("fluid", mesh.triangles_f), ("solid", mesh.triangles_s)):
-        missing = np.setdiff1d(mesh.interface_nodes, np.unique(tris))
-        for node in missing:
-            problems.append(f"interface node {node} missing from the {name} triangulation")
-
-    boundary = _square_boundary_mask(mesh.nodes)
-    for name, dirichlet in (
-        ("fluid", mesh.exterior_dirichlet_f),
-        ("solid", mesh.exterior_dirichlet_s),
-    ):
-        overlap = np.intersect1d(dirichlet, mesh.interface_nodes)
-        stray = overlap[~boundary[overlap]]
-        for node in stray:
-            problems.append(
-                f"{name} Dirichlet set meets the interface at interior node {node}"
-            )
-
-    seg = mesh.nodes[mesh.interface_segments]
-    seg_len = float(np.sqrt(((seg[:, 1] - seg[:, 0]) ** 2).sum(axis=1)).sum())
-    length = float(mesh.geometry.length())
-    if abs(seg_len - length) > _TOL:
-        problems.append(f"interface segments sum to {seg_len!r}, expected {length!r}")
-    return problems
 
 
 def dump_mesh(mesh: CoupledMesh, path) -> None:

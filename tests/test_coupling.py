@@ -590,8 +590,8 @@ class TestSharedDiscretization:
         made = []
         original = sparse.factorize
 
-        def keeping(A):
-            made.append(original(A))
+        def keeping(*args):
+            made.append(original(*args))
             return made[-1]
 
         monkeypatch.setattr(sparse, "factorize", keeping)
@@ -787,6 +787,17 @@ class TestNonFiniteGuard:
         getattr(state, field)[1] = np.inf if field == "lam" else np.nan
         with pytest.raises(FloatingPointError, match=f"non-finite {field} at step 0"):
             getattr(coupling, stepper)(params, mesh, SourceData(), state, ops)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_energy_overflow_names_its_step(self, k):
+        # a finite start whose stored energy overflows to inf, checked without a warning
+        mesh = meshing.uniform_split_mesh(4)
+        params = SchemeParams(k=k, dt=0.0625, T=0.25)
+        ops = CoupledOperators(mesh, params)
+        state = random_state(ops, np.random.default_rng(5), k)
+        state.lam[:] *= 1e160
+        with pytest.raises(FloatingPointError, match="non-finite energy at step 0"):
+            coupling.run(params, mesh, SourceData(), state, ops)
 
 
 class TestMismatchedOperators:

@@ -151,6 +151,15 @@ class TestRunStudy:
         assert table.errors["L2_final_U"] == [None]
         assert table.failures == [(0.125, "ValueError('forcing failed')")]
 
+    def test_non_finite_error_is_a_failed_row(self, monkeypatch):
+        errors = iter([{"L2_final_U": math.inf, "L2_final_W": 1e-3},
+                       {"L2_final_U": 1e-3, "L2_final_W": math.nan}])
+        monkeypatch.setattr(harness, "run_row", lambda cfg, dt, norms: (None, None, next(errors)))
+        table = run_study(StudyConfig(case="pp_conforming", dt_list=[0.25, 0.125]))
+        assert table.errors == {"L2_final_U": [None, 1e-3], "L2_final_W": [1e-3, None]}
+        assert table.failures == [(0.25, "L2_final_U is not finite (inf)"),
+                                  (0.125, "L2_final_W is not finite (nan)")]
+
     def test_programming_error_propagates(self):
         with pytest.raises(TypeError, match="forcing failed"):
             run_study(StudyConfig(case=self._case_failing_with(TypeError), dt_list=[0.125]))
@@ -316,6 +325,23 @@ class TestCli:
         assert code == 0
         assert "errU=" in captured and "final_energy=" in captured
         assert out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--nu-f", "1e300"), ("--alpha", "1e200")])
+    def test_run_with_non_finite_energy_exits_1(self, flag, value, capsys):
+        code = cli.main(["run", "--case", "pp_uniform", "--dt", "0.25", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "final_energy" not in captured.out
+        assert captured.err.splitlines() == [
+            "rrsplit run: failed at dt=0.25: FloatingPointError('non-finite energy at step 1')"]
+
+    def test_convergence_with_non_finite_rows_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        code = cli.main(["convergence", "--case", "pp_uniform", "--dt-max", "0.25",
+                         "--dt-min", "0.125", "--nu-f", "1e300", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.count("non-finite energy") == 2
+        assert not re.search("inf|nan", out.read_text())
 
     def test_energy_audit_csv(self, tmp_path, capsys):
         out = tmp_path / "energy.csv"

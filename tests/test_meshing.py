@@ -1,4 +1,4 @@
-"""Tests for the two mesh families and the mesh validator."""
+"""Tests for the two mesh families, checked by a mesh validator."""
 
 import hashlib
 import math
@@ -9,10 +9,63 @@ import pytest
 from rrsplit import meshing
 from rrsplit.meshing import (
     InterfaceGeometry,
+    signed_areas,
     slanted_interface_mesh,
     uniform_split_mesh,
-    validate,
 )
+
+TOL = 1e-12
+
+
+def validate(mesh) -> list[str]:
+    """Check mesh invariants; returns a list of violations (empty means valid)."""
+    problems = []
+    for name, tris in (("fluid", mesh.triangles_f), ("solid", mesh.triangles_s)):
+        areas = signed_areas(mesh.nodes, tris)
+        bad = np.flatnonzero(areas <= 0.0)
+        for t in bad:
+            problems.append(f"{name} triangle {t} has non-positive area {areas[t]:.3e}")
+    total = float(signed_areas(mesh.nodes, mesh.triangles_f).sum()
+                  + signed_areas(mesh.nodes, mesh.triangles_s).sum())
+    if abs(total - 1.0) > TOL:
+        problems.append(f"subdomain areas sum to {total!r}, expected 1")
+
+    pts = mesh.nodes[mesh.interface_nodes]
+    off = np.abs(pts[:, 1] - mesh.geometry.curve_y(pts[:, 0]))
+    for k in np.flatnonzero(off > TOL):
+        problems.append(
+            f"interface node {mesh.interface_nodes[k]} off the interface line by {off[k]:.3e}"
+        )
+
+    for name, tris in (("fluid", mesh.triangles_f), ("solid", mesh.triangles_s)):
+        missing = np.setdiff1d(mesh.interface_nodes, np.unique(tris))
+        for node in missing:
+            problems.append(f"interface node {node} missing from the {name} triangulation")
+
+    boundary = meshing._square_boundary_mask(mesh.nodes)
+    for name, dirichlet in (
+        ("fluid", mesh.exterior_dirichlet_f),
+        ("solid", mesh.exterior_dirichlet_s),
+    ):
+        overlap = np.intersect1d(dirichlet, mesh.interface_nodes)
+        stray = overlap[~boundary[overlap]]
+        for node in stray:
+            problems.append(
+                f"{name} Dirichlet set meets the interface at interior node {node}"
+            )
+
+    seg = mesh.nodes[mesh.interface_segments]
+    seg_len = float(np.sqrt(((seg[:, 1] - seg[:, 0]) ** 2).sum(axis=1)).sum())
+    length = float(mesh.geometry.length())
+    if abs(seg_len - length) > TOL:
+        problems.append(f"interface segments sum to {seg_len!r}, expected {length!r}")
+
+    for name, grid, tris in (("fluid", mesh.grid_f, mesh.triangles_f),
+                             ("solid", mesh.grid_s, mesh.triangles_s)):
+        if not np.array_equal(np.sort(meshing._dissect(grid)), np.unique(tris)):
+            problems.append(f"{name} dissection is not a permutation of the block's nodes")
+    return problems
+
 
 # (level, h_max) targets for the slanted family; generator must land within +-50%
 SLANTED_HMAX_TARGETS = [0.3125, 0.1574, 0.0794, 0.0398, 0.0199]
@@ -156,6 +209,11 @@ class TestValidate:
         mesh = uniform_split_mesh(4)
         mesh.nodes[mesh.interface_nodes[2], 1] += 1e-6
         assert any("off the interface" in v for v in validate(mesh))
+
+    def test_block_grid_off_its_triangles_reported(self):
+        mesh = uniform_split_mesh(4)
+        mesh.grid_s = mesh.grid_s[1:]  # the interface row dropped from the solid block
+        assert validate(mesh) == ["solid dissection is not a permutation of the block's nodes"]
 
     def test_messages_print_plain_floats(self):
         # under numpy 2 the repr of a numpy scalar reads np.float64(...)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from rrsplit.sparse import factorize, from_triplets
 
@@ -110,11 +111,11 @@ class TestSolveSpd:
 
     def test_identity(self):
         A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 1, 1.0)]))
-        np.testing.assert_allclose(factorize(A).solve([4.0, 5.0]), [4.0, 5.0])
+        np.testing.assert_allclose(factorize(A, np.arange(2)).solve([4.0, 5.0]), [4.0, 5.0])
 
     def test_diagonal(self):
         A = from_triplets(2, 2, entries([(0, 0, 2.0), (1, 1, 4.0)]))
-        np.testing.assert_allclose(factorize(A).solve([2.0, 4.0]), [1.0, 1.0])
+        np.testing.assert_allclose(factorize(A, np.arange(2)).solve([2.0, 4.0]), [1.0, 1.0])
 
     def test_time_step_system_vs_dense(self):
         # (1/dt) M + nu K on a small mesh, against numpy's dense solve
@@ -125,7 +126,7 @@ class TestSolveSpd:
         A = 10.0 * fem.assemble_mass(dof) + fem.assemble_stiffness(dof)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(dof.n_dofs)
-        x = factorize(A).solve(b)
+        x = factorize(A, np.arange(dof.n_dofs)).solve(b)
         ref = np.linalg.solve(A.toarray(), b)
         assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-10
 
@@ -136,14 +137,14 @@ class TestSolveSpd:
         trips = [(i, j, D[i, j]) for i in range(6) for j in range(6)]
         A = from_triplets(6, 6, entries(trips))
         b = rng.standard_normal(6)
-        lu = factorize(A)
+        lu = factorize(A, np.arange(6))
         for rhs in (b, 2.0 * b):  # the factorization is reused across right-hand sides
             x = lu.solve(rhs)
             assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_zero_rhs(self):
         A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 1, 1.0)]))
-        np.testing.assert_allclose(factorize(A).solve([0.0, 0.0]), 0.0)
+        np.testing.assert_allclose(factorize(A, np.arange(2)).solve([0.0, 0.0]), 0.0)
 
 
 class TestSolveGeneral:
@@ -152,23 +153,75 @@ class TestSolveGeneral:
     def test_identity(self):
         A = from_triplets(3, 3, entries([(i, i, 1.0) for i in range(3)]))
         b = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_allclose(factorize(A).solve(b), b)
+        np.testing.assert_allclose(factorize(A, np.arange(3)).solve(b), b)
 
     def test_singular_reported(self):
         # SuperLU raises RuntimeError, which a study records as a failed row
         A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 0, 1.0)]))
         with pytest.raises(RuntimeError):
-            factorize(A)
+            factorize(A, np.arange(2))
 
     def test_spd_factorization_failure_reported(self):
         # a zero pivot, so a study records the row as failed
         A = from_triplets(2, 2, entries([(0, 0, 0.0), (1, 1, 0.0)]))
         with pytest.raises(RuntimeError):
-            factorize(A)
+            factorize(A, np.arange(2))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            factorize(from_triplets(2, 3, entries([(0, 0, 1.0), (1, 1, 1.0)])))
+            factorize(from_triplets(2, 3, entries([(0, 0, 1.0), (1, 1, 1.0)])),
+                      np.arange(2))
+
+
+def spd_matrices():
+    """The SPD matrices of TestSolveSpd, by name."""
+    from rrsplit import fem, meshing
+
+    dof = fem.build_dofmap(meshing.uniform_split_mesh(3), "f")
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 6))
+    D = B @ B.T + 6.0 * np.eye(6)
+    return {
+        "identity": from_triplets(2, 2, entries([(0, 0, 1.0), (1, 1, 1.0)])),
+        "diagonal": from_triplets(2, 2, entries([(0, 0, 2.0), (1, 1, 4.0)])),
+        "time_step": 10.0 * fem.assemble_mass(dof) + fem.assemble_stiffness(dof),
+        "dense": from_triplets(6, 6, entries([(i, j, D[i, j]) for i in range(6)
+                                              for j in range(6)])),
+    }
+
+
+class TestOrderedFactorization:
+    """The elimination order moves rounding only, and must be a permutation."""
+
+    @pytest.mark.parametrize("name", ["identity", "diagonal", "time_step", "dense"])
+    def test_random_order_matches_dense_solve(self, name):
+        A = spd_matrices()[name]
+        rng = np.random.default_rng(17)
+        b = rng.standard_normal(A.shape[0])
+        x = factorize(A, rng.permutation(A.shape[0])).solve(b)
+        ref = np.linalg.solve(A.toarray(), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [-1, 0, 1],
+                                       [[0, 1, 2]]])
+    def test_order_not_a_permutation_rejected(self, order):
+        A = from_triplets(3, 3, entries([(i, i, 1.0) for i in range(3)]))
+        with pytest.raises(ValueError, match="square"):
+            factorize(A, np.array(order))
+
+    def test_robin_lus_keep_fewer_nonzeros_than_minimum_degree(self):
+        # each Robin LU of slanted level 5 against SuperLU's minimum degree ordering
+        # of A + A^T on the same matrix
+        from rrsplit import coupling, meshing
+
+        params = coupling.SchemeParams(k=1, dt=2.0**-7, T=2.0**-7)
+        ops = coupling.CoupledOperators(meshing.slanted_interface_mesh(5), params)
+        steps = ops.step_matrices()
+        for lu, dof in ((ops._solid, ops.dof_s), (ops._fluid, ops.dof_f)):
+            A = next(steps) + params.alpha * (dof.R.T @ ops.M_if @ dof.R)
+            mmd = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+            assert lu._lu.nnz < mmd.nnz
 
 
 class TestAssembledAgreement:
