@@ -9,11 +9,12 @@ parabolic); k = 2 runs the midpoint/Newmark member on the upper subdomain
 velocity v (w^{n+1} for k = 1, (w^{n+1} - w^n)/dt for k = 2), so both
 couplings share one Robin form: the solid matrix carries alpha R^T M_if R,
 the fluid step couples to R v, and ``solid_levels`` maps v to the next
-(w, q). A strongly coupled stepper, its interface multiplier eliminated into
-one SPD system, serves as the oracle, and an exact per-step energy ledger
-supports the stored-plus-dissipated balance audit. Each step reads its
-parameters from its ``CoupledOperators`` alone, and a run's sources are one
-function of time, ``SourceData.assemble(ops)``.
+(w, q). The oracle is the splitting's strongly coupled limit,
+R_s v - R_f u = g_D for both k, with its interface multiplier eliminated into
+one SPD system; an exact per-step energy ledger supports the
+stored-plus-dissipated balance audit. Each step reads its parameters from its
+``CoupledOperators`` alone, and a run's sources are one function of time,
+``SourceData.assemble(ops)``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class SchemeParams:
         values = (self.dt, self.alpha, self.nu_f, self.nu_s, self.T)
         if not all(math.isfinite(v) and v > 0.0 for v in values):
             raise ValueError("dt, alpha, nu_f, nu_s, T must be finite and positive")
-        if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-12:
-            raise ValueError(f"T={self.T!r} is not an integer multiple of dt={self.dt!r}")
+        n = round(self.T / self.dt)
+        if n < 1 or abs(n * self.dt - self.T) > 1e-9 * self.dt:
+            raise ValueError(f"T={self.T!r} is not a positive integer multiple of dt={self.dt!r}")
 
     @property
     def n_steps(self) -> int:
@@ -121,13 +123,10 @@ class EnergyLedger:
         """Z^n + sum_{m<n} S^{m+1} per level n; the telescoped identity makes it Z^0."""
         return np.asarray(self.Z) + np.concatenate([[0.0], np.cumsum(self.S)])
 
-    def identity_defect(self) -> float:
-        """max over levels of |balance - Z^0|."""
-        return float(np.abs(self.balance() - self.Z[0]).max())
-
     def relative_defect(self) -> float:
-        """identity_defect over Z^0 (floored at 1e-30, so zero data gives 0)."""
-        return self.identity_defect() / max(self.Z[0], 1e-30)
+        """max over levels of |balance - Z^0|, over Z^0 (floored at 1e-30, so zero
+        data gives 0)."""
+        return float(np.abs(self.balance() - self.Z[0]).max()) / max(self.Z[0], 1e-30)
 
     def monotone(self) -> bool:
         """Z^{n+1} <= Z^n + 1e-12 Z^0 at every step: no level stores more than the last."""
@@ -374,29 +373,28 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
 def _monolithic_system(ops: CoupledOperators):
     """Condensed SPD system of the fully coupled step, factored.
 
-    The solid unknown is its interface velocity v, as in ``solid_step``, and
-    q^{n+1} = c v - (c - 1) q^n with c = 1 for k = 1 and c = 2 for k = 2. The
+    The solid unknown is its interface velocity v, as in ``solid_step``, and for
+    both k the coupling is the fixed point of the splitting's interface update,
+    R_s v - R_f u = g_D: the fluid trace is the solid's velocity less g_D. The
     multiplier lives on the interface nodes F that carry a dof on both sides,
-    where the constraint R_s q^{n+1} - R_f u = g_D reads
-    M_FF ((c v)_F - u_F) = rhs_c[F], with rhs_c = M_if g_D for k = 1 and
-    M_if (g_D + R_s q^n) for k = 2. So u_F = (c v)_F - M_FF^{-1} rhs_c[F], and
-    adding the solid and fluid interface rows cancels the multiplier. What is
-    left is SPD on the merged dofs [c v | non-interface fluid dofs]: A_s / c on
-    the solid block plus Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid
-    dof to its merged dof (an interface dof to the solid dof at the same node).
-    It is eliminated fluid-only dofs first, then solid-only dofs, each in its
-    subdomain's order, then the interface dofs, the separator of the two blocks.
+    where that condition reads M_FF (v_F - u_F) = (M_if g_D)[F]. So
+    u_F = v_F - M_FF^{-1} (M_if g_D)[F], and adding the solid and fluid
+    interface rows cancels the multiplier. What is left is SPD on the merged
+    dofs [v | non-interface fluid dofs]: A_s on the solid block plus
+    Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid dof to its merged
+    dof (an interface dof to the solid dof at the same node). It is eliminated
+    fluid-only dofs first, then solid-only dofs, each in its subdomain's order,
+    then the interface dofs, the separator of the two blocks.
 
-    Returns (lu, Pf, F, M_FF in upper banded form, c, A_s, A_f), with A_s and
-    A_f from ``ops.step_matrices()``. ``run_monolithic`` builds it once per
-    call and drops it on return, so the oracle LU and the step matrices never
+    Returns (lu, Pf, F, M_FF in upper banded form, A_s, A_f), with A_s and A_f
+    from ``ops.step_matrices()``. ``run_monolithic`` builds it once per call
+    and drops it on return, so the oracle LU and the step matrices never
     outlive the run.
     """
-    params, dof_s, dof_f = ops.params, ops.dof_s, ops.dof_f
+    dof_s, dof_f = ops.dof_s, ops.dof_f
     F = np.flatnonzero(dof_s.interface_dofs >= 0)
     if not np.array_equal(F, np.flatnonzero(dof_f.interface_dofs >= 0)):
         raise ValueError("the coupled oracle needs every interface dof on both sides")
-    c = 1.0 if params.k == 1 else 2.0
 
     n_s, n_f = dof_s.n_dofs, dof_f.n_dofs
     merged = np.full(n_f, -1, dtype=np.int64)
@@ -405,7 +403,7 @@ def _monolithic_system(ops: CoupledOperators):
     merged[merged < 0] = n_s + np.arange(n_rest)
     Pf = sparse.from_triplets(n_f, n_s + n_rest, (np.arange(n_f), merged, np.ones(n_f)))
     A_s, A_f = ops.step_matrices()
-    K = Pf.T @ A_f @ Pf + sp.block_diag((A_s / c, sp.csr_array((n_rest, n_rest))))
+    K = Pf.T @ A_f @ Pf + sp.block_diag((A_s, sp.csr_array((n_rest, n_rest))))
     del A_s, A_f  # built again after the LU, so that they are not alive beside it
     fluid = merged[ops.order_f]
     solid_only = np.ones(n_s, dtype=bool)
@@ -414,7 +412,7 @@ def _monolithic_system(ops: CoupledOperators):
                             dof_s.interface_dofs[F]])
     M_FF = ops.M_if[F][:, F]  # tridiagonal
     band = np.stack([np.r_[0.0, M_FF.diagonal(1)], M_FF.diagonal()])
-    return (sparse.factorize(K, order), Pf, F, band, c, *ops.step_matrices())
+    return (sparse.factorize(K, order), Pf, F, band, *ops.step_matrices())
 
 
 def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable,
@@ -424,26 +422,23 @@ def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable
     ``sources`` is as in ``advance``; ``system`` is ``_monolithic_system(ops)``.
     """
     dt = ops.params.dt
-    lu, Pf, F, M_FF, c, A_s, A_f = system
+    lu, Pf, F, M_FF, A_s, A_f = system
     n_s = ops.dof_s.n_dofs
 
     g_D, g_N, load_s, load_f = sources((state.step_index + 1) * dt)
     rhs_s = solid_history(ops, state) + load_s
     rhs_s += ops.dof_s.R.T @ (ops.M_if @ g_N)
-    if ops.params.k == 2:
-        g_D = g_D + fem.trace_restrict(ops.dof_s, state.q)
-    rhs_c = ops.M_if @ g_D
     rhs_f = ops.M_f @ state.u / dt + load_f
 
-    # the interface jump c v - u, fixed by the constraint, lifted into the fluid dofs
+    # the interface jump v - u, fixed by the constraint, lifted into the fluid dofs
     jump = np.zeros(ops.n_if)
-    jump[F] = linalg.solveh_banded(M_FF, rhs_c[F], check_finite=False)
+    jump[F] = linalg.solveh_banded(M_FF, (ops.M_if @ g_D)[F], check_finite=False)
     jump_f = ops.dof_f.R.T @ jump
     rhs = Pf.T @ (rhs_f + A_f @ jump_f)
     rhs[:n_s] += rhs_s
     z = lu.solve(rhs)
     u_next = Pf @ z - jump_f
-    v = z[:n_s] / c
+    v = z[:n_s]
     # the multiplier from the solid interface rows A_s v + R_s.T M_if[:, F] lam_F = rhs_s
     lam_full = np.zeros(ops.n_if)
     resid = fem.trace_restrict(ops.dof_s, rhs_s - A_s @ v)

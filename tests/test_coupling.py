@@ -274,7 +274,9 @@ class TestStepsAgainstDenseReference:
     @pytest.mark.parametrize("k", [1, 2])
     def test_monolithic_step(self, k):
         # the saddle system [[A_s, 0, B_s], [0, A_f, B_f], [c B_s^T, B_f^T, 0]]
-        # in (w, u, lam on the nodes with a dof on both sides), solved densely
+        # in (w, u, lam on the nodes with a dof on both sides), solved densely; its
+        # last rows are the coupling R_s v - R_f u = g_D tested with Mi, where the
+        # solid's interface velocity is v = w for k = 1 and (w - w^n) / dt for k = 2
         params = SchemeParams(k=k, dt=0.1, alpha=1.7, nu_f=0.8, nu_s=1.3, T=0.5)
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
@@ -303,11 +305,11 @@ class TestStepsAgainstDenseReference:
             rhs_s = M_s @ state.w / dt
             rhs_c = Mi @ gD
         else:
-            c = 2.0 / dt
+            c = 1.0 / dt
             A_s = 2.0 * M_s / dt**2 + 0.5 * nus * K_s
             rhs_s = (2.0 / dt**2) * M_s @ state.w + (2.0 / dt) * M_s @ state.q
             rhs_s -= 0.5 * nus * K_s @ state.w
-            rhs_c = Mi @ (gD + (2.0 / dt) * R_s @ state.w + R_s @ state.q)
+            rhs_c = Mi @ (gD + R_s @ state.w / dt)
         rhs_s += R_s.T @ Mi @ gN
         n_s, n_f, n_c = A_s.shape[0], A_f.shape[0], free.size
         A = np.zeros((n_s + n_f + n_c,) * 2)
@@ -520,6 +522,88 @@ class TestMonolithic:
         assert err < 0.05 * norm
 
 
+class TestOracleLimit:
+    """The oracle is the strongly coupled limit of the splitting, for both k."""
+
+    @staticmethod
+    def sources():
+        # made-up data: the registry cases have g_D = 0 at their default coefficients.
+        # g_D vanishes at the two interface endpoints, which carry no dof: elsewhere
+        # the splitting's endpoint multiplier moves by alpha g_D per iterate, and the
+        # sub-iteration has no fixed point
+        return SourceData(g_D=lambda x, y, t: 0.3 * np.sin(np.pi * x) * (1.0 + t),
+                          g_N=lambda x, y, t: -0.2 * x * (1.0 - x) * t,
+                          f_f=lambda x, y, t: np.exp(-t) * x * y, rate_f=-1.0,
+                          f_s=lambda x, y, t: np.exp(0.5 * t) * (1.0 - y), rate_s=0.5)
+
+    def test_sub_iteration_fixed_point_is_the_oracle_step(self):
+        # iterate one step's solid and fluid solves, each taking its Robin data (u, lam)
+        # from the last iterate and its history from state n; the multiplier is compared
+        # as the functional R_s^T M_if lam, which is all the solid rows fix
+        worst, iterations = 0.0, []
+        for k in (1, 2):
+            for mesh in (meshing.uniform_split_mesh(8), meshing.slanted_interface_mesh(1)):
+                for alpha in (1.0, 10.0):
+                    params = SchemeParams(k=k, dt=0.1, alpha=alpha, nu_f=0.8, nu_s=1.3, T=0.1)
+                    ops = CoupledOperators(mesh, params)
+                    state = random_state(ops, np.random.default_rng(5), k)
+                    sources = self.sources().assemble(ops)
+                    step_sources = sources(params.dt)
+                    u, lam = state.u, state.lam
+                    for it in range(1, 3001):
+                        v = solid_step(ops, replace(state, u=u, lam=lam), step_sources)
+                        u_next, lam = fluid_step(ops, replace(state, lam=lam), v, step_sources)
+                        converged = np.abs(u_next - u).max() <= 1e-14 * np.abs(u_next).max()
+                        u = u_next
+                        if converged:
+                            break
+                    assert converged, (k, alpha)
+                    iterations.append(it)
+                    ref = monolithic_step(ops, state, sources, coupling._monolithic_system(ops))
+                    w1, q1 = solid_levels(ops, state, v)
+                    RM = ops.dof_s.R.T @ ops.M_if
+                    for name, got, want in (("u", u, ref.u), ("w", w1, ref.w), ("q", q1, ref.q),
+                                            ("lam", RM @ lam, RM @ ref.lam)):
+                        gap = np.abs(got - want).max() / np.abs(want).max()
+                        assert gap <= 1e-10, (k, alpha, name, gap)
+                        worst = max(worst, gap)
+        print(f"oracle-limit: sub-iteration fixed point within {worst:.1e} relative of "
+              f"the oracle step after {'/'.join(map(str, iterations))} iterations "
+              "(k = 1, 2; uniform 8, slanted 1; alpha = 1, 10)")
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mesh", [("uniform", 8), ("slanted", 1)])
+    def test_zero_source_energy_balance(self, k, mesh):
+        # Z_o^n + sum S_o = Z_o^0, with Z_o and S_o the ledger's Z and S without their
+        # interface terms: the oracle's coupling does no work on the interface
+        family, size = mesh
+        mesh = (meshing.uniform_split_mesh(size) if family == "uniform"
+                else meshing.slanted_interface_mesh(size))
+        params = SchemeParams(k=k, dt=0.1, alpha=1.7, nu_f=0.8, nu_s=1.3, T=0.5)
+        ops = CoupledOperators(mesh, params)
+        levels = [random_state(ops, np.random.default_rng(3), k)]
+        run_monolithic(params, mesh, SourceData(), levels[0], ops, callback=levels.append)
+
+        def quad(A, x):
+            return float(x @ (A @ x))
+
+        def stored(s):
+            z = 0.5 * quad(ops.M_s, s.q) + 0.5 * quad(ops.M_f, s.u)
+            return z + (0.5 * params.nu_s * quad(ops.K_s, s.w) if k == 2 else 0.0)
+
+        def dissipated(s0, s1):
+            d = params.nu_f * params.dt * quad(ops.K_f, s1.u) + 0.5 * quad(ops.M_f, s1.u - s0.u)
+            if k == 1:
+                d += params.nu_s * params.dt * quad(ops.K_s, s1.w)
+                d += 0.5 * quad(ops.M_s, s1.q - s0.q)
+            return d
+
+        ledger = coupling.EnergyLedger(Z=[stored(s) for s in levels],
+                                       S=[dissipated(*pair) for pair in zip(levels, levels[1:])])
+        assert len(ledger.S) == params.n_steps
+        assert ledger.relative_defect() <= 1e-12
+
+
 class TestFactorizations:
     """The Robin LUs and the condensed oracle LU all take the symmetric path."""
 
@@ -612,7 +696,8 @@ class TestSharedDiscretization:
 
 # Fingerprints of the final state, (2-norm, v @ arange(len(v))) per field, and
 # the ledger's last Z; recorded before the steppers moved to plain arrays and
-# shared step matrices, at dt = 1/16, alpha = 2, with the cases' forcing.
+# shared step matrices, at dt = 1/16, alpha = 2, with the cases' forcing; the
+# ph_uniform oracle entry, with the oracle's coupling R_s v - R_f u = g_D.
 FINGERPRINTS = {
     ("ph_uniform", "run"): {
         "u": (0.0006590975253702779, 0.7982898687632719),
@@ -622,10 +707,10 @@ FINGERPRINTS = {
         "Z": 6.0724071373475335e-09,
     },
     ("ph_uniform", "run_monolithic"): {
-        "u": (0.0006626729090418432, 0.8036555649959447),
-        "w": (0.0002551621379744103, 0.040126102221655),
-        "q": (0.0002588455663484942, 0.04087366006800102),
-        "lam": (0.0004652897698280185, -0.013601415915837637),
+        "u": (0.0006611390987169032, 0.8014046478720566),
+        "w": (0.00025654063101068205, 0.04031942964053142),
+        "q": (0.00026451359927914315, 0.04257349513947453),
+        "lam": (0.0004676938316915351, -0.013673551124766814),
     },
     ("pp_slanted", "run"): {
         "u": (0.0006872972249188207, 1.3402051006137201),
@@ -828,8 +913,10 @@ class TestParams:
             SchemeParams(k=3, dt=0.1, T=0.2)
 
     def test_T_must_divide(self):
-        with pytest.raises(ValueError):
-            SchemeParams(k=1, dt=0.15, T=0.25)
+        # the mismatch counts relative to dt, and a run takes at least one step
+        for dt, T in ((0.15, 0.25), (0.5, 1e-13), (2.0**-40, 3 * 2.0**-40 + 4e-13)):
+            with pytest.raises(ValueError, match="positive integer multiple"):
+                SchemeParams(k=1, dt=dt, T=T)
 
     def test_positive_parameters(self):
         bad = [{"alpha": -1.0}, {"alpha": math.nan}, {"alpha": math.inf}, {"nu_f": math.nan},

@@ -421,13 +421,16 @@ class TestCli:
 
     @pytest.mark.parametrize("value, oracle", [("false", False), ("True", True)])
     def test_config_oracle_flag(self, tmp_path, capsys, value, oracle):
-        # only the splitting run reports the ledger's final energy
+        # both steppers report both errors; only the splitting run reports the
+        # ledger's final energy
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"oracle={value}\n")
         code = cli.main(["--config", str(cfgfile), "run", "--case", "pp_conforming",
                          "--dt", "0.25"])
         assert code == 0
-        assert ("final_energy=" in capsys.readouterr().out) is not oracle
+        out = capsys.readouterr().out
+        assert "errU=" in out and "errW=" in out
+        assert ("final_energy=" in out) is not oracle
 
     def test_config_bad_boolean_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
