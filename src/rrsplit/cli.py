@@ -151,10 +151,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_energy_audit(args) -> int:
-    report = harness.energy_audit(
-        k=args.k, alpha=args.alpha, dt=args.dt, n_steps=args.steps, seed=args.seed,
-        nu_f=args.nu_f, nu_s=args.nu_s,
-    )
+    try:
+        report = harness.energy_audit(
+            k=args.k, alpha=args.alpha, dt=args.dt, n_steps=args.steps, seed=args.seed,
+            nu_f=args.nu_f, nu_s=args.nu_s,
+        )
+    except harness.ROW_FAILURES as exc:
+        if type(exc) is ValueError:  # bad input, such as a non-positive dt
+            raise
+        print(f"rrsplit energy-audit: failed: {exc!r}", file=sys.stderr)
+        return 1
     print(
         f"k={args.k} alpha={args.alpha} dt={args.dt} steps={args.steps} "
         f"defect={report['max_relative_defect']:.3e} "

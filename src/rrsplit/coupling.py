@@ -13,7 +13,8 @@ the fluid step couples to R v, and ``solid_levels`` maps v to the next
 R_s v - R_f u = g_D for both k, with its interface multiplier eliminated into
 one SPD system; an exact per-step energy ledger supports the
 stored-plus-dissipated balance audit. Each step reads its parameters from its
-``CoupledOperators`` alone, and a run's sources are one function of time,
+``CoupledOperators``, which holds no factorization: each run factors its own
+system and drops it on return. A run's sources are one function of time,
 ``SourceData.assemble(ops)``.
 """
 
@@ -135,16 +136,11 @@ class EnergyLedger:
 
 
 class CoupledOperators:
-    """Operators and Robin factorizations for one (mesh, params) pair.
+    """Operators for one (mesh, params) pair; it holds no factorization.
 
     The dofmaps, mass, stiffness, interface mass and each subdomain's
     elimination order depend on the mesh alone and are shared by every bundle
-    on that mesh (``_mesh_operators``); the two Robin LUs are this bundle's
-    own. The step matrices they are built from are not kept: only the coupled
-    oracle reads them, and it builds its own with ``step_matrices``. Each
-    Robin matrix is dropped before the next LU: the solid one is built,
-    factored and freed before the fluid one is built, so the fluid LU runs
-    beside the solid factors alone.
+    on that mesh (``_mesh_operators``). Each run factors its own system.
     """
 
     def __init__(self, mesh: CoupledMesh, params: SchemeParams):
@@ -158,12 +154,6 @@ class CoupledOperators:
         ifc = mesh.nodes[mesh.interface_nodes]
         self.if_x1, self.if_x2 = ifc[:, 0].copy(), ifc[:, 1].copy()
         self.n_if = mesh.interface_nodes.size
-
-        R_f, R_s, M_if, a = self.dof_f.R, self.dof_s.R, self.M_if, params.alpha
-        steps = self.step_matrices()
-        # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
-        self._solid = sparse.factorize(next(steps) + a * (R_s.T @ M_if @ R_s), self.order_s)
-        self._fluid = sparse.factorize(next(steps) + a * (R_f.T @ M_if @ R_f), self.order_f)
 
     def step_matrices(self):
         """Solid and fluid step matrices without interface terms, on the solid's
@@ -227,37 +217,46 @@ def solid_levels(ops: CoupledOperators, state: SchemeState, v: np.ndarray):
     return state.w + ops.params.dt * v, 2.0 * v - state.q
 
 
-def solid_step(ops: CoupledOperators, state: SchemeState, step_sources) -> np.ndarray:
+def _robin_system(ops: CoupledOperators):
+    """The splitting's Robin LUs (solid, fluid), of each step matrix plus alpha R^T M_if R;
+    the solid matrix is built, factored and dropped before the fluid one is built."""
+    a, M_if, steps = ops.params.alpha, ops.M_if, ops.step_matrices()
+    # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
+    return tuple(sparse.factorize(next(steps) + a * (dof.R.T @ M_if @ dof.R), order)
+                 for dof, order in ((ops.dof_s, ops.order_s), (ops.dof_f, ops.order_f)))
+
+
+def solid_step(ops: CoupledOperators, state: SchemeState, step_sources, system) -> np.ndarray:
     """Upper-subdomain solve with the Robin data of the previous step, for the solid's
     interface velocity v; ``step_sources`` is the step's tuple from the run's source
-    function (``SourceData.assemble``)."""
+    function (``SourceData.assemble``), ``system`` is ``_robin_system(ops)``."""
     a, M_if = ops.params.alpha, ops.M_if
     g_D, g_N, load_s, _ = step_sources
     u_tr = fem.trace_restrict(ops.dof_f, state.u)
     robin = M_if @ (a * (u_tr + g_D) - state.lam + g_N)
-    return ops._solid.solve(solid_history(ops, state) + ops.dof_s.R.T @ robin + load_s)
+    return system[0].solve(solid_history(ops, state) + ops.dof_s.R.T @ robin + load_s)
 
 
-def fluid_step(ops: CoupledOperators, state: SchemeState, v: np.ndarray, step_sources):
+def fluid_step(ops: CoupledOperators, state: SchemeState, v: np.ndarray, step_sources, system):
     """Lower-subdomain solve coupled to the solid's interface velocity v, followed by
-    the pointwise interface update; ``step_sources`` as in ``solid_step``."""
+    the pointwise interface update; ``step_sources`` and ``system`` as in ``solid_step``."""
     dt, a = ops.params.dt, ops.params.alpha
     g_D, _, _, load_f = step_sources
     v_tr = fem.trace_restrict(ops.dof_s, v)
     rhs = ops.M_f @ state.u / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (v_tr - g_D)))
     rhs += load_f
-    u_next = ops._fluid.solve(rhs)
+    u_next = system[1].solve(rhs)
     u_tr = fem.trace_restrict(ops.dof_f, u_next)
     lam_next = state.lam - a * (u_tr - v_tr + g_D)
     return u_next, lam_next
 
 
-def advance(ops: CoupledOperators, state: SchemeState, sources: Callable) -> SchemeState:
+def advance(ops: CoupledOperators, state: SchemeState, sources: Callable, system) -> SchemeState:
     """One loosely coupled step: solid solve, fluid solve, then the interface update;
-    ``sources`` is the run's ``SourceData.assemble(ops)``."""
+    ``sources`` is the run's ``SourceData.assemble(ops)``, ``system`` its Robin LUs."""
     step_sources = sources((state.step_index + 1) * ops.params.dt)
-    v = solid_step(ops, state, step_sources)
-    u_next, lam_next = fluid_step(ops, state, v, step_sources)
+    v = solid_step(ops, state, step_sources, system)
+    u_next, lam_next = fluid_step(ops, state, v, step_sources, system)
     return SchemeState(state.step_index + 1, u_next, *solid_levels(ops, state, v), lam_next)
 
 
@@ -355,9 +354,10 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
     """
     _check_start(params, mesh, ops, initial)
     state, step_sources = initial, sources.assemble(ops)
+    system = _robin_system(ops)
     ledger = EnergyLedger(Z=[_finite_energy(energy_Z, ops, state)], S=[])
     for _ in range(params.n_steps):
-        new = advance(ops, state, step_sources)
+        new = advance(ops, state, step_sources, system)
         _check_finite(new)
         ledger.S.append(_finite_energy(energy_S, ops, state, new))
         ledger.Z.append(_finite_energy(energy_Z, ops, new))

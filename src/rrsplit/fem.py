@@ -63,11 +63,11 @@ def subdomain_triangles(mesh: CoupledMesh, subdomain: str) -> np.ndarray:
     raise ValueError(f"unknown subdomain {subdomain!r}")
 
 
-def build_dofmap(mesh: CoupledMesh, subdomain: str, include_dirichlet: bool = False) -> DofMap:
+def build_dofmap(mesh: CoupledMesh, subdomain: str) -> DofMap:
     tris = subdomain_triangles(mesh, subdomain)
     sub_nodes = np.flatnonzero(np.bincount(tris.ravel(), minlength=mesh.n_nodes))
     dirichlet = mesh.exterior_dirichlet_f if subdomain == "f" else mesh.exterior_dirichlet_s
-    free = sub_nodes if include_dirichlet else sub_nodes[~np.isin(sub_nodes, dirichlet)]
+    free = sub_nodes[~np.isin(sub_nodes, dirichlet)]
     node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int32 if mesh.n_nodes < 2**31 else np.int64)
     node_to_dof[free] = np.arange(free.size)
     idofs = node_to_dof[mesh.interface_nodes]

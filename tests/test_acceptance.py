@@ -48,10 +48,10 @@ class TestCriterion2SchemeIdentities:
         params = SchemeParams(k=k, dt=0.05, alpha=1.0, T=0.25)
         ops = CoupledOperators(mesh, params)
         state = initial_state(case, mesh, ops)
-        sources = SourceData.from_case(case).assemble(ops)
+        sources, system = SourceData.from_case(case).assemble(ops), coupling._robin_system(ops)
         worst_con = worst_strong = 0.0
         for _ in range(params.n_steps):
-            new = advance(ops, state, sources)
+            new = advance(ops, state, sources, system)
             g_D = ops.interface_values(case.g_D, new.step_index * params.dt)
             w_tr = fem.trace_restrict(ops.dof_s, new.w)
             if k == 1:

@@ -228,7 +228,8 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        w1, q1 = solid_levels(ops, state, solid_step(ops, state, self.sources.assemble(ops)(t1)))
+        v = solid_step(ops, state, self.sources.assemble(ops)(t1), coupling._robin_system(ops))
+        w1, q1 = solid_levels(ops, state, v)
 
         ref, ref_q = dense_solid_step(self.mesh, params, state, *self.interface_data(t1))
         assert np.abs(w1 - ref).max() < 1e-12
@@ -241,10 +242,10 @@ class TestStepsAgainstDenseReference:
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
         t1 = params.dt
-        step_sources = self.sources.assemble(ops)(t1)
-        v = solid_step(ops, state, step_sources)
+        step_sources, system = self.sources.assemble(ops)(t1), coupling._robin_system(ops)
+        v = solid_step(ops, state, step_sources, system)
         w1, _ = solid_levels(ops, state, v)
-        u1, lam1 = fluid_step(ops, state, v, step_sources)
+        u1, lam1 = fluid_step(ops, state, v, step_sources, system)
 
         gD, _ = self.interface_data(t1)
         ref, ref_lam = dense_fluid_step(self.mesh, params, state, w1, gD)
@@ -259,10 +260,10 @@ class TestStepsAgainstDenseReference:
         params = SchemeParams(k=k, dt=dt, alpha=alpha, nu_f=nu_f, nu_s=nu_s, T=dt)
         ops = CoupledOperators(self.mesh, params)
         state = random_state(ops, self.rng, k)
-        step_sources = self.sources.assemble(ops)(dt)
-        v = solid_step(ops, state, step_sources)
+        step_sources, system = self.sources.assemble(ops)(dt), coupling._robin_system(ops)
+        v = solid_step(ops, state, step_sources, system)
         w1, q1 = solid_levels(ops, state, v)
-        u1, lam1 = fluid_step(ops, state, v, step_sources)
+        u1, lam1 = fluid_step(ops, state, v, step_sources, system)
 
         gD, gN = self.interface_data(dt)
         ref_w, ref_q = dense_solid_step(self.mesh, params, state, gD, gN)
@@ -334,9 +335,9 @@ class TestSchemeIdentities:
         ops = CoupledOperators(mesh, params)
         case = get_case("ph_uniform" if k == 2 else "pp_uniform")
         state = initial_state(case, mesh, ops)
-        sources = SourceData.from_case(case).assemble(ops)
+        sources, system = SourceData.from_case(case).assemble(ops), coupling._robin_system(ops)
         for _ in range(params.n_steps):
-            new = advance(ops, state, sources)
+            new = advance(ops, state, sources, system)
             t1 = new.step_index * params.dt
             gD = ops.interface_values(case.g_D, t1)
             if k == 1:
@@ -358,7 +359,8 @@ class TestSchemeIdentities:
         w0 = np.zeros(ops.dof_s.n_dofs)
         q0 = fem.interpolate(ops.dof_s, lambda x, y, t: np.ones_like(x), 0.0)
         state = SchemeState(0, np.zeros(ops.dof_f.n_dofs), w0, q0, np.zeros(ops.n_if))
-        v = solid_step(ops, state, SourceData().assemble(ops)(params.dt))
+        v = solid_step(ops, state, SourceData().assemble(ops)(params.dt),
+                       coupling._robin_system(ops))
         w1, q1 = solid_levels(ops, state, v)
         lhs = 0.5 * (q1 + q0)
         rhs = (w1 - w0) / params.dt
@@ -548,11 +550,12 @@ class TestOracleLimit:
                     ops = CoupledOperators(mesh, params)
                     state = random_state(ops, np.random.default_rng(5), k)
                     sources = self.sources().assemble(ops)
-                    step_sources = sources(params.dt)
+                    step_sources, system = sources(params.dt), coupling._robin_system(ops)
                     u, lam = state.u, state.lam
                     for it in range(1, 3001):
-                        v = solid_step(ops, replace(state, u=u, lam=lam), step_sources)
-                        u_next, lam = fluid_step(ops, replace(state, lam=lam), v, step_sources)
+                        v = solid_step(ops, replace(state, u=u, lam=lam), step_sources, system)
+                        u_next, lam = fluid_step(ops, replace(state, lam=lam), v, step_sources,
+                                                 system)
                         converged = np.abs(u_next - u).max() <= 1e-14 * np.abs(u_next).max()
                         u = u_next
                         if converged:
@@ -611,7 +614,7 @@ class TestFactorizations:
     def test_robin_lus_pivot_on_the_diagonal(self, k):
         mesh = meshing.slanted_interface_mesh(1)
         ops = CoupledOperators(mesh, SchemeParams(k=k, dt=0.125, alpha=2.0, T=0.25))
-        for fact in (ops._solid, ops._fluid):
+        for fact in coupling._robin_system(ops):
             np.testing.assert_array_equal(fact._lu.perm_r, fact._lu.perm_c)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -641,9 +644,8 @@ class TestSharedDiscretization:
         for name in ("M_f", "K_f", "M_s", "K_s", "M_if"):
             assert getattr(ops1, name) is getattr(ops2, name)
         assert ops1.dof_f.R is ops2.dof_f.R and ops1.dof_s.R is ops2.dof_s.R
-        assert ops1._solid is not ops2._solid and ops1._fluid is not ops2._fluid
-        # the bundles keep no step matrices; each oracle system builds its own pair
-        assert not {"A_s", "A_f"} & (vars(ops1).keys() | vars(ops2).keys())
+        # the bundles keep no step matrices and no LU; each system builds its own pair
+        assert not {"A_s", "A_f", "_solid", "_fluid"} & (vars(ops1).keys() | vars(ops2).keys())
         for ops in (ops1, ops2):
             *_, A_s, A_f = coupling._monolithic_system(ops)
             for got, ref in zip((A_s, A_f), ops.step_matrices()):
@@ -685,13 +687,42 @@ class TestSharedDiscretization:
         gc.disable()
         try:
             run_monolithic(params, mesh, SourceData(), zero_state(ops), ops)
-            assert len(made) == 3
+            assert len(made) == 1
             oracle = weakref.ref(made.pop())
             assert oracle() is None
         finally:
             gc.enable()
-        held = [v for v in vars(ops).values() if isinstance(v, sparse.Factorization)]
-        assert held == [ops._solid, ops._fluid]
+        assert not [v for v in vars(ops).values() if isinstance(v, sparse.Factorization)]
+
+    def test_run_drops_both_robin_factorizations(self, monkeypatch):
+        made = []
+        original = sparse.factorize
+
+        def watching(*args):
+            lu = original(*args)
+            made.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(sparse, "factorize", watching)
+        mesh = meshing.uniform_split_mesh(4)
+        params = SchemeParams(k=2, dt=0.125, T=0.25)
+        ops = CoupledOperators(mesh, params)
+        assert not made
+        gc.disable()
+        try:
+            run(params, mesh, SourceData(), zero_state(ops), ops)
+            assert len(made) == 2 and all(lu() is None for lu in made)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bundle_holds_no_factorization(self, k, monkeypatch):
+        made = []
+        monkeypatch.setattr(sparse, "factorize", lambda *args: made.append(args))
+        ops = CoupledOperators(meshing.slanted_interface_mesh(1),
+                               SchemeParams(k=k, dt=0.125, T=0.25))
+        assert not made
+        assert not [v for v in vars(ops).values() if isinstance(v, sparse.Factorization)]
 
 
 # Fingerprints of the final state, (2-norm, v @ arange(len(v))) per field, and

@@ -22,7 +22,7 @@ from rrsplit.fem import (
     l2_error,
     trace_restrict,
 )
-from rrsplit.sparse import factorize
+from rrsplit.sparse import factorize, from_triplets
 
 # the degree-2 edge-midpoint load rule, as the reference for the load operator
 QUAD_DEG2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -31,6 +31,18 @@ QUAD_DEG2_W = np.full(3, 1.0 / 3.0)
 QUADRATURE_KEYS = {(sub, rule) for sub in ("f", "s") for rule in (None, "load")}
 REF_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TRI = np.array([[0, 1, 2]])
+
+
+def full_dofmap(mesh, subdomain):
+    """A DofMap on every node of the subdomain, exterior Dirichlet nodes included: the
+    reference for the full-node mass and stiffness identities."""
+    nodes = np.unique(fem.subdomain_triangles(mesh, subdomain))
+    node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int32)
+    node_to_dof[nodes] = np.arange(nodes.size)
+    idofs = node_to_dof[mesh.interface_nodes]
+    carried = np.flatnonzero(idofs >= 0)
+    R = from_triplets(idofs.size, nodes.size, (carried, idofs[carried], np.ones(carried.size)))
+    return fem.DofMap(subdomain, mesh, node_to_dof, nodes, idofs, R)
 
 
 def h1_at(dof, field, exact_gradient, t):
@@ -63,14 +75,14 @@ class TestElementKernels:
 class TestMassMatrix:
     def test_partition_of_unity(self):
         mesh = meshing.uniform_split_mesh(4)
-        dof = build_dofmap(mesh, "f", include_dirichlet=True)
+        dof = full_dofmap(mesh, "f")
         M = assemble_mass(dof)
         ones = np.ones(dof.n_dofs)
         assert (M @ ones) @ ones == pytest.approx(0.75, abs=1e-12)
 
     def test_row_sums_are_patch_area_thirds(self):
         mesh = meshing.uniform_split_mesh(4)
-        dof = build_dofmap(mesh, "s", include_dirichlet=True)
+        dof = full_dofmap(mesh, "s")
         M = assemble_mass(dof)
         row_sums = M @ np.ones(dof.n_dofs)
         areas, _ = element_geometry(mesh.nodes, mesh.triangles_s)
@@ -88,7 +100,7 @@ class TestMassMatrix:
 class TestStiffnessMatrix:
     def test_constants_in_kernel_before_elimination(self):
         mesh = meshing.uniform_split_mesh(4)
-        dof = build_dofmap(mesh, "f", include_dirichlet=True)
+        dof = full_dofmap(mesh, "f")
         K = assemble_stiffness(dof)
         np.testing.assert_allclose(K @ np.ones(dof.n_dofs), 0.0, atol=1e-14)
 
@@ -96,7 +108,7 @@ class TestStiffnessMatrix:
         # v = x: integral of |grad v|^2 equals the subdomain area
         mesh = meshing.uniform_split_mesh(4)
         for sub, area in (("f", 0.75), ("s", 0.25)):
-            dof = build_dofmap(mesh, sub, include_dirichlet=True)
+            dof = full_dofmap(mesh, sub)
             K = assemble_stiffness(dof)
             v = mesh.nodes[dof.free_nodes, 0]
             assert v @ (K @ v) == pytest.approx(area, rel=1e-12)
@@ -164,7 +176,7 @@ class TestLoad:
 
     def test_constant_forcing_equals_mass_row_sums(self):
         mesh = meshing.uniform_split_mesh(4)
-        dof = build_dofmap(mesh, "f", include_dirichlet=True)
+        dof = full_dofmap(mesh, "f")
         b = assemble_load(dof, lambda x, y, t: np.ones_like(x), 0.0)
         M = assemble_mass(dof)
         np.testing.assert_allclose(b, M @ np.ones(dof.n_dofs), rtol=1e-13)
@@ -187,7 +199,7 @@ class TestLoadOperator:
                              ids=["scalar_one", "linear"])
     def test_p1_forcing_equals_mass_times_nodal_values(self, family, subdomain, f):
         mesh = MESHES[family]()
-        dof = build_dofmap(mesh, subdomain, include_dirichlet=True)
+        dof = full_dofmap(mesh, subdomain)
         xy = mesh.nodes[dof.free_nodes]
         expected = assemble_mass(dof) @ np.broadcast_to(
             f(xy[:, 0], xy[:, 1], 0.5), (dof.n_dofs,))
@@ -263,7 +275,7 @@ class TestErrorNorms:
         def f(x, y, t):
             return 2.0 * x - 0.5 * y
 
-        dof = build_dofmap(mesh, "f", include_dirichlet=True)
+        dof = full_dofmap(mesh, "f")
         field = interpolate(dof, f, 0.0)
         # a linear exact field is reproduced exactly by P1
         assert l2_error(dof, field, f, 0.0) < 1e-14
@@ -281,13 +293,13 @@ class TestErrorNorms:
         errs = []
         for n in (8, 16):
             mesh = meshing.uniform_split_mesh(n)
-            dof = build_dofmap(mesh, "f", include_dirichlet=True)
+            dof = full_dofmap(mesh, "f")
             errs.append(l2_error(dof, interpolate(dof, f, 0.0), f, 0.0))
         assert 3.2 <= errs[0] / errs[1] <= 4.8
 
     def test_h1_linear_field_exact(self):
         mesh = meshing.uniform_split_mesh(4)
-        dof = build_dofmap(mesh, "s", include_dirichlet=True)
+        dof = full_dofmap(mesh, "s")
         field = interpolate(dof, lambda x, y, t: 3.0 * x + y, 0.0)
         err = h1_at(
             dof, field, lambda x, y, t: (3.0 * np.ones_like(x), np.ones_like(y)), 0.0
@@ -315,7 +327,7 @@ class TestErrorNorms:
         errs = []
         for n in (8, 16):
             mesh = meshing.uniform_split_mesh(n)
-            dof = build_dofmap(mesh, "f", include_dirichlet=True)
+            dof = full_dofmap(mesh, "f")
             errs.append(h1_at(dof, interpolate(dof, f, 0.0), grad, 0.0))
         assert 1.6 <= errs[0] / errs[1] <= 2.6
 
@@ -330,7 +342,7 @@ class TestNormsWithScalarClosures:
 
     def test_h1_linear_interpolant_against_constant_gradient(self, family, subdomain):
         mesh = MESHES[family]()
-        dof = build_dofmap(mesh, subdomain, include_dirichlet=True)
+        dof = full_dofmap(mesh, subdomain)
         field = interpolate(dof, lambda x, y, t: 0.2 * x - 0.4 * y + 1.0, 0.0)
         assert h1_at(dof, field, lambda x, y, t: (0.2, -0.4), 0.0) <= 1e-13
 
@@ -448,7 +460,7 @@ class TestGradientOperator:
     @pytest.mark.parametrize("family, subdomain", sorted(AREAS))
     def test_matches_element_geometry(self, family, subdomain, include_dirichlet):
         mesh = MESHES[family]()
-        dof = build_dofmap(mesh, subdomain, include_dirichlet=include_dirichlet)
+        dof = (full_dofmap if include_dirichlet else build_dofmap)(mesh, subdomain)
         u = np.random.default_rng(3).standard_normal(dof.n_dofs)
         tris, _, G = fem._quad_data(mesh, subdomain)
         nt = len(tris)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rrsplit import cli, coupling, cutoff, harness, meshing
+from rrsplit import cli, coupling, cutoff, harness, meshing, sparse
 from rrsplit.cases import get_case
 from rrsplit.harness import StudyConfig, energy_audit, rates, run_study, table_to_csv
 
@@ -113,6 +113,15 @@ class TestRunStudy:
         cfg = StudyConfig(case="pp_conforming", dt_list=[0.25, 0.125], use_oracle=True)
         table = run_study(cfg)
         assert all(e is not None for e in table.errors["L2_final_U"])
+
+    @pytest.mark.parametrize("use_oracle, lus", [(True, 1), (False, 2)])
+    def test_each_row_factors_only_its_stepper_system(self, use_oracle, lus, monkeypatch):
+        made = []
+        original = sparse.factorize
+        monkeypatch.setattr(sparse, "factorize", lambda *args: made.append(1) or original(*args))
+        cfg = StudyConfig(case="pp_conforming", dt_list=[0.25], use_oracle=use_oracle)
+        harness.run_row(cfg, 0.25, ("L2_final_U",))
+        assert len(made) == lus
 
 
     def test_wrong_time_factor_fails_the_study(self):
@@ -342,6 +351,14 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().out.count("non-finite energy") == 2
         assert not re.search("inf|nan", out.read_text())
+
+    def test_energy_audit_with_non_finite_energy_exits_1(self, capsys):
+        code = cli.main(["energy-audit", "--alpha", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "rrsplit energy-audit: failed: FloatingPointError('non-finite energy at step 1')"]
 
     def test_energy_audit_csv(self, tmp_path, capsys):
         out = tmp_path / "energy.csv"

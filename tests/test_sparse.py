@@ -217,7 +217,7 @@ class TestOrderedFactorization:
         params = coupling.SchemeParams(k=1, dt=2.0**-7, T=2.0**-7)
         ops = coupling.CoupledOperators(meshing.slanted_interface_mesh(5), params)
         steps = ops.step_matrices()
-        for lu, dof in ((ops._solid, ops.dof_s), (ops._fluid, ops.dof_f)):
+        for lu, dof in zip(coupling._robin_system(ops), (ops.dof_s, ops.dof_f)):
             A = next(steps) + params.alpha * (dof.R.T @ ops.M_if @ dof.R)
             mmd = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
