@@ -17,6 +17,8 @@ def _dyadic_list(dt_max: float, dt_min: float) -> tuple:
     if dt_min > dt_max:
         raise ValueError("--dt-min must not exceed --dt-max")
     steps = math.log2(dt_max / dt_min)
+    if not math.isfinite(steps):
+        raise ValueError("--dt-max / --dt-min overflows a float")
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError("--dt-max / --dt-min must be a power of two")
     return tuple(dt_max / 2**i for i in range(int(round(steps)) + 1))

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import linalg
 
-from . import fem, meshing, sparse
+from . import fem, sparse
 from .fem import DofMap
 from .meshing import CoupledMesh
 
@@ -138,16 +138,16 @@ class EnergyLedger:
 class CoupledOperators:
     """Operators for one (mesh, params) pair; it holds no factorization.
 
-    The dofmaps, mass, stiffness, interface mass and each subdomain's
-    elimination order depend on the mesh alone and are shared by every bundle
-    on that mesh (``_mesh_operators``). Each run factors its own system.
+    The dofmaps, mass, stiffness and interface mass depend on the mesh alone
+    and are shared by every bundle on that mesh (``_mesh_operators``). Each
+    run factors its own system.
     """
 
     def __init__(self, mesh: CoupledMesh, params: SchemeParams):
         self.params = params
         shared = _mesh_operators(mesh)
-        *dof_f, self.M_f, self.K_f, self.order_f = shared["f"]
-        *dof_s, self.M_s, self.K_s, self.order_s = shared["s"]
+        *dof_f, self.M_f, self.K_f = shared["f"]
+        *dof_s, self.M_s, self.K_s = shared["s"]
         self.dof_f: DofMap = DofMap("f", mesh, *dof_f)
         self.dof_s: DofMap = DofMap("s", mesh, *dof_s)
         self.M_if = shared["if"]
@@ -177,11 +177,11 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
     """The dt-independent operators of a mesh, built on first use and memoized on it.
 
     Per subdomain ``"f"``/``"s"``: the DofMap fields after subdomain and mesh
-    (node_to_dof, free_nodes, interface_dofs, R), then mass and stiffness, then
-    the dofs in the nested-dissection order of the subdomain's block grid (the
-    elimination order of its LUs); ``"if"``: the interface mass. Only arrays
-    and matrices are kept: a cached DofMap points back at the mesh, and that
-    cycle would keep every mesh alive until the garbage collector runs.
+    (node_to_dof, free_nodes, interface_dofs, R), then mass and stiffness, on
+    dofs numbered in their elimination order (``fem.build_dofmap``); ``"if"``:
+    the interface mass. Only arrays and matrices are kept: a cached DofMap
+    points back at the mesh, and that cycle would keep every mesh alive until
+    the garbage collector runs.
     """
     shared = mesh._cache.get("operators")
     if shared is None:
@@ -191,10 +191,8 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
             # mass and stiffness share one element_geometry call; it is dropped
             # before the next subdomain's, and before the caller factors anything
             geometry = fem.element_geometry(mesh.nodes, fem.subdomain_triangles(mesh, sub))
-            order = dof.node_to_dof[meshing._dissect(getattr(mesh, "grid_" + sub))]
             shared[sub] = (dof.node_to_dof, dof.free_nodes, dof.interface_dofs, dof.R,
-                           fem.assemble_mass(dof, geometry), fem.assemble_stiffness(dof, geometry),
-                           order[order >= 0])
+                           fem.assemble_mass(dof, geometry), fem.assemble_stiffness(dof, geometry))
             del geometry
         shared["if"] = fem.assemble_interface_mass(mesh)
         mesh._cache["operators"] = shared
@@ -222,8 +220,8 @@ def _robin_system(ops: CoupledOperators):
     the solid matrix is built, factored and dropped before the fluid one is built."""
     a, M_if, steps = ops.params.alpha, ops.M_if, ops.step_matrices()
     # SPD because dt, alpha, nu_f and nu_s are positive (SchemeParams checks)
-    return tuple(sparse.factorize(next(steps) + a * (dof.R.T @ M_if @ dof.R), order)
-                 for dof, order in ((ops.dof_s, ops.order_s), (ops.dof_f, ops.order_f)))
+    return tuple(sparse.factorize(next(steps) + a * (dof.R.T @ M_if @ dof.R))
+                 for dof in (ops.dof_s, ops.dof_f))
 
 
 def solid_step(ops: CoupledOperators, state: SchemeState, step_sources, system) -> np.ndarray:
@@ -380,39 +378,39 @@ def _monolithic_system(ops: CoupledOperators):
     where that condition reads M_FF (v_F - u_F) = (M_if g_D)[F]. So
     u_F = v_F - M_FF^{-1} (M_if g_D)[F], and adding the solid and fluid
     interface rows cancels the multiplier. What is left is SPD on the merged
-    dofs [v | non-interface fluid dofs]: A_s on the solid block plus
-    Pf.T @ A_f @ Pf, where the 0/1 map Pf sends each fluid dof to its merged
-    dof (an interface dof to the solid dof at the same node). It is eliminated
-    fluid-only dofs first, then solid-only dofs, each in its subdomain's order,
-    then the interface dofs, the separator of the two blocks.
+    dofs [fluid-only | solid-only | shared interface]: Pf.T @ A_f @ Pf +
+    Ps.T @ A_s @ Ps, where the 0/1 maps Pf and Ps send each fluid and solid
+    dof to its merged dof. Each block keeps its subdomain's numbering and the
+    interface dofs, the separator of the two blocks, come last in trace
+    order, so the merged numbering is the elimination order.
 
-    Returns (lu, Pf, F, M_FF in upper banded form, A_s, A_f), with A_s and A_f
-    from ``ops.step_matrices()``. ``run_monolithic`` builds it once per call
-    and drops it on return, so the oracle LU and the step matrices never
-    outlive the run.
+    Returns (lu, Pf, Ps, F, M_FF in upper banded form, A_s, A_f), with A_s
+    and A_f from ``ops.step_matrices()``. ``run_monolithic`` builds it once
+    per call and drops it on return, so the oracle LU and the step matrices
+    never outlive the run.
     """
     dof_s, dof_f = ops.dof_s, ops.dof_f
     F = np.flatnonzero(dof_s.interface_dofs >= 0)
     if not np.array_equal(F, np.flatnonzero(dof_f.interface_dofs >= 0)):
         raise ValueError("the coupled oracle needs every interface dof on both sides")
 
-    n_s, n_f = dof_s.n_dofs, dof_f.n_dofs
-    merged = np.full(n_f, -1, dtype=np.int64)
-    merged[dof_f.interface_dofs[F]] = dof_s.interface_dofs[F]
-    n_rest = n_f - F.size
-    merged[merged < 0] = n_s + np.arange(n_rest)
-    Pf = sparse.from_triplets(n_f, n_s + n_rest, (np.arange(n_f), merged, np.ones(n_f)))
+    n_fo, n_so = dof_f.n_dofs - F.size, dof_s.n_dofs - F.size  # fluid-only, solid-only
+    n = n_fo + n_so + F.size
+
+    def merge(dof, first):
+        m = dof.n_dofs
+        to = np.full(m, -1, dtype=np.int64)
+        to[dof.interface_dofs[F]] = n_fo + n_so + np.arange(F.size)
+        to[to < 0] = first + np.arange(m - F.size)
+        return sparse.from_triplets(m, n, (np.arange(m), to, np.ones(m)))
+
+    Pf, Ps = merge(dof_f, 0), merge(dof_s, n_fo)
     A_s, A_f = ops.step_matrices()
-    K = Pf.T @ A_f @ Pf + sp.block_diag((A_s, sp.csr_array((n_rest, n_rest))))
+    K = Pf.T @ A_f @ Pf + Ps.T @ A_s @ Ps
     del A_s, A_f  # built again after the LU, so that they are not alive beside it
-    fluid = merged[ops.order_f]
-    solid_only = np.ones(n_s, dtype=bool)
-    solid_only[dof_s.interface_dofs[F]] = False
-    order = np.concatenate([fluid[fluid >= n_s], ops.order_s[solid_only[ops.order_s]],
-                            dof_s.interface_dofs[F]])
     M_FF = ops.M_if[F][:, F]  # tridiagonal
     band = np.stack([np.r_[0.0, M_FF.diagonal(1)], M_FF.diagonal()])
-    return (sparse.factorize(K, order), Pf, F, band, *ops.step_matrices())
+    return (sparse.factorize(K), Pf, Ps, F, band, *ops.step_matrices())
 
 
 def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable,
@@ -422,8 +420,7 @@ def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable
     ``sources`` is as in ``advance``; ``system`` is ``_monolithic_system(ops)``.
     """
     dt = ops.params.dt
-    lu, Pf, F, M_FF, A_s, A_f = system
-    n_s = ops.dof_s.n_dofs
+    lu, Pf, Ps, F, M_FF, A_s, A_f = system
 
     g_D, g_N, load_s, load_f = sources((state.step_index + 1) * dt)
     rhs_s = solid_history(ops, state) + load_s
@@ -434,11 +431,9 @@ def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable
     jump = np.zeros(ops.n_if)
     jump[F] = linalg.solveh_banded(M_FF, (ops.M_if @ g_D)[F], check_finite=False)
     jump_f = ops.dof_f.R.T @ jump
-    rhs = Pf.T @ (rhs_f + A_f @ jump_f)
-    rhs[:n_s] += rhs_s
-    z = lu.solve(rhs)
+    z = lu.solve(Pf.T @ (rhs_f + A_f @ jump_f) + Ps.T @ rhs_s)
     u_next = Pf @ z - jump_f
-    v = z[:n_s]
+    v = Ps @ z
     # the multiplier from the solid interface rows A_s v + R_s.T M_if[:, F] lam_F = rhs_s
     lam_full = np.zeros(ops.n_if)
     resid = fem.trace_restrict(ops.dof_s, rhs_s - A_s @ v)

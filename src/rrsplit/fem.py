@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .meshing import CoupledMesh, signed_areas
+from .meshing import CoupledMesh, dissect, signed_areas
 from .sparse import from_triplets
 
 # Degree-4 six-point rule for norms (loads use edge midpoints, see _load_operator).
@@ -37,10 +37,14 @@ class DofMap:
     """Free-node numbering for one subdomain.
 
     Exterior Dirichlet nodes carry no dof (this includes the two points
-    where the interface meets the outer boundary); ``interface_dofs`` lists
-    the dof of each interface node in trace order, -1 where constrained.
-    ``R`` is the 0/1 trace operator (interface nodes x dofs): the trace of u
-    is ``R @ u``, the lift of an interface vector v is its adjoint ``R.T @ v``.
+    where the interface meets the outer boundary). The dofs follow the
+    nested-dissection order of the subdomain's block grid
+    (``meshing.dissect``): ``free_nodes`` lists the node of each dof, and
+    the numbering is the elimination order of every LU on these dofs.
+    ``interface_dofs`` lists the dof of each interface node in trace order,
+    -1 where constrained. ``R`` is the 0/1 trace operator (interface nodes x
+    dofs): the trace of u is ``R @ u``, the lift of an interface vector v is
+    its adjoint ``R.T @ v``.
     """
 
     subdomain: str
@@ -64,10 +68,10 @@ def subdomain_triangles(mesh: CoupledMesh, subdomain: str) -> np.ndarray:
 
 
 def build_dofmap(mesh: CoupledMesh, subdomain: str) -> DofMap:
-    tris = subdomain_triangles(mesh, subdomain)
-    sub_nodes = np.flatnonzero(np.bincount(tris.ravel(), minlength=mesh.n_nodes))
-    dirichlet = mesh.exterior_dirichlet_f if subdomain == "f" else mesh.exterior_dirichlet_s
-    free = sub_nodes[~np.isin(sub_nodes, dirichlet)]
+    if subdomain not in ("f", "s"):
+        raise ValueError(f"unknown subdomain {subdomain!r}")
+    nodes = dissect(getattr(mesh, "grid_" + subdomain))
+    free = nodes[~np.isin(nodes, getattr(mesh, "exterior_dirichlet_" + subdomain))]
     node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int32 if mesh.n_nodes < 2**31 else np.int64)
     node_to_dof[free] = np.arange(free.size)
     idofs = node_to_dof[mesh.interface_nodes]

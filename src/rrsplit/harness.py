@@ -211,6 +211,8 @@ def _multiplier_mismatch_note(case, T):
 def energy_audit(k: int, alpha: float, dt: float, n_steps: int = 20, mesh_n: int = 8,
                  seed: int = 0, nu_f: float = 1.0, nu_s: float = 1.0) -> dict:
     """Run with zero sources and seeded random initial data; check Z^N + sum S = Z^0."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     mesh = meshing.uniform_split_mesh(mesh_n)
     params = coupling.SchemeParams(k=k, dt=dt, alpha=alpha, nu_f=nu_f, nu_s=nu_s, T=n_steps * dt)
     ops = coupling.CoupledOperators(mesh, params)

@@ -5,7 +5,8 @@ y = 3/4, and a mapped non-uniform grid matched to the slanted line
 y = x/2 + 1/4, both made by one two-block builder. Both subdomains share
 one node array; interface nodes are literally the same node ids in both
 triangulations. Each block keeps its node ids as a grid, from which
-``_dissect`` derives a nested-dissection elimination order.
+``dissect`` derives a nested-dissection order; ``fem.build_dofmap`` numbers
+each subdomain's dofs in it, so every LU eliminates in that order.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _two_block_mesh(n_x: int, m_f: int, m_s: int, geometry: InterfaceGeometry) -
     )
 
 
-def _dissect(grid: np.ndarray) -> np.ndarray:
+def dissect(grid: np.ndarray) -> np.ndarray:
     """The ids of a node grid in nested-dissection order (George, 1973).
 
     The middle grid line across the longer side separates the two halves, since
@@ -166,9 +167,9 @@ def _dissect(grid: np.ndarray) -> np.ndarray:
         return grid.ravel()
     if rows >= cols:
         mid = rows // 2
-        return np.concatenate([_dissect(grid[:mid]), _dissect(grid[mid + 1:]), grid[mid]])
+        return np.concatenate([dissect(grid[:mid]), dissect(grid[mid + 1:]), grid[mid]])
     mid = cols // 2
-    return np.concatenate([_dissect(grid[:, :mid]), _dissect(grid[:, mid + 1:]), grid[:, mid]])
+    return np.concatenate([dissect(grid[:, :mid]), dissect(grid[:, mid + 1:]), grid[:, mid]])
 
 
 def uniform_split_mesh(n: int) -> CoupledMesh:

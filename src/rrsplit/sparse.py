@@ -27,39 +27,24 @@ def from_triplets(n_rows, n_cols, entries) -> sp.csr_array:
 class Factorization:
     """Cached sparse LU factorization; solve() is reusable across right-hand sides."""
 
-    def __init__(self, A, order):
-        n = A.shape[0]
-        order = np.asarray(order)
-        if A.shape != (n, n) or not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError(f"factorize needs a square matrix and a permutation of its "
-                             f"rows as order, got shape {A.shape} and {order.size} entries")
-        self._order = order
-        # the rows of A gathered in order, their column indices renumbered by the
-        # inverse permutation, then to CSC: the one copy of A beside SuperLU's factors
-        B = A.tocsr()[order]
-        inv = np.empty(n, dtype=B.indices.dtype)
-        inv[order] = np.arange(n, dtype=inv.dtype)
-        B.indices = inv[B.indices]
-        B = B.tocsc()
-        # natural order of the permuted matrix and pivots on the diagonal, so the
-        # row and column permutations are both the given order
-        self._lu = spla.splu(B, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+    def __init__(self, A):
+        # natural order and pivots on the diagonal: the rows and columns are
+        # eliminated in the matrix's own numbering
+        self._lu = spla.splu(A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=np.float64)
-        x = np.empty_like(b)
-        x[self._order] = self._lu.solve(b[self._order])
-        return x
+        return self._lu.solve(np.asarray(b, dtype=np.float64))
 
 
-def factorize(A, order) -> Factorization:
+def factorize(A) -> Factorization:
     """SuperLU factorization of a symmetric positive definite matrix, eliminated in
-    ``order``, a permutation of its rows.
+    the order of its rows.
 
-    SPD is the caller's promise: SuperLU runs in symmetric mode on the rows and
-    columns of A taken in ``order``, with no row interchanges. A non-square matrix
-    or an order that is not a permutation of range(n) raises ValueError, a
-    singular matrix RuntimeError.
+    SPD is the caller's promise, and so is a numbering that keeps the fill low
+    (``fem.build_dofmap`` numbers each subdomain's dofs in nested-dissection
+    order): SuperLU runs in symmetric mode on A as numbered, with no row
+    interchanges. A non-square matrix raises ValueError, a singular one
+    RuntimeError.
     """
-    return Factorization(A, order)
+    return Factorization(A)

@@ -527,14 +527,18 @@ class TestMonolithic:
 class TestOracleLimit:
     """The oracle is the strongly coupled limit of the splitting, for both k."""
 
+    # g_D zero, then nonzero, at the two interface endpoints, which carry no dof.
+    # Where g_D is nonzero there, the splitting moves the nodal lam at the endpoints
+    # by -alpha g_D per iterate, so lam itself has no fixed point; the drift lies in
+    # the null space of R_s^T M_if and R_f^T M_if, so u, w, q and R_s^T M_if lam
+    # still converge to the oracle step
+    G_D = {"zero": lambda x, y, t: 0.3 * np.sin(np.pi * x) * (1.0 + t),
+           "nonzero": lambda x, y, t: (0.3 + np.sin(2.0 * x)) * (1.0 + t)}
+
     @staticmethod
-    def sources():
-        # made-up data: the registry cases have g_D = 0 at their default coefficients.
-        # g_D vanishes at the two interface endpoints, which carry no dof: elsewhere
-        # the splitting's endpoint multiplier moves by alpha g_D per iterate, and the
-        # sub-iteration has no fixed point
-        return SourceData(g_D=lambda x, y, t: 0.3 * np.sin(np.pi * x) * (1.0 + t),
-                          g_N=lambda x, y, t: -0.2 * x * (1.0 - x) * t,
+    def sources(g_D):
+        # made-up data: the registry cases have g_D = 0 at their default coefficients
+        return SourceData(g_D=g_D, g_N=lambda x, y, t: -0.2 * x * (1.0 - x) * t,
                           f_f=lambda x, y, t: np.exp(-t) * x * y, rate_f=-1.0,
                           f_s=lambda x, y, t: np.exp(0.5 * t) * (1.0 - y), rate_s=0.5)
 
@@ -542,37 +546,48 @@ class TestOracleLimit:
         # iterate one step's solid and fluid solves, each taking its Robin data (u, lam)
         # from the last iterate and its history from state n; the multiplier is compared
         # as the functional R_s^T M_if lam, which is all the solid rows fix
-        worst, iterations = 0.0, []
-        for k in (1, 2):
-            for mesh in (meshing.uniform_split_mesh(8), meshing.slanted_interface_mesh(1)):
-                for alpha in (1.0, 10.0):
-                    params = SchemeParams(k=k, dt=0.1, alpha=alpha, nu_f=0.8, nu_s=1.3, T=0.1)
-                    ops = CoupledOperators(mesh, params)
-                    state = random_state(ops, np.random.default_rng(5), k)
-                    sources = self.sources().assemble(ops)
-                    step_sources, system = sources(params.dt), coupling._robin_system(ops)
-                    u, lam = state.u, state.lam
-                    for it in range(1, 3001):
-                        v = solid_step(ops, replace(state, u=u, lam=lam), step_sources, system)
-                        u_next, lam = fluid_step(ops, replace(state, lam=lam), v, step_sources,
-                                                 system)
-                        converged = np.abs(u_next - u).max() <= 1e-14 * np.abs(u_next).max()
-                        u = u_next
-                        if converged:
-                            break
-                    assert converged, (k, alpha)
-                    iterations.append(it)
-                    ref = monolithic_step(ops, state, sources, coupling._monolithic_system(ops))
-                    w1, q1 = solid_levels(ops, state, v)
-                    RM = ops.dof_s.R.T @ ops.M_if
-                    for name, got, want in (("u", u, ref.u), ("w", w1, ref.w), ("q", q1, ref.q),
-                                            ("lam", RM @ lam, RM @ ref.lam)):
-                        gap = np.abs(got - want).max() / np.abs(want).max()
-                        assert gap <= 1e-10, (k, alpha, name, gap)
-                        worst = max(worst, gap)
-        print(f"oracle-limit: sub-iteration fixed point within {worst:.1e} relative of "
-              f"the oracle step after {'/'.join(map(str, iterations))} iterations "
-              "(k = 1, 2; uniform 8, slanted 1; alpha = 1, 10)")
+        worst, iterations = {}, {}
+        for g_name, g_D in self.G_D.items():
+            worst[g_name], iterations[g_name] = 0.0, []
+            for k in (1, 2):
+                for mesh in (meshing.uniform_split_mesh(8), meshing.slanted_interface_mesh(1)):
+                    for alpha in (1.0, 10.0):
+                        gap, it = self.fixed_point_gap(k, mesh, alpha, g_D)
+                        worst[g_name] = max(worst[g_name], gap)
+                        iterations[g_name].append(it)
+        print("oracle-limit: sub-iteration fixed point within "
+              + " and ".join(f"{worst[g]:.1e} (g_D {g} at the endpoints)" for g in worst)
+              + " relative of the oracle step after "
+              + " and ".join("/".join(map(str, iterations[g])) for g in iterations)
+              + " iterations (k = 1, 2; uniform 8, slanted 1; alpha = 1, 10)")
+
+    def fixed_point_gap(self, k, mesh, alpha, g_D):
+        """The largest relative gap of the fixed point to the oracle step, over u, w, q
+        and R_s^T M_if lam, and the number of iterations to reach it."""
+        params = SchemeParams(k=k, dt=0.1, alpha=alpha, nu_f=0.8, nu_s=1.3, T=0.1)
+        ops = CoupledOperators(mesh, params)
+        state = random_state(ops, np.random.default_rng(5), k)
+        sources = self.sources(g_D).assemble(ops)
+        step_sources, system = sources(params.dt), coupling._robin_system(ops)
+        u, lam = state.u, state.lam
+        for it in range(1, 3001):
+            v = solid_step(ops, replace(state, u=u, lam=lam), step_sources, system)
+            u_next, lam = fluid_step(ops, replace(state, lam=lam), v, step_sources, system)
+            converged = np.abs(u_next - u).max() <= 1e-14 * np.abs(u_next).max()
+            u = u_next
+            if converged:
+                break
+        assert converged, (k, alpha)
+        ref = monolithic_step(ops, state, sources, coupling._monolithic_system(ops))
+        w1, q1 = solid_levels(ops, state, v)
+        RM = ops.dof_s.R.T @ ops.M_if
+        worst = 0.0
+        for name, got, want in (("u", u, ref.u), ("w", w1, ref.w), ("q", q1, ref.q),
+                                ("lam", RM @ lam, RM @ ref.lam)):
+            gap = np.abs(got - want).max() / np.abs(want).max()
+            assert gap <= 1e-10, (k, alpha, name, gap)
+            worst = max(worst, gap)
+        return worst, it
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("mesh", [("uniform", 8), ("slanted", 1)])
@@ -623,6 +638,32 @@ class TestFactorizations:
         ops = CoupledOperators(mesh, SchemeParams(k=k, dt=0.125, T=0.25))
         lu = coupling._monolithic_system(ops)[0]._lu
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+
+    @pytest.mark.parametrize("family, size", [("uniform", 8), ("uniform", 33), ("slanted", 1)])
+    def test_oracle_numbers_merged_dofs_in_elimination_order(self, family, size):
+        # [fluid-only | solid-only | shared interface]: each block keeps its
+        # subdomain's (dissection) order, the separator comes last in trace order,
+        # and a shared dof is the same mesh node on both sides
+        mesh = (meshing.uniform_split_mesh(size) if family == "uniform"
+                else meshing.slanted_interface_mesh(size))
+        ops = CoupledOperators(mesh, SchemeParams(k=1, dt=0.125, T=0.25))
+        _, Pf, Ps, F, *_ = coupling._monolithic_system(ops)
+        n_fo, n_so = ops.dof_f.n_dofs - F.size, ops.dof_s.n_dofs - F.size
+        n = n_fo + n_so + F.size
+        merged_node = np.full(n, -1)
+        for P, dof, first in ((Pf, ops.dof_f, 0), (Ps, ops.dof_s, n_fo)):
+            assert P.shape == (dof.n_dofs, n)
+            np.testing.assert_array_equal(P.data, 1.0)
+            np.testing.assert_array_equal(np.diff(P.indptr), 1)  # one merged dof per dof
+            to = P.indices
+            shared = dof.interface_dofs[F]
+            np.testing.assert_array_equal(to[shared], n_fo + n_so + np.arange(F.size))
+            own = np.setdiff1d(np.arange(dof.n_dofs), shared)  # increasing
+            np.testing.assert_array_equal(to[own], first + np.arange(own.size))
+            assert np.all((merged_node[to] == -1) | (merged_node[to] == dof.free_nodes))
+            merged_node[to] = dof.free_nodes
+        np.testing.assert_array_equal(merged_node[n_fo + n_so:], mesh.interface_nodes[F])
+        assert np.unique(merged_node).size == n  # every merged dof is one distinct node
 
 
 class TestSharedDiscretization:
@@ -725,36 +766,36 @@ class TestSharedDiscretization:
         assert not [v for v in vars(ops).values() if isinstance(v, sparse.Factorization)]
 
 
-# Fingerprints of the final state, (2-norm, v @ arange(len(v))) per field, and
-# the ledger's last Z; recorded before the steppers moved to plain arrays and
-# shared step matrices, at dt = 1/16, alpha = 2, with the cases' forcing; the
-# ph_uniform oracle entry, with the oracle's coupling R_s v - R_f u = g_D.
+# Fingerprints of the final state, (2-norm, v @ ids) per field with ids the node
+# of each dof (``free_nodes``; trace order for lam), so that no dof numbering
+# moves them, and the ledger's last Z; at dt = 1/16, alpha = 2, with the cases'
+# forcing. Recorded with the dofs in node order.
 FINGERPRINTS = {
     ("ph_uniform", "run"): {
-        "u": (0.0006590975253702779, 0.7982898687632719),
-        "w": (0.00025169771123381484, 0.03965756622976508),
-        "q": (0.000238973242058553, 0.0364779623783987),
-        "lam": (0.00047467688045583166, -0.013860932341090142),
-        "Z": 6.0724071373475335e-09,
+        "u": (0.0006590975253702767, 1.040594575119935),
+        "w": (0.0002516977112338147, 0.3942999336930196),
+        "q": (0.0002389732420585516, 0.36986054510154176),
+        "lam": (0.0004746768804558321, -0.013860932341090149),
+        "Z": 6.072407137347526e-09,
     },
     ("ph_uniform", "run_monolithic"): {
-        "u": (0.0006611390987169032, 0.8014046478720566),
-        "w": (0.00025654063101068205, 0.04031942964053142),
-        "q": (0.00026451359927914315, 0.04257349513947453),
+        "u": (0.0006611390987169032, 1.0445293148579895),
+        "w": (0.00025654063101068205, 0.40150271205803806),
+        "q": (0.00026451359927914315, 0.41775905476368447),
         "lam": (0.0004676938316915351, -0.013673551124766814),
     },
     ("pp_slanted", "run"): {
-        "u": (0.0006872972249188207, 1.3402051006137201),
-        "w": (0.0006854381478266774, 0.8562880349706163),
-        "q": (0.0006854381478266774, 0.8562880349706163),
-        "lam": (0.0001637092380718651, 0.00272947914095323),
-        "Z": 1.129028638236518e-09,
+        "u": (0.0006872972249188198, 1.6754251109327092),
+        "w": (0.0006854381478266767, 3.4670433359155997),
+        "q": (0.0006854381478266767, 3.4670433359155997),
+        "lam": (0.0001637092380718652, 0.0027294791409532186),
+        "Z": 1.1290286382365156e-09,
     },
     ("pp_slanted", "run_monolithic"): {
-        "u": (0.0006935054010604847, 1.3525136578411),
-        "w": (0.0006935054010604849, 0.8634125970834645),
-        "q": (0.0006935054010604849, 0.8634125970834645),
-        "lam": (0.00015601308834906955, 0.00224392830428621),
+        "u": (0.0006935054010604847, 1.6906108259919117),
+        "w": (0.0006935054010604838, 3.5015176374296573),
+        "q": (0.0006935054010604838, 3.5015176374296573),
+        "lam": (0.00015601308834906633, 0.0022439283042861298),
     },
 }
 
@@ -770,56 +811,63 @@ def test_final_state_fingerprints(case_name, stepper):
                                      initial_state(case, mesh, ops), ops)
     final, ledger = out if stepper == "run" else (out, None)
     expected = FINGERPRINTS[case_name, stepper]
-    for name in ("u", "w", "q", "lam"):
+    for name, ids in (("u", ops.dof_f.free_nodes), ("w", ops.dof_s.free_nodes),
+                      ("q", ops.dof_s.free_nodes), ("lam", np.arange(ops.n_if))):
         v = getattr(final, name)
-        got = (np.linalg.norm(v), v @ np.arange(len(v)))
+        got = (np.linalg.norm(v), v @ ids)
         assert got == pytest.approx(expected[name], rel=1e-12), name
     if ledger is not None:
         assert ledger.Z[-1] == pytest.approx(expected["Z"], rel=1e-12)
 
 
 # sha256 prefixes of each operator's data, indptr and indices (index arrays cast
-# to int64), recorded while the triplet path still built int64 indices
+# to int64), recorded with the dofs numbered in nested-dissection order; each
+# operator equals the one it replaced on node-ordered dofs, under that
+# renumbering, to 2.4e-16 relative
 OPERATOR_FINGERPRINTS = {
-    ("uniform", 8): {
-        "M_f": ("6c623f1c7271cba9", "ee46a0418e395d69", "e8a487236306b79e"),
-        "K_f": ("29d3bf1720d034b4", "ee46a0418e395d69", "e8a487236306b79e"),
-        "M_s": ("9014ea5d0beb0c77", "e3556e5c4c4c2863", "c61176dadefcb863"),
-        "K_s": ("349e2db892a12978", "e3556e5c4c4c2863", "c61176dadefcb863"),
-        "M_if": ("41096352a84f87a8", "ed8a5222513e52fe", "d1f874e86e6d80c9"),
-        "R_f": ("022451970ff25a1c", "8be4ac08a7e42038", "26d76fc89d5624b9"),
-        "R_s": ("022451970ff25a1c", "8be4ac08a7e42038", "81845a01dafa45c9"),
-        "Pf": ("09ac88f11d677f2e", "a37cddc35bb52859", "b63f6e015d536ad5"),
-    },
-    ("uniform", 33): {
-        "M_f": ("f2935843ae80e0a4", "eeb8ec74af359f72", "ad9d3f018afaf8a9"),
-        "K_f": ("cbdf48a7804e7ca8", "eeb8ec74af359f72", "ad9d3f018afaf8a9"),
-        "M_s": ("5e63a143a0d34cb6", "83389779fdc57e03", "a9a194c8cbcb1bbb"),
-        "K_s": ("e57c1919659c0899", "83389779fdc57e03", "a9a194c8cbcb1bbb"),
-        "M_if": ("5d9b929fec6c7641", "dffd17d1ee917e84", "2fc51078cd5dde7f"),
-        "R_f": ("acfc7c36fce590b1", "6d1a9055e913592c", "13cf4a30b5556e19"),
-        "R_s": ("acfc7c36fce590b1", "6d1a9055e913592c", "bcc9bcfc670935c6"),
-        "Pf": ("e6b8b8a54e4eff0e", "b4d8c759628f1e73", "511ecbd866ac0a20"),
-    },
     ("slanted", 1): {
-        "M_f": ("d376b3730027ff8f", "387055a39772c8a6", "50126caabe213139"),
-        "K_f": ("51a3f6ea6c667a58", "387055a39772c8a6", "50126caabe213139"),
-        "M_s": ("9bf7c3c69d2d8bfd", "387055a39772c8a6", "50126caabe213139"),
-        "K_s": ("447237d6fe76caaf", "387055a39772c8a6", "50126caabe213139"),
+        "M_f": ("b19ccd946b58bdf9", "07ed6b2688e83553", "1f852b98bff61b1c"),
+        "K_f": ("f0537456c035206d", "07ed6b2688e83553", "1f852b98bff61b1c"),
+        "M_s": ("dca61e152c62aa89", "992f7cd53ca923ff", "a7e6e3bec20e2d8a"),
+        "K_s": ("35fee0695d1d066b", "992f7cd53ca923ff", "a7e6e3bec20e2d8a"),
         "M_if": ("1fe1d77f19d37ddc", "ed8a5222513e52fe", "d1f874e86e6d80c9"),
-        "R_f": ("022451970ff25a1c", "8be4ac08a7e42038", "37081da55207d0e1"),
-        "R_s": ("022451970ff25a1c", "8be4ac08a7e42038", "81845a01dafa45c9"),
-        "Pf": ("2ea08de9b8f77f82", "43f1a99a51253ac9", "00bbfd2f180993b5"),
+        "R_f": ("022451970ff25a1c", "8be4ac08a7e42038", "1796920806c71ec0"),
+        "R_s": ("022451970ff25a1c", "8be4ac08a7e42038", "68bdeaeb2159e534"),
+        "Pf": ("2ea08de9b8f77f82", "43f1a99a51253ac9", "8b5ec714506e6efe"),
+        "Ps": ("2ea08de9b8f77f82", "43f1a99a51253ac9", "121a38f9220324ea"),
     },
     ("slanted", 3): {
-        "M_f": ("cbbb45c3f18ccf54", "e2f66f2c6ea9adb4", "aea25781aa287452"),
-        "K_f": ("39a9ba8f3e556512", "e2f66f2c6ea9adb4", "aea25781aa287452"),
-        "M_s": ("f696eb111d09661c", "e2f66f2c6ea9adb4", "aea25781aa287452"),
-        "K_s": ("1170bc9b50ef2c94", "e2f66f2c6ea9adb4", "aea25781aa287452"),
+        "M_f": ("9f8b446d329f60a6", "5be9eefbf21cb8aa", "df6185bcda082f5c"),
+        "K_f": ("0c8d8a5a61280c9c", "5be9eefbf21cb8aa", "df6185bcda082f5c"),
+        "M_s": ("fd2b4aec49858307", "a2546ad2b6a19387", "b27114dad7f123fd"),
+        "K_s": ("d0844e9a6981f3ab", "a2546ad2b6a19387", "b27114dad7f123fd"),
         "M_if": ("c2d84c5f0e1129a9", "5e1b82d6758b43d8", "76d7ea2abd7fb5fb"),
-        "R_f": ("39f2f7deec2496ab", "c5e1c3d02dcdf328", "d39c5c644c0ac7bd"),
-        "R_s": ("39f2f7deec2496ab", "c5e1c3d02dcdf328", "3a769b546b52d0c3"),
-        "Pf": ("7b2d2921913416cf", "10c7bc34a873a5b5", "838588b5cf3b2509"),
+        "R_f": ("39f2f7deec2496ab", "c5e1c3d02dcdf328", "81a911a574e64e8c"),
+        "R_s": ("39f2f7deec2496ab", "c5e1c3d02dcdf328", "30d4e5f985d1162b"),
+        "Pf": ("7b2d2921913416cf", "10c7bc34a873a5b5", "984c9e6c3838626f"),
+        "Ps": ("7b2d2921913416cf", "10c7bc34a873a5b5", "4c52d3583ea819c3"),
+    },
+    ("uniform", 8): {
+        "M_f": ("40c0a30fae117872", "163a103de4d08380", "f0337c482907409f"),
+        "K_f": ("26bb572784b8c0d8", "163a103de4d08380", "f0337c482907409f"),
+        "M_s": ("426569e8f603a889", "48ce6d1094403564", "895fa40c0d73edf2"),
+        "K_s": ("a1f9febcee4b35d4", "48ce6d1094403564", "895fa40c0d73edf2"),
+        "M_if": ("41096352a84f87a8", "ed8a5222513e52fe", "d1f874e86e6d80c9"),
+        "R_f": ("022451970ff25a1c", "8be4ac08a7e42038", "eb07b8042b93c096"),
+        "R_s": ("022451970ff25a1c", "8be4ac08a7e42038", "e930c8a361f6003e"),
+        "Pf": ("09ac88f11d677f2e", "a37cddc35bb52859", "616133bbed2e277b"),
+        "Ps": ("2536bd3339400327", "4107167d6f03f7cb", "701383bf94000be3"),
+    },
+    ("uniform", 33): {
+        "M_f": ("e6b9db4e8711d82a", "f5b6f6205c92958d", "4d8277acb5319741"),
+        "K_f": ("e5eceff7e9fc5ab4", "f5b6f6205c92958d", "4d8277acb5319741"),
+        "M_s": ("b17f64facd1fb4fd", "dea99bea490a28d0", "837d89c72ee9b77e"),
+        "K_s": ("391051a7901a55c6", "dea99bea490a28d0", "837d89c72ee9b77e"),
+        "M_if": ("5d9b929fec6c7641", "dffd17d1ee917e84", "2fc51078cd5dde7f"),
+        "R_f": ("acfc7c36fce590b1", "6d1a9055e913592c", "2727d8b29c59c2a3"),
+        "R_s": ("acfc7c36fce590b1", "6d1a9055e913592c", "459f69fae6dc4d48"),
+        "Pf": ("e6b8b8a54e4eff0e", "b4d8c759628f1e73", "513810b27da06252"),
+        "Ps": ("825fae38cced1bd6", "a153ab6c2947c7b7", "24d424e211c9a02b"),
     },
 }
 
@@ -829,9 +877,10 @@ def test_operator_fingerprints(family, size):
     mesh = (meshing.uniform_split_mesh(size) if family == "uniform"
             else meshing.slanted_interface_mesh(size))
     ops = CoupledOperators(mesh, SchemeParams(k=1, dt=0.125, T=0.25))
+    system = coupling._monolithic_system(ops)
     operators = {"M_f": ops.M_f, "K_f": ops.K_f, "M_s": ops.M_s, "K_s": ops.K_s,
                  "M_if": ops.M_if, "R_f": ops.dof_f.R, "R_s": ops.dof_s.R,
-                 "Pf": coupling._monolithic_system(ops)[1]}
+                 "Pf": system[1], "Ps": system[2]}
     for name, A in operators.items():
         got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
                     for a in (A.data, A.indptr.astype(np.int64), A.indices.astype(np.int64)))

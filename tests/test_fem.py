@@ -128,7 +128,7 @@ class TestStiffnessMatrix:
         K = assemble_stiffness(dof)
         target = interpolate(dof, lambda x, y, t: x * (1 - x) * y, 0.0)
         b = K @ target
-        x = factorize(K, np.arange(K.shape[0])).solve(b)
+        x = factorize(K).solve(b)
         np.testing.assert_allclose(x, target, atol=1e-10)
 
 
@@ -363,6 +363,25 @@ class TestDofMap:
         # the same interface node indexes both traces at the same slot
         xs = mesh.nodes[mesh.interface_nodes, 0]
         assert np.all(np.diff(xs) > 0)
+
+    @pytest.mark.parametrize("family", ["uniform", "slanted"])
+    def test_dofs_numbered_in_dissection_order(self, family):
+        # the subdomain's nodes off the outer boundary, in its block grid's
+        # nested-dissection order: the elimination order of every LU on them
+        mesh = (meshing.uniform_split_mesh(9) if family == "uniform"
+                else meshing.slanted_interface_mesh(2))
+        for sub, dirichlet in (("f", mesh.exterior_dirichlet_f),
+                               ("s", mesh.exterior_dirichlet_s)):
+            dof = build_dofmap(mesh, sub)
+            order = meshing.dissect(getattr(mesh, "grid_" + sub))
+            free = np.setdiff1d(fem.subdomain_triangles(mesh, sub), dirichlet)
+            np.testing.assert_array_equal(dof.free_nodes, order[np.isin(order, free)])
+            np.testing.assert_array_equal(dof.node_to_dof[dof.free_nodes],
+                                          np.arange(dof.n_dofs))
+
+    def test_unknown_subdomain_rejected(self):
+        with pytest.raises(ValueError, match="unknown subdomain 'x'"):
+            build_dofmap(meshing.uniform_split_mesh(4), "x")
 
 
 def _seed_quad(mesh, subdomain, bary):

@@ -247,11 +247,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --k" in capsys.readouterr().err
 
-    def test_non_dyadic_range_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["convergence", "--case", "pp_conforming",
-                      "--dt-max", "0.25", "--dt-min", "0.1"])
-        assert exc.value.code == 2
+    def test_non_dyadic_range_rejected(self, capsys):
+        for argv in (["convergence", "--case", "pp_conforming", "--dt-max", "0.25",
+                      "--dt-min", "0.1"],
+                     # the ratio overflows to inf
+                     ["convergence", "--case", "pp_conforming", "--dt-max", "1e300",
+                      "--dt-min", "1e-300"],
+                     ["cutoff-verify", "--dt-max", "1e300", "--dt-min", "1e-300"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "--dt-max / --dt-min" in capsys.readouterr().err
 
     def test_flag_the_subcommand_ignores_exit_2(self, capsys):
         base = {
@@ -285,11 +291,14 @@ class TestCli:
                      ["convergence", "--case", "pp_conforming", "--dt-max", "0.25",
                       "--dt-min", "0"],
                      ["cutoff-verify", "--dt-max", "inf", "--dt-min", "1"],
-                     ["cutoff-verify", "--dt-max", "-0.25", "--dt-min", "-0.5"]):
+                     ["cutoff-verify", "--dt-max", "-0.25", "--dt-min", "-0.5"],
+                     ["energy-audit", "--steps", "0"],
+                     ["energy-audit", "--steps", "-3"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
-            assert "finite and positive" in capsys.readouterr().err
+            expected = "n_steps must be at least 1" if "--steps" in argv else "finite and positive"
+            assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["mesh-dump", "--case", "pp_conforming", "--dt", "-1"],

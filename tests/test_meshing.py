@@ -62,7 +62,7 @@ def validate(mesh) -> list[str]:
 
     for name, grid, tris in (("fluid", mesh.grid_f, mesh.triangles_f),
                              ("solid", mesh.grid_s, mesh.triangles_s)):
-        if not np.array_equal(np.sort(meshing._dissect(grid)), np.unique(tris)):
+        if not np.array_equal(np.sort(meshing.dissect(grid)), np.unique(tris)):
             problems.append(f"{name} dissection is not a permutation of the block's nodes")
     return problems
 

@@ -111,11 +111,11 @@ class TestSolveSpd:
 
     def test_identity(self):
         A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 1, 1.0)]))
-        np.testing.assert_allclose(factorize(A, np.arange(2)).solve([4.0, 5.0]), [4.0, 5.0])
+        np.testing.assert_allclose(factorize(A).solve([4.0, 5.0]), [4.0, 5.0])
 
     def test_diagonal(self):
         A = from_triplets(2, 2, entries([(0, 0, 2.0), (1, 1, 4.0)]))
-        np.testing.assert_allclose(factorize(A, np.arange(2)).solve([2.0, 4.0]), [1.0, 1.0])
+        np.testing.assert_allclose(factorize(A).solve([2.0, 4.0]), [1.0, 1.0])
 
     def test_time_step_system_vs_dense(self):
         # (1/dt) M + nu K on a small mesh, against numpy's dense solve
@@ -126,7 +126,7 @@ class TestSolveSpd:
         A = 10.0 * fem.assemble_mass(dof) + fem.assemble_stiffness(dof)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(dof.n_dofs)
-        x = factorize(A, np.arange(dof.n_dofs)).solve(b)
+        x = factorize(A).solve(b)
         ref = np.linalg.solve(A.toarray(), b)
         assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-10
 
@@ -137,14 +137,14 @@ class TestSolveSpd:
         trips = [(i, j, D[i, j]) for i in range(6) for j in range(6)]
         A = from_triplets(6, 6, entries(trips))
         b = rng.standard_normal(6)
-        lu = factorize(A, np.arange(6))
+        lu = factorize(A)
         for rhs in (b, 2.0 * b):  # the factorization is reused across right-hand sides
             x = lu.solve(rhs)
             assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_zero_rhs(self):
         A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 1, 1.0)]))
-        np.testing.assert_allclose(factorize(A, np.arange(2)).solve([0.0, 0.0]), 0.0)
+        np.testing.assert_allclose(factorize(A).solve([0.0, 0.0]), 0.0)
 
 
 class TestSolveGeneral:
@@ -153,24 +153,23 @@ class TestSolveGeneral:
     def test_identity(self):
         A = from_triplets(3, 3, entries([(i, i, 1.0) for i in range(3)]))
         b = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_allclose(factorize(A, np.arange(3)).solve(b), b)
+        np.testing.assert_allclose(factorize(A).solve(b), b)
 
     def test_singular_reported(self):
         # SuperLU raises RuntimeError, which a study records as a failed row
         A = from_triplets(2, 2, entries([(0, 0, 1.0), (1, 0, 1.0)]))
         with pytest.raises(RuntimeError):
-            factorize(A, np.arange(2))
+            factorize(A)
 
     def test_spd_factorization_failure_reported(self):
         # a zero pivot, so a study records the row as failed
         A = from_triplets(2, 2, entries([(0, 0, 0.0), (1, 1, 0.0)]))
         with pytest.raises(RuntimeError):
-            factorize(A, np.arange(2))
+            factorize(A)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            factorize(from_triplets(2, 3, entries([(0, 0, 1.0), (1, 1, 1.0)])),
-                      np.arange(2))
+            factorize(from_triplets(2, 3, entries([(0, 0, 1.0), (1, 1, 1.0)])))
 
 
 def spd_matrices():
@@ -191,34 +190,35 @@ def spd_matrices():
 
 
 class TestOrderedFactorization:
-    """The elimination order moves rounding only, and must be a permutation."""
+    """A matrix is eliminated in its own numbering: a renumbering moves rounding and
+    fill only."""
 
     @pytest.mark.parametrize("name", ["identity", "diagonal", "time_step", "dense"])
     def test_random_order_matches_dense_solve(self, name):
+        # a random elimination order, as a symmetric renumbering of the matrix
         A = spd_matrices()[name]
         rng = np.random.default_rng(17)
+        order = rng.permutation(A.shape[0])
         b = rng.standard_normal(A.shape[0])
-        x = factorize(A, rng.permutation(A.shape[0])).solve(b)
+        x = np.empty_like(b)
+        x[order] = factorize(A[order][:, order]).solve(b[order])
         ref = np.linalg.solve(A.toarray(), b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [-1, 0, 1],
-                                       [[0, 1, 2]]])
-    def test_order_not_a_permutation_rejected(self, order):
-        A = from_triplets(3, 3, entries([(i, i, 1.0) for i in range(3)]))
-        with pytest.raises(ValueError, match="square"):
-            factorize(A, np.array(order))
-
     def test_robin_lus_keep_fewer_nonzeros_than_minimum_degree(self):
-        # each Robin LU of slanted level 5 against SuperLU's minimum degree ordering
-        # of A + A^T on the same matrix
+        # each Robin LU and the oracle LU of slanted level 5, on dofs numbered in
+        # their elimination order, against SuperLU's minimum degree ordering of
+        # A + A^T on the same matrix (oracle: 2,204,052 against 2,408,918 nonzeros)
         from rrsplit import coupling, meshing
 
         params = coupling.SchemeParams(k=1, dt=2.0**-7, T=2.0**-7)
         ops = coupling.CoupledOperators(meshing.slanted_interface_mesh(5), params)
         steps = ops.step_matrices()
-        for lu, dof in zip(coupling._robin_system(ops), (ops.dof_s, ops.dof_f)):
-            A = next(steps) + params.alpha * (dof.R.T @ ops.M_if @ dof.R)
+        systems = [(lu, next(steps) + params.alpha * (dof.R.T @ ops.M_if @ dof.R))
+                   for lu, dof in zip(coupling._robin_system(ops), (ops.dof_s, ops.dof_f))]
+        lu, Pf, Ps, *_, A_s, A_f = coupling._monolithic_system(ops)
+        systems.append((lu, Pf.T @ A_f @ Pf + Ps.T @ A_s @ Ps))
+        for lu, A in systems:
             mmd = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
             assert lu._lu.nnz < mmd.nnz
