@@ -188,12 +188,8 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
         shared = {}
         for sub in ("f", "s"):
             dof = fem.build_dofmap(mesh, sub)
-            # mass and stiffness share one element_geometry call; it is dropped
-            # before the next subdomain's, and before the caller factors anything
-            geometry = fem.element_geometry(mesh.nodes, fem.subdomain_triangles(mesh, sub))
             shared[sub] = (dof.node_to_dof, dof.free_nodes, dof.interface_dofs, dof.R,
-                           fem.assemble_mass(dof, geometry), fem.assemble_stiffness(dof, geometry))
-            del geometry
+                           fem.assemble_mass(dof), fem.assemble_stiffness(dof))
         shared["if"] = fem.assemble_interface_mass(mesh)
         mesh._cache["operators"] = shared
     return shared

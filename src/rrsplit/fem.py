@@ -3,7 +3,9 @@
 Assembly of mass/stiffness/interface-mass operators over the free degrees
 of freedom of one subdomain, load vectors by quadrature, nodal trace
 restriction onto the interface, and quadrature error norms against smooth
-exact fields. The L2 norm evaluates its exact field per call. The H1
+exact fields. Mass and stiffness are sums of sparse products B^T diag(w) B
+over blocks of ``BLOCK`` triangles (B: a block's triangle-to-dof incidence or
+P1 gradient operator). The L2 norm evaluates its exact field per call. The H1
 seminorm reads the exact gradient from a profile built once
 (``gradient_profile``): its per-triangle means at the quadrature points and
 one scalar spread about them. Each call scales the profile, as a load vector
@@ -30,6 +32,9 @@ QUAD_DEG4_BARY = np.array(
 )
 QUAD_DEG4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 _W = float(QUAD_DEG4_W.sum())
+# Assembly, the gradient operator and the norms visit a subdomain in blocks of at
+# most this many triangles, so their temporaries stay small beside the LUs.
+BLOCK = 16384
 
 
 @dataclass
@@ -86,82 +91,80 @@ def build_dofmap(mesh: CoupledMesh, subdomain: str) -> DofMap:
     )
 
 
-def element_geometry(nodes: np.ndarray, tris: np.ndarray):
-    """Areas and P1 basis gradients, per triangle.
-
-    Returns (areas, grads) with grads[t, i] the constant gradient of the
-    barycentric basis function of local vertex i.
-    """
-    p = nodes[tris]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-    areas = 0.5 * det
-    gx = np.stack([p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], 1)
-    gy = np.stack([p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], 1)
-    grads = np.stack([gx, gy], axis=2) / det[:, None, None]
-    return areas, grads
+def _blocks(tris: np.ndarray):
+    """Slices of at most BLOCK triangles covering ``tris`` in order."""
+    return (slice(s, s + BLOCK) for s in range(0, len(tris), BLOCK))
 
 
-def element_mass(areas: np.ndarray) -> np.ndarray:
-    """Consistent P1 mass blocks, (nt, 3, 3)."""
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return areas[:, None, None] * base[None]
+def _gradients(nodes: np.ndarray, tris: np.ndarray):
+    """Per block of triangles: its slice, its areas (``signed_areas``) and its P1
+    basis gradients gx, gy, each (nb, 3) with column i for local vertex i."""
+    for blk in _blocks(tris):
+        areas = signed_areas(nodes, tris[blk])
+        x, y = nodes[:, 0][tris[blk]], nodes[:, 1][tris[blk]]
+        det = (2.0 * areas)[:, None]
+        yield (blk, areas, (y[:, [1, 2, 0]] - y[:, [2, 0, 1]]) / det,
+               (x[:, [2, 0, 1]] - x[:, [1, 2, 0]]) / det)
 
 
-def element_stiffness(areas: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """P1 stiffness blocks area * grad_i . grad_j, (nt, 3, 3)."""
-    return areas[:, None, None] * np.einsum("tix,tjx->tij", grads, grads)
+def _vertex_operator(cols: np.ndarray, n_cols: int, *values) -> sp.csr_array:
+    """CSR with one row per triangle and ``values`` array: row j nt + t holds
+    values[j][t, i] in column cols[t, i] for each local vertex i with
+    cols[t, i] >= 0, so constrained vertices drop out."""
+    keep, k = cols >= 0, len(values)
+    indptr = np.zeros(k * len(cols) + 1, dtype=cols.dtype)
+    np.cumsum(np.tile(keep.sum(1), k), out=indptr[1:])
+    data = np.concatenate([v[keep] for v in values])
+    return sp.csr_array((data, np.tile(cols[keep], k), indptr), shape=(k * len(cols), n_cols))
 
 
-def _scatter_blocks(blocks: np.ndarray, tris: np.ndarray, dofmap: DofMap) -> sp.csr_array:
-    """The (nt, 3, 3) element blocks summed into a matrix over the free dofs.
-
-    A per-triangle mask picks the (i, j) entries whose two vertices both carry
-    a dof, in the blocks' own order, straight from the blocks and the
-    broadcast int32 dof numbers: the triplets hold the kept entries only, and
-    no full-length copy of them is made first.
-    """
-    dof = dofmap.node_to_dof[tris]
-    free = dof >= 0
-    keep = free[:, :, None] & free[:, None, :]
-    rows = np.broadcast_to(dof[:, :, None], blocks.shape)[keep]
-    cols = np.broadcast_to(dof[:, None, :], blocks.shape)[keep]
-    n = dofmap.n_dofs
-    return from_triplets(n, n, (rows, cols, blocks[keep]))
+def _gram(B: sp.csr_array, w: np.ndarray) -> sp.csr_array:
+    """B^T diag(w) B; the product stores no exact zero."""
+    wB = sp.csr_array((np.repeat(w, np.diff(B.indptr)) * B.data, B.indices, B.indptr),
+                      shape=B.shape)
+    return B.T.tocsr() @ wB
 
 
-def assemble_mass(dofmap: DofMap, geometry=None) -> sp.csr_array:
+def assemble_mass(dofmap: DofMap) -> sp.csr_array:
     """Consistent mass matrix over the dofmap's free dofs.
 
-    ``geometry`` is the subdomain's ``element_geometry`` output, if the caller
-    already has it (so mass and stiffness can share one call).
+    A triangle's block is area/12 (1 + delta_ij), so M = P + diag(P), with P
+    the sum over blocks of triangles of S^T diag(area/12) S and S the block's
+    0/1 triangle-to-dof incidence.
     """
-    tris = subdomain_triangles(dofmap.mesh, dofmap.subdomain)
-    areas, _ = geometry or element_geometry(dofmap.mesh.nodes, tris)
-    return _scatter_blocks(element_mass(areas), tris, dofmap)
+    tris, n = subdomain_triangles(dofmap.mesh, dofmap.subdomain), dofmap.n_dofs
+    P = sp.csr_array((n, n))
+    for blk in _blocks(tris):
+        S = _vertex_operator(dofmap.node_to_dof[tris[blk]], n, np.ones((len(tris[blk]), 3)))
+        P = P + _gram(S, signed_areas(dofmap.mesh.nodes, tris[blk]) / 12.0)
+    M = P + sp.diags_array(P.diagonal())
+    M.sort_indices()
+    return M
 
 
-def assemble_stiffness(dofmap: DofMap, geometry=None) -> sp.csr_array:
-    """Stiffness matrix (grad, grad) over the dofmap's free dofs; ``geometry``
-    as in ``assemble_mass``."""
-    tris = subdomain_triangles(dofmap.mesh, dofmap.subdomain)
-    areas, grads = geometry or element_geometry(dofmap.mesh.nodes, tris)
-    return _scatter_blocks(element_stiffness(areas, grads), tris, dofmap)
+def assemble_stiffness(dofmap: DofMap) -> sp.csr_array:
+    """Stiffness matrix (grad, grad) over the dofmap's free dofs.
+
+    The sum over blocks of triangles of G^T diag(area, area) G, with G the
+    block's P1 gradient operator on the free dofs (x rows, then y rows). Exact
+    zeros, such as the couplings across the diagonals of a uniform grid, are
+    not stored.
+    """
+    tris, n = subdomain_triangles(dofmap.mesh, dofmap.subdomain), dofmap.n_dofs
+    K = sp.csr_array((n, n))
+    for blk, areas, gx, gy in _gradients(dofmap.mesh.nodes, tris):
+        G = _vertex_operator(dofmap.node_to_dof[tris[blk]], n, gx, gy)
+        K = K + _gram(G, np.tile(areas, 2))
+    K.sort_indices()
+    return K
 
 
 def assemble_interface_mass(mesh: CoupledMesh) -> sp.csr_array:
     """Tridiagonal interface mass matrix over interface nodes in trace order."""
     pts = mesh.nodes[mesh.interface_nodes]
     lengths = np.sqrt(((pts[1:] - pts[:-1]) ** 2).sum(axis=1))
-    n_seg = lengths.size
-    left = np.arange(n_seg)
-    right = left + 1
-    rows = np.concatenate([left, left, right, right])
-    cols = np.concatenate([left, right, left, right])
-    vals = np.concatenate([lengths / 3.0, lengths / 6.0, lengths / 6.0, lengths / 3.0])
-    n = mesh.interface_nodes.size
-    return from_triplets(n, n, (rows, cols, vals))
+    main = np.append(lengths / 3.0, 0.0) + np.insert(lengths / 3.0, 0, 0.0)
+    return sp.diags_array([lengths / 6.0, main, lengths / 6.0], offsets=(-1, 0, 1), format="csr")
 
 
 def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
@@ -170,26 +173,27 @@ def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
     ``rule=None`` gives (tris, areas, G): G is the CSR P1 gradient operator,
     (2 nt, n_nodes) with rows x components then y components, so
     ``G @ nodal_values(dofmap, u)`` is each triangle's constant gradient.
-    ``rule="load"`` gives ``_load_operator``'s x, y, P; it takes its areas from
-    ``signed_areas``, the same arithmetic as ``element_geometry``'s, so a run
-    that computes no norm builds no G. Vertex coordinates and norm points are
-    not kept: more peak memory.
+    G is filled block by block from ``_gradients``, as the stiffness is, so no
+    temporary spans the subdomain. ``rule="load"`` gives ``_load_operator``'s
+    x, y, P; it takes its areas from ``signed_areas``, as ``_gradients`` does,
+    so a run that computes no norm builds no G. Vertex coordinates and norm
+    points are not kept: more peak memory.
     """
     key = (subdomain, rule)
     data = mesh._cache.get(key)
     if data is None:
+        tris = subdomain_triangles(mesh, subdomain)
         if rule is None:
-            tris = subdomain_triangles(mesh, subdomain)
-            areas, grads = element_geometry(mesh.nodes, tris)
             nt = len(tris)
+            areas, grads = np.empty(nt), np.empty((2, nt, 3))
+            for blk, a, gx, gy in _gradients(mesh.nodes, tris):
+                areas[blk], grads[0, blk], grads[1, blk] = a, gx, gy
             # three entries per row, in the triangle's vertex order: built as CSR, no sort
-            G = sp.csr_array((grads.transpose(2, 0, 1).ravel(),
-                              np.tile(tris, (2, 1)).ravel().astype(np.int32),
+            G = sp.csr_array((grads.ravel(), np.tile(tris.astype(np.int32), (2, 1)).ravel(),
                               np.arange(0, 6 * nt + 1, 3, dtype=np.int32)),
                              shape=(2 * nt, mesh.n_nodes))
             data = (tris, areas, G)
         else:
-            tris = subdomain_triangles(mesh, subdomain)
             data = _load_operator(mesh, tris, signed_areas(mesh.nodes, tris))
         mesh._cache[key] = data
     return data
@@ -246,14 +250,14 @@ def trace_restrict(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
 
 
 def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
-    """Per block of 16384 triangles: its slice and, for each degree-4 point,
+    """Per block of triangles: its slice and, for each degree-4 point,
     the weight, barycentric coordinates, x and y.
 
     Blocks keep each pass's arrays in cache and bound the memory the norms add
     on the finest mesh.
     """
     px, py = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
-    for blk in (slice(s, s + 16384) for s in range(0, len(tris), 16384)):
+    for blk in _blocks(tris):
         yield blk, [(w, b, px[blk] @ b, py[blk] @ b) for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY)]
 
 

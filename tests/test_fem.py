@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from elements import element_geometry, element_mass, element_stiffness
 from rrsplit import fem, meshing
 from rrsplit.cases import CASE_NAMES, get_case
 from rrsplit.fem import (
@@ -13,9 +14,6 @@ from rrsplit.fem import (
     assemble_mass,
     assemble_stiffness,
     build_dofmap,
-    element_geometry,
-    element_mass,
-    element_stiffness,
     gradient_profile,
     h1_semi_error,
     interpolate,
@@ -43,6 +41,20 @@ def full_dofmap(mesh, subdomain):
     carried = np.flatnonzero(idofs >= 0)
     R = from_triplets(idofs.size, nodes.size, (carried, idofs[carried], np.ones(carried.size)))
     return fem.DofMap(subdomain, mesh, node_to_dof, nodes, idofs, R)
+
+
+def record_geometry(monkeypatch):
+    """The triangles of each fem call to signed_areas, through which every area
+    and gradient pass goes, in call order."""
+    built = []
+    original = fem.signed_areas
+
+    def recording(nodes, tris):
+        built.append(tris)
+        return original(nodes, tris)
+
+    monkeypatch.setattr(fem, "signed_areas", recording)
+    return built
 
 
 def h1_at(dof, field, exact_gradient, t):
@@ -85,7 +97,7 @@ class TestMassMatrix:
         dof = full_dofmap(mesh, "s")
         M = assemble_mass(dof)
         row_sums = M @ np.ones(dof.n_dofs)
-        areas, _ = element_geometry(mesh.nodes, mesh.triangles_s)
+        areas = meshing.signed_areas(mesh.nodes, mesh.triangles_s)
         patch = np.zeros(mesh.n_nodes)
         np.add.at(patch, mesh.triangles_s, (areas / 3.0)[:, None])
         np.testing.assert_allclose(row_sums, patch[dof.free_nodes], rtol=1e-13)
@@ -120,6 +132,16 @@ class TestStiffnessMatrix:
             for A in (assemble_mass(dof), assemble_stiffness(dof)):
                 D = A.toarray()
                 assert np.abs(D - D.T).max() <= 1e-14
+
+    def test_exact_zeros_not_stored(self):
+        # a uniform grid's couplings across each cell's diagonal are exactly zero: K
+        # leaves them out, while M, and so every step matrix and its LU, keeps them
+        mesh = meshing.uniform_split_mesh(8)
+        for sub in ("f", "s"):
+            dof = build_dofmap(mesh, sub)
+            M, K = assemble_mass(dof), assemble_stiffness(dof)
+            assert np.all(K.data != 0) and K.nnz < M.nnz
+            assert (M + K).nnz == M.nnz
 
     def test_galerkin_recovery(self):
         # K x = K interp recovers the interpolant on the free dofs
@@ -531,21 +553,16 @@ class TestQuadratureMemo:
             _seed_h1(dof, field, grad, 0.2), rel=1e-14)
 
     def test_geometry_built_once_per_subdomain(self, monkeypatch):
-        built = []
-        original = fem.element_geometry
-
-        def counting(nodes, tris):
-            built.append(tris.shape[0])
-            return original(nodes, tris)
-
-        monkeypatch.setattr(fem, "element_geometry", counting)
+        built = record_geometry(monkeypatch)
         for sub in ("f", "s"):
             mesh, dof, exact, grad, f, field = self._setup(sub)
             for t in (0.0, 0.1, 0.2):
                 assemble_load(dof, f, t)
                 l2_error(dof, field, exact, t)
                 h1_at(dof, field, grad, t)
-            assert built == [fem.subdomain_triangles(mesh, sub).shape[0]]
+            # the load memo's areas, then the norm memo's gradients (one block here)
+            tris = fem.subdomain_triangles(mesh, sub)
+            assert len(built) == 2 and all(np.array_equal(b, tris) for b in built)
             built.clear()
 
     def test_forced_run_without_norms_builds_no_gradient_operator(self):
@@ -561,20 +578,16 @@ class TestQuadratureMemo:
         # the operators and the two load memos, and no (subdomain, None) memo with its G
         assert mesh._cache.keys() == {"operators", ("f", "load"), ("s", "load")}
 
-    def test_operators_share_geometry_between_mass_and_stiffness(self, monkeypatch):
+    def test_operators_read_each_triangle_once_per_matrix(self, monkeypatch):
         from rrsplit.coupling import CoupledOperators, SchemeParams
 
-        mesh = meshing.slanted_interface_mesh(1)
-        built = []
-        original = fem.element_geometry
-
-        def counting(nodes, tris):
-            built.append(tris.shape[0])
-            return original(nodes, tris)
-
-        monkeypatch.setattr(fem, "element_geometry", counting)
+        mesh = meshing.slanted_interface_mesh(5)  # 32768 triangles per subdomain
+        built = record_geometry(monkeypatch)
         ops = CoupledOperators(mesh, SchemeParams(k=2, dt=0.125, T=0.25))
-        assert built == [mesh.triangles_f.shape[0], mesh.triangles_s.shape[0]]
+        # mass, then stiffness, of each subdomain: every triangle once, in blocks
+        tf, ts = mesh.triangles_f, mesh.triangles_s
+        assert len(built) == 8 and max(len(b) for b in built) <= fem.BLOCK
+        np.testing.assert_array_equal(np.concatenate(built), np.concatenate([tf, tf, ts, ts]))
         assert not QUADRATURE_KEYS & mesh._cache.keys()
         for sub, dof, M, K in (("f", ops.dof_f, ops.M_f, ops.K_f),
                                ("s", ops.dof_s, ops.M_s, ops.K_s)):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from elements import element_assembly, element_geometry, element_mass, element_stiffness
 from rrsplit.sparse import factorize, from_triplets
 
 
@@ -245,10 +246,10 @@ class TestAssembledAgreement:
         mesh = meshing.slanted_interface_mesh(1)
         dof = fem.build_dofmap(mesh, subdomain)
         tris = fem.subdomain_triangles(mesh, subdomain)
-        areas, grads = fem.element_geometry(mesh.nodes, tris)
+        areas, grads = element_geometry(mesh.nodes, tris)
         M_ref = np.zeros((dof.n_dofs, dof.n_dofs))
         K_ref = np.zeros_like(M_ref)
-        for tri, m, k in zip(tris, fem.element_mass(areas), fem.element_stiffness(areas, grads)):
+        for tri, m, k in zip(tris, element_mass(areas), element_stiffness(areas, grads)):
             d = dof.node_to_dof[tri]
             for a in range(3):
                 for b in range(3):
@@ -258,3 +259,18 @@ class TestAssembledAgreement:
         for A, ref in ((fem.assemble_mass(dof), M_ref),
                        (fem.assemble_stiffness(dof), K_ref)):
             np.testing.assert_allclose(A.toarray(), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("subdomain", ["f", "s"])
+    def test_assembly_over_two_blocks_matches_element_kernels(self, subdomain):
+        # 32768 triangles per subdomain: each grid cell has one triangle in either block,
+        # so the two blocks share nearly every dof.
+        # Too large for a dense matrix, so the element blocks are summed as triplets.
+        from rrsplit import fem, meshing
+
+        mesh = meshing.slanted_interface_mesh(5)
+        dof = fem.build_dofmap(mesh, subdomain)
+        tris = fem.subdomain_triangles(mesh, subdomain)
+        assert len(tris) == 2 * fem.BLOCK
+        M_ref, K_ref = element_assembly(dof, tris)
+        for A, ref in ((fem.assemble_mass(dof), M_ref), (fem.assemble_stiffness(dof), K_ref)):
+            assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
