@@ -79,9 +79,7 @@ _BUBBLE = (_bubble, _bubble_grad, _bubble_lap)  # x(1-x) y(1-y)
 def _separable_case(name, k, geometry, profile, amp, rate_u, rate_w, nu_f, nu_s):
     """The case u = amp e^{rate_u t} p, w = amp e^{rate_w t} p for p = profile.
 
-    The interface unknown l is the flux nu_f grad(u).n_f when u and w share a
-    time factor; with two, l = grad(w).n_f, which drifts from the flux on
-    purpose (the study reports the gap).
+    The interface unknown l is the fluid flux nu_f grad(u).n_f.
     """
     val, grad, lap = profile
     nfx, nfy = geometry.normal_f()
@@ -121,14 +119,10 @@ def _separable_case(name, k, geometry, profile, amp, rate_u, rate_w, nu_f, nu_s)
         wfx, wfy = grad_w(x1, x2, t)
         return l_consistent(x1, x2, t) + nu_s * (wfx * (-nfx) + wfy * (-nfy))
 
-    def l_stated(x1, x2, t):
-        wfx, wfy = grad_w(x1, x2, t)
-        return wfx * nfx + wfy * nfy
-
     return ManufacturedCase(
         name, k, geometry, nu_f, nu_s,
         exact_u=exact_u, exact_w=exact_w, exact_q=exact_q,
-        exact_l=l_consistent if rate_u == rate_w else l_stated,
+        exact_l=l_consistent,
         grad_u=grad_u, grad_w=grad_w, f_f=f_f, f_s=f_s,
         g_D=g_D, g_N=g_N, l_consistent=l_consistent, rate_u=rate_u, rate_w=rate_w,
     )

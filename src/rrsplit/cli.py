@@ -118,8 +118,6 @@ def cmd_convergence(args) -> int:
     harness.write_table(table, path)
     print(f"wrote {path}")
     sys.stdout.write(harness.table_to_csv(table))
-    for note in table.notes:
-        print(f"note: {note}")
     for dt, reason in table.failures:
         print(f"flagged row dt={dt:.6g}: {reason}")
     if args.emit_plot:

@@ -3,15 +3,16 @@
 Assembly of mass/stiffness/interface-mass operators over the free degrees
 of freedom of one subdomain, load vectors by quadrature, nodal trace
 restriction onto the interface, and quadrature error norms against smooth
-exact fields. Mass and stiffness are sums of sparse products B^T diag(w) B
-over blocks of ``BLOCK`` triangles (B: a block's triangle-to-dof incidence or
-P1 gradient operator). The L2 norm evaluates its exact field per call. The H1
+exact fields. Every function works on blocks of ``BLOCK`` triangles and keeps
+nothing between calls. Mass and stiffness are sums of sparse products
+B^T diag(w) B over the blocks (B: a block's triangle-to-dof incidence or P1
+gradient operator). The L2 norm evaluates its exact field per call. The H1
 seminorm reads the exact gradient from a profile built once
-(``gradient_profile``): its per-triangle means at the quadrature points and
-one scalar spread about them. Each call scales the profile, as a load vector
-assembled once is scaled per step (``coupling.SourceData.assemble``), and gets
-the discrete gradient from one sparse matvec with the memoized P1 gradient
-operator.
+(``gradient_profile``): the P1 gradient operator on the free dofs, the
+per-triangle means of the gradient at the quadrature points and one scalar
+spread about them. Each call scales the profile, as a load vector assembled
+once is scaled per step (``coupling.SourceData.assemble``), and gets the
+discrete gradient from one sparse matvec.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 from .meshing import CoupledMesh, dissect, signed_areas
 from .sparse import from_triplets
 
-# Degree-4 six-point rule for norms (loads use edge midpoints, see _load_operator).
+# Degree-4 six-point rule for norms (loads use side midpoints, see assemble_load).
 _a, _b = 0.445948490915965, 0.108103018168070
 _c, _d = 0.091576213509771, 0.816847572980459
 QUAD_DEG4_BARY = np.array(
@@ -32,8 +33,8 @@ QUAD_DEG4_BARY = np.array(
 )
 QUAD_DEG4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 _W = float(QUAD_DEG4_W.sum())
-# Assembly, the gradient operator and the norms visit a subdomain in blocks of at
-# most this many triangles, so their temporaries stay small beside the LUs.
+# Assembly, loads, the gradient profile and the norms visit a subdomain in blocks of
+# at most this many triangles, so their temporaries stay small beside the LUs.
 BLOCK = 16384
 
 
@@ -167,67 +168,27 @@ def assemble_interface_mass(mesh: CoupledMesh) -> sp.csr_array:
     return sp.diags_array([lengths / 6.0, main, lengths / 6.0], offsets=(-1, 0, 1), format="csr")
 
 
-def _quad_data(mesh: CoupledMesh, subdomain: str, rule: str | None = None):
-    """Per-subdomain quadrature data, memoized on the mesh and built on first use.
-
-    ``rule=None`` gives (tris, areas, G): G is the CSR P1 gradient operator,
-    (2 nt, n_nodes) with rows x components then y components, so
-    ``G @ nodal_values(dofmap, u)`` is each triangle's constant gradient.
-    G is filled block by block from ``_gradients``, as the stiffness is, so no
-    temporary spans the subdomain. ``rule="load"`` gives ``_load_operator``'s
-    x, y, P; it takes its areas from ``signed_areas``, as ``_gradients`` does,
-    so a run that computes no norm builds no G. Vertex coordinates and norm
-    points are not kept: more peak memory.
-    """
-    key = (subdomain, rule)
-    data = mesh._cache.get(key)
-    if data is None:
-        tris = subdomain_triangles(mesh, subdomain)
-        if rule is None:
-            nt = len(tris)
-            areas, grads = np.empty(nt), np.empty((2, nt, 3))
-            for blk, a, gx, gy in _gradients(mesh.nodes, tris):
-                areas[blk], grads[0, blk], grads[1, blk] = a, gx, gy
-            # three entries per row, in the triangle's vertex order: built as CSR, no sort
-            G = sp.csr_array((grads.ravel(), np.tile(tris.astype(np.int32), (2, 1)).ravel(),
-                              np.arange(0, 6 * nt + 1, 3, dtype=np.int32)),
-                             shape=(2 * nt, mesh.n_nodes))
-            data = (tris, areas, G)
-        else:
-            data = _load_operator(mesh, tris, signed_areas(mesh.nodes, tris))
-        mesh._cache[key] = data
-    return data
-
-
-def _load_operator(mesh: CoupledMesh, tris: np.ndarray, areas: np.ndarray):
-    """Distinct edge midpoints x, y and the CSR operator P with load = P @ f(x, y).
-
-    The degree-2 rule weighs each edge midpoint by area/3 and the basis
-    functions of the edge's two ends by 1/2 there, so column e of P holds, in
-    the rows of the edge's ends, area/6 summed over the triangles sharing it.
-    """
-    n = mesh.n_nodes
-    # side-major keys lo * n + hi, deduplicated by sorting: np.unique is ~20x slower here
-    t0, t1, t2 = tris.T
-    key = np.concatenate([np.minimum(a, b) * n + np.maximum(a, b)
-                          for a, b in ((t0, t1), (t1, t2), (t0, t2))])
-    keys = np.sort(key)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    lo, hi = keys // n, keys % n
-    # 0.5 * (a + b) is bit-identical to the barycentric product 0.5 a + 0.5 b
-    x, y = (0.5 * (mesh.nodes[lo, c] + mesh.nodes[hi, c]) for c in (0, 1))
-    weight = np.bincount(np.searchsorted(keys, key), np.tile(areas / 6.0, 3), keys.size)
-    idx = np.int32 if max(n, 2 * keys.size) < 2**31 else np.int64
-    P = sp.csc_array((np.repeat(weight, 2), np.stack([lo, hi], 1).ravel().astype(idx),
-                      np.arange(0, 2 * keys.size + 1, 2, dtype=idx)), shape=(n, keys.size))
-    return x, y, P.tocsr()
-
-
 def assemble_load(dofmap: DofMap, f, t: float) -> np.ndarray:
-    """Load vector (f(., t), phi_i) with a quadrature exact for degree <= 2."""
-    x, y, P = _quad_data(dofmap.mesh, dofmap.subdomain, "load")
-    fvals = np.broadcast_to(np.asarray(f(x, y, t), dtype=float), x.shape)
-    return (P @ fvals)[dofmap.free_nodes]
+    """Load vector (f(., t), phi_i) with a quadrature exact for degree <= 2.
+
+    The rule weighs each side midpoint of a triangle by area/3 and the basis
+    functions of the side's two ends by 1/2 there, so each vertex gets area/6
+    times f at the midpoints of its two sides. f is evaluated once per block of
+    triangles, at each triangle's three side midpoints.
+    """
+    nodes, tris = dofmap.mesh.nodes, subdomain_triangles(dofmap.mesh, dofmap.subdomain)
+    b = np.zeros(dofmap.n_dofs)
+    for blk in _blocks(tris):
+        # side j joins vertices j and j + 1 (mod 3); 0.5 * (p + q) is bit-identical to
+        # the barycentric product 0.5 p + 0.5 q
+        x, y = (nodes[:, c][tris[blk]] for c in (0, 1))
+        mx, my = 0.5 * (x + x[:, [1, 2, 0]]), 0.5 * (y + y[:, [1, 2, 0]])
+        fm = np.broadcast_to(np.asarray(f(mx, my, t), dtype=float), mx.shape)
+        w = (signed_areas(nodes, tris[blk]) / 6.0)[:, None] * (fm + fm[:, [2, 0, 1]])
+        cols = dofmap.node_to_dof[tris[blk]]
+        keep = cols >= 0
+        b += np.bincount(cols[keep], w[keep], dofmap.n_dofs)
+    return b
 
 
 def interpolate(dofmap: DofMap, fn, t: float) -> np.ndarray:
@@ -249,36 +210,34 @@ def trace_restrict(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     return dofmap.R @ u
 
 
-def _norm_points(mesh: CoupledMesh, tris: np.ndarray):
-    """Per block of triangles: its slice and, for each degree-4 point,
-    the weight, barycentric coordinates, x and y.
-
-    Blocks keep each pass's arrays in cache and bound the memory the norms add
-    on the finest mesh.
-    """
-    px, py = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]
-    for blk in _blocks(tris):
-        yield blk, [(w, b, px[blk] @ b, py[blk] @ b) for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY)]
+def _norm_points(nodes: np.ndarray, tris: np.ndarray) -> list:
+    """For each degree-4 point of a block of triangles: the weight, barycentric
+    coordinates, x and y."""
+    px, py = nodes[:, 0][tris], nodes[:, 1][tris]
+    return [(w, b, px @ b, py @ b) for w, b in zip(QUAD_DEG4_W, QUAD_DEG4_BARY)]
 
 
 def l2_error(dofmap: DofMap, u: np.ndarray, exact, t: float) -> float:
     """L2 norm of (u - exact(., t)) over the dofmap's subdomain (degree-4 quadrature)."""
-    tris, areas, _ = _quad_data(dofmap.mesh, dofmap.subdomain)
-    uh = nodal_values(dofmap, u)[tris]
-    acc = np.zeros(tris.shape[0])
-    for blk, points in _norm_points(dofmap.mesh, tris):
-        for w, b, x, y in points:
-            d = uh[blk] @ b - exact(x, y, t)
-            acc[blk] += w * (d * d)
-    return float(np.sqrt(max(areas @ acc, 0.0)))
+    nodes, tris = dofmap.mesh.nodes, subdomain_triangles(dofmap.mesh, dofmap.subdomain)
+    uh, acc = nodal_values(dofmap, u), 0.0
+    for blk in _blocks(tris):
+        ub = uh[tris[blk]]
+        dev = sum(w * np.square(ub @ b - exact(x, y, t))
+                  for w, b, x, y in _norm_points(nodes, tris[blk]))
+        acc += float(signed_areas(nodes, tris[blk]) @ dev)
+    return float(np.sqrt(max(acc, 0.0)))
 
 
 def gradient_profile(dofmap: DofMap, exact_gradient, t: float):
-    """exact_gradient(., t) on the dofmap's subdomain as (m, spread).
+    """exact_gradient(., t) on the dofmap's subdomain as (G, areas, m, spread).
 
-    m, of shape (2, nt), is each triangle's weighted mean of the gradient over
-    the degree-4 points; spread is sum_T area_T sum_p w_p |g(x_p) - m_T|^2.
-    A P1 gradient g_h is constant per triangle, so with W = sum_p w_p
+    G is the P1 gradient operator on the free dofs, (2 nt, n_dofs) with x rows
+    then y rows, built block by block as the stiffness is, so ``G @ u`` is each
+    triangle's constant gradient of u. m, of shape (2, nt), is each triangle's
+    weighted mean of the gradient over the degree-4 points; spread is
+    sum_T area_T sum_p w_p |g(x_p) - m_T|^2. A P1 gradient g_h is constant per
+    triangle, so with W = sum_p w_p
 
         sum_p w_p |g_h - s g(x_p)|^2 = W |g_h - s m_T|^2 + s^2 sum_p w_p |g(x_p) - m_T|^2
 
@@ -287,30 +246,32 @@ def gradient_profile(dofmap: DofMap, exact_gradient, t: float):
     A caller whose gradient is e^{rate t} g(x, y) builds the profile once and
     passes e^{rate t} as the scale at each t.
     """
-    tris, areas, _ = _quad_data(dofmap.mesh, dofmap.subdomain)
-    m = np.empty((2, len(tris)))
-    spread = 0.0
-    for blk, points in _norm_points(dofmap.mesh, tris):
+    nodes, tris = dofmap.mesh.nodes, subdomain_triangles(dofmap.mesh, dofmap.subdomain)
+    areas, m, spread = np.empty(len(tris)), np.empty((2, len(tris))), 0.0
+    Gx, Gy = [], []
+    for blk, a, gx, gy in _gradients(nodes, tris):
+        cols = dofmap.node_to_dof[tris[blk]]
+        Gx.append(_vertex_operator(cols, dofmap.n_dofs, gx))
+        Gy.append(_vertex_operator(cols, dofmap.n_dofs, gy))
         g = [np.array([np.broadcast_to(c, x.shape) for c in exact_gradient(x, y, t)])
-             for *_, x, y in points]
+             for *_, x, y in _norm_points(nodes, tris[blk])]
         # the mean as an offset from the first point: exactly g for a constant gradient
         mean = g[0] + sum(w * (gp - g[0]) for w, gp in zip(QUAD_DEG4_W, g)) / _W
         dev = sum(w * np.square(gp - mean).sum(0) for w, gp in zip(QUAD_DEG4_W, g))
-        m[:, blk] = mean
-        spread += float(areas[blk] @ dev)
-    return m, spread
+        areas[blk], m[:, blk] = a, mean
+        spread += float(a @ dev)
+    return sp.vstack(Gx + Gy, format="csr"), areas, m, spread
 
 
-def h1_semi_error(dofmap: DofMap, u: np.ndarray, profile, scale: float) -> float:
-    """L2 norm of grad(u) - scale * gradient over the dofmap's subdomain.
+def h1_semi_error(u: np.ndarray, profile, scale: float) -> float:
+    """L2 norm of grad(u) - scale * gradient over the subdomain of u's dofs.
 
-    ``profile`` is a ``gradient_profile`` (m, spread) of the same dofmap: one
-    sparse matvec gives the gradient of u per triangle, and the closed form
+    ``profile`` is a ``gradient_profile`` (G, areas, m, spread) of those dofs:
+    one sparse matvec gives the gradient of u per triangle, and the closed form
     there adds scale^2 * spread to the area-weighted |grad(u) - scale * m|^2.
     """
-    _, areas, G = _quad_data(dofmap.mesh, dofmap.subdomain)
-    m, spread = profile
-    d = G @ nodal_values(dofmap, u)
+    G, areas, m, spread = profile
+    d = G @ u
     d -= scale * m.ravel()
     acc = _W * float((np.square(d, out=d).reshape(2, -1) @ areas).sum()) + scale**2 * spread
     return float(np.sqrt(max(acc, 0.0)))

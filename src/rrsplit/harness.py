@@ -78,7 +78,6 @@ class ConvergenceTable:
     dts: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)   # norm -> list of floats
     failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def rate_table(self) -> dict:
@@ -134,7 +133,7 @@ def run_row(cfg: StudyConfig, dt: float, norms):
         specs[name] = (getattr(ops, "dof_" + sub), field, getattr(case, exact))
     grad_acc = {name: 0.0 for name in norms if name.startswith("accumulated")}
     # each gradient's profile at t = 0, built at the first step: by then the run has
-    # assembled its loads, whose quadrature set-up would otherwise overlap it in memory
+    # factored its Robin LUs, so the profile's operator is not live while they are
     profiles = {}
 
     def on_step(state):
@@ -144,8 +143,7 @@ def run_row(cfg: StudyConfig, dt: float, norms):
             if name not in profiles:
                 profiles[name] = fem.gradient_profile(dof, grad, 0.0)
             scale = math.exp(getattr(case, "rate_" + field) * t)
-            grad_acc[name] += fem.h1_semi_error(dof, getattr(state, field), profiles[name],
-                                                scale) ** 2
+            grad_acc[name] += fem.h1_semi_error(getattr(state, field), profiles[name], scale) ** 2
 
     callback = on_step if grad_acc else None
     if cfg.use_oracle:
@@ -193,19 +191,7 @@ def run_study(cfg: StudyConfig) -> ConvergenceTable:
                 table.failures.append((dt, f"{n} is not finite ({err})"))
             elif err <= 1e-12:
                 table.failures.append((dt, f"{n} below measurement floor ({err:.3e})"))
-    if case.name == "pp_uniform":
-        table.notes.append(_multiplier_mismatch_note(case, cfg.final_time))
     return table
-
-
-def _multiplier_mismatch_note(case, T):
-    """Reported (not asserted): the stated interface unknown vs. the flux of u."""
-    x = np.linspace(0.0, 1.0, 101)
-    y = case.geometry.curve_y(x)
-    gap = np.abs(case.exact_l(x, y, T) - case.l_consistent(x, y, T)).max()
-    return (
-        f"stated interface unknown differs from the flux of u by up to {gap:.3e} at t={T}"
-    )
 
 
 def energy_audit(k: int, alpha: float, dt: float, n_steps: int = 20, mesh_n: int = 8,

@@ -75,7 +75,7 @@ class CoupledMesh:
     geometry: InterfaceGeometry
     grid_f: np.ndarray
     grid_s: np.ndarray
-    # built on first use: fem's quadrature data, coupling's dt-independent operators
+    # built on first use: coupling's dt-independent operators (coupling._mesh_operators)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property

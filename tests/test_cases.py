@@ -172,14 +172,18 @@ class TestMultiplier:
                 case.exact_l(xs, ys, t), case.l_consistent(xs, ys, t), atol=1e-15
             )
 
-    def test_pp_uniform_stated_drifts_from_flux(self):
-        # identical at t = 0, different time decay afterwards
-        case = get_case("pp_uniform")
+    @pytest.mark.parametrize("nu_f, nu_s", [(1.0, 1.0), (2.0, 0.5)])
+    def test_pp_uniform_multiplier_is_the_flux(self, nu_f, nu_s):
+        # u and w decay at different rates, and l is still nu_f grad(u).n_f at every t,
+        # with n_f = (0, 1) on y = 3/4: nu_f pi e^{-2 pi^2 t} sin(pi x) cos(3 pi / 4)
+        case = get_case("pp_uniform", nu_f, nu_s)
         xs = np.linspace(0.0, 1.0, 30)
         ys = case.geometry.curve_y(xs)
-        np.testing.assert_allclose(case.exact_l(xs, ys, 0.0), case.l_consistent(xs, ys, 0.0),
-                                   atol=1e-14)
-        assert np.abs(case.exact_l(xs, ys, 0.25) - case.l_consistent(xs, ys, 0.25)).max() > 0.1
+        flux0 = -math.sqrt(0.5) * nu_f * math.pi * np.sin(math.pi * xs)
+        for t in (0.0, 0.25):
+            np.testing.assert_allclose(case.exact_l(xs, ys, t),
+                                       math.exp(-2.0 * math.pi**2 * t) * flux0,
+                                       rtol=1e-14, atol=1e-15)
 
     def test_slanted_matches_directional_derivative(self):
         case = get_case("pp_slanted")

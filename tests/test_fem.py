@@ -1,6 +1,7 @@
 """Tests for P1 assembly, trace restriction, and quadrature error norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,9 @@ from rrsplit.fem import (
 )
 from rrsplit.sparse import factorize, from_triplets
 
-# the degree-2 edge-midpoint load rule, as the reference for the load operator
+# the degree-2 side-midpoint load rule, as the reference for the load
 QUAD_DEG2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 QUAD_DEG2_W = np.full(3, 1.0 / 3.0)
-# the keys of the lazy quadrature memo in CoupledMesh._cache, (subdomain, rule)
-QUADRATURE_KEYS = {(sub, rule) for sub in ("f", "s") for rule in (None, "load")}
 REF_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TRI = np.array([[0, 1, 2]])
 
@@ -59,7 +58,7 @@ def record_geometry(monkeypatch):
 
 def h1_at(dof, field, exact_gradient, t):
     """h1_semi_error against exact_gradient(., t), its profile built at t itself."""
-    return h1_semi_error(dof, field, gradient_profile(dof, exact_gradient, t), 1.0)
+    return h1_semi_error(field, gradient_profile(dof, exact_gradient, t), 1.0)
 
 
 class TestElementKernels:
@@ -228,24 +227,28 @@ class TestLoadOperator:
         b = assemble_load(dof, f, 0.5)
         assert np.abs(b - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    def test_one_closure_call_per_load_at_each_distinct_edge(self, family, subdomain):
+    def test_one_closure_call_per_block_at_each_side_midpoint(self, family, subdomain,
+                                                               monkeypatch):
+        # loads are assembled once per run, so each triangle evaluates f at its own
+        # three side midpoints: a side shared by two triangles is evaluated twice
+        monkeypatch.setattr(fem, "BLOCK", 7)
         mesh = MESHES[family]()
         tris = fem.subdomain_triangles(mesh, subdomain)
-        edges = {frozenset(side) for tri in tris.tolist()
-                 for side in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))}
         calls = []
 
         def f(x, y, t):
-            calls.append((x.size, set(zip(x.tolist(), y.tolist()))))
+            calls.append((x.copy(), y.copy()))
             return np.sin(x) * y
 
         dof = build_dofmap(mesh, subdomain)
-        for t in (0.0, 0.1):
-            assemble_load(dof, f, t)
-        assert [size for size, _ in calls] == [len(edges)] * 2
+        b = assemble_load(dof, f, 0.1)
+        assert len(calls) == -(-len(tris) // 7) and max(len(x) for x, _ in calls) == 7
         # the same points, bit for bit, as the barycentric products of the rule
         px, py = (QUAD_DEG2_BARY @ mesh.nodes[:, c][tris].T for c in (0, 1))
-        assert calls[0][1] == set(zip(px.ravel().tolist(), py.ravel().tolist()))
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in calls]), px.T)
+        np.testing.assert_array_equal(np.concatenate([y for _, y in calls]), py.T)
+        ref = _seed_load(mesh, subdomain, f, 0.1, dof)
+        assert np.abs(b - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestTraceRestrict:
@@ -407,7 +410,7 @@ class TestDofMap:
 
 
 def _seed_quad(mesh, subdomain, bary):
-    # the per-call formulas the memoized kernels replaced, kept as the reference
+    # the whole-subdomain, per-point formulas, kept as the reference for the blocked kernels
     tris = fem.subdomain_triangles(mesh, subdomain)
     areas, grads = element_geometry(mesh.nodes, tris)
     pts = np.einsum("qb,tbx->tqx", bary, mesh.nodes[tris])
@@ -457,13 +460,13 @@ class TestGradientProfile:
         profile = gradient_profile(dof, grad, 0.0)
         for t in (0.0, 0.0625, 0.25, 1.0):
             field = interpolate(dof, exact, t)  # small errors, as a study measures
-            got = h1_semi_error(dof, field, profile, math.exp(rate * t))
+            got = h1_semi_error(field, profile, math.exp(rate * t))
             assert got == pytest.approx(_seed_h1(dof, field, grad, t), rel=1e-13), t
 
     def test_spread_is_zero_for_a_constant_gradient(self):
         dof = build_dofmap(meshing.slanted_interface_mesh(3), "f")
-        m, spread = gradient_profile(dof, lambda x, y, t: (3.7, 1e3), 0.0)
-        assert spread == 0.0
+        G, areas, m, spread = gradient_profile(dof, lambda x, y, t: (3.7, 1e3), 0.0)
+        assert spread == 0.0 and m.shape == (2, len(areas)) and G.shape[0] == 2 * len(areas)
         assert np.all(m[0] == 3.7) and np.all(m[1] == 1e3)
 
     @pytest.mark.parametrize("subdomain", ["f", "s"])
@@ -474,9 +477,11 @@ class TestGradientProfile:
         A, c = np.array([[2.0, -1.0], [0.5, 3.0]]), np.array([300.0, -1200.0])
         mesh = meshing.slanted_interface_mesh(3)
         dof = build_dofmap(mesh, subdomain)
-        m, spread = gradient_profile(dof, lambda x, y, t: A @ np.array([x, y]) + c[:, None], 0.0)
+        _, got_areas, m, spread = gradient_profile(
+            dof, lambda x, y, t: A @ np.array([x, y]) + c[:, None], 0.0)
         tris = fem.subdomain_triangles(mesh, subdomain)
         areas, _ = element_geometry(mesh.nodes, tris)
+        np.testing.assert_allclose(got_areas, areas, rtol=1e-14, atol=0)
         v = mesh.nodes[tris]
         centroid = v.mean(axis=1)
         np.testing.assert_allclose(m.T, centroid @ A.T + c, rtol=1e-14, atol=0)
@@ -492,7 +497,7 @@ class TestGradientProfile:
         dof = build_dofmap(meshing.slanted_interface_mesh(5), subdomain)
         profile = gradient_profile(dof, grad, 0.0)
         field = interpolate(dof, exact, 0.25)
-        got = h1_semi_error(dof, field, profile, math.exp(rate * 0.25))
+        got = h1_semi_error(field, profile, math.exp(rate * 0.25))
         assert got == pytest.approx(_seed_h1(dof, field, grad, 0.25), rel=1e-13)
 
 
@@ -503,17 +508,24 @@ class TestGradientOperator:
         mesh = MESHES[family]()
         dof = (full_dofmap if include_dirichlet else build_dofmap)(mesh, subdomain)
         u = np.random.default_rng(3).standard_normal(dof.n_dofs)
-        tris, _, G = fem._quad_data(mesh, subdomain)
+        G = gradient_profile(dof, lambda x, y, t: (x, y), 0.0)[0]
+        tris = fem.subdomain_triangles(mesh, subdomain)
         nt = len(tris)
-        assert G.shape == (2 * nt, mesh.n_nodes) and G.indices.dtype == np.int32
-        np.testing.assert_array_equal(G.indptr, np.arange(0, 6 * nt + 1, 3))
+        assert G.shape == (2 * nt, dof.n_dofs) and G.indices.dtype == np.int32
+        # one entry per free vertex in each row: constrained vertices drop out
+        free = (dof.node_to_dof[tris] >= 0).sum(1)
+        np.testing.assert_array_equal(np.diff(G.indptr), np.tile(free, 2))
+        assert (free < 3).any() != include_dirichlet
         _, grads = element_geometry(mesh.nodes, tris)
         ref = np.einsum("tbx,tb->xt", grads, fem.nodal_values(dof, u)[tris])
-        np.testing.assert_allclose((G @ fem.nodal_values(dof, u)).reshape(2, nt), ref,
+        np.testing.assert_allclose((G @ u).reshape(2, nt), ref,
                                    rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 class TestQuadratureMemo:
+    """fem keeps no quadrature memo: loads, profiles and norms are built per call,
+    in blocks of triangles, and leave nothing on the mesh."""
+
     @staticmethod
     def _setup(subdomain):
         case = get_case("pp_slanted")
@@ -531,52 +543,45 @@ class TestQuadratureMemo:
         ref_b = _seed_load(mesh, subdomain, f, 0.2, dof)
         ref_l2 = _seed_l2(dof, field, exact, 0.2)
         ref_h1 = _seed_h1(dof, field, grad, 0.2)
-        for _ in range(2):  # the first call builds the memo, the second reads it
+        for _ in range(2):  # a second call repeats the first
             b = assemble_load(dof, f, 0.2)
             assert np.abs(b - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
             assert l2_error(dof, field, exact, 0.2) == pytest.approx(ref_l2, rel=1e-14)
             assert h1_at(dof, field, grad, 0.2) == pytest.approx(ref_h1, rel=1e-14)
+        assert mesh._cache == {}
 
     @pytest.mark.parametrize("subdomain", ["f", "s"])
     def test_norms_over_several_triangle_blocks(self, subdomain):
-        # 32768 triangles per subdomain: the norms visit them in two blocks
+        # 32768 triangles per subdomain: loads and norms visit them in two blocks
         case = get_case("pp_slanted")
         mesh = meshing.slanted_interface_mesh(5)
         assert fem.subdomain_triangles(mesh, subdomain).shape[0] > 16384
-        exact, grad = ((case.exact_u, case.grad_u) if subdomain == "f"
-                       else (case.exact_w, case.grad_w))
+        exact, grad, f = ((case.exact_u, case.grad_u, case.f_f) if subdomain == "f"
+                          else (case.exact_w, case.grad_w, case.f_s))
         dof = build_dofmap(mesh, subdomain)
         field = interpolate(dof, lambda x, y, t: np.sin(3.0 * x) * y, 0.0)
+        ref_b = _seed_load(mesh, subdomain, f, 0.2, dof)
+        assert np.abs(assemble_load(dof, f, 0.2) - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
         assert l2_error(dof, field, exact, 0.2) == pytest.approx(
             _seed_l2(dof, field, exact, 0.2), rel=1e-14)
         assert h1_at(dof, field, grad, 0.2) == pytest.approx(
             _seed_h1(dof, field, grad, 0.2), rel=1e-14)
 
-    def test_geometry_built_once_per_subdomain(self, monkeypatch):
-        built = record_geometry(monkeypatch)
-        for sub in ("f", "s"):
-            mesh, dof, exact, grad, f, field = self._setup(sub)
-            for t in (0.0, 0.1, 0.2):
-                assemble_load(dof, f, t)
-                l2_error(dof, field, exact, t)
-                h1_at(dof, field, grad, t)
-            # the load memo's areas, then the norm memo's gradients (one block here)
-            tris = fem.subdomain_triangles(mesh, sub)
-            assert len(built) == 2 and all(np.array_equal(b, tris) for b in built)
-            built.clear()
+    def test_forced_run_with_norms_keeps_only_the_operators(self, monkeypatch):
+        from rrsplit import harness
 
-    def test_forced_run_without_norms_builds_no_gradient_operator(self):
-        # the loads read the triangles and their areas, not the norms' memo that holds G
-        from rrsplit import coupling
+        meshes = []
+        original = meshing.slanted_interface_mesh
 
-        case = get_case("pp_slanted")
-        mesh = meshing.slanted_interface_mesh(2)
-        params = coupling.SchemeParams(k=case.k, dt=0.125, T=0.25)
-        ops = coupling.CoupledOperators(mesh, params)
-        coupling.run(params, mesh, coupling.SourceData.from_case(case),
-                     coupling.initial_state(case, mesh, ops), ops)
-        # the operators and the two load memos, and no (subdomain, None) memo with its G
-        assert mesh._cache.keys() == {"operators", ("f", "load"), ("s", "load")}
+        def capture(level):
+            meshes.append(original(level))
+            return meshes[-1]
+
+        monkeypatch.setattr(meshing, "slanted_interface_mesh", capture)
+        cfg = harness.StudyConfig(case="pp_slanted", dt_list=(0.0625,))
+        _, _, values = harness.run_row(cfg, 0.0625, tuple(harness._NORMS))
+        assert len(values) == 5 and all(v > 0.0 for v in values.values())
+        assert len(meshes) == 1 and meshes[0]._cache.keys() == {"operators"}
 
     def test_operators_read_each_triangle_once_per_matrix(self, monkeypatch):
         from rrsplit.coupling import CoupledOperators, SchemeParams
@@ -588,14 +593,14 @@ class TestQuadratureMemo:
         tf, ts = mesh.triangles_f, mesh.triangles_s
         assert len(built) == 8 and max(len(b) for b in built) <= fem.BLOCK
         np.testing.assert_array_equal(np.concatenate(built), np.concatenate([tf, tf, ts, ts]))
-        assert not QUADRATURE_KEYS & mesh._cache.keys()
+        assert mesh._cache.keys() == {"operators"}
         for sub, dof, M, K in (("f", ops.dof_f, ops.M_f, ops.K_f),
                                ("s", ops.dof_s, ops.M_s, ops.K_s)):
             for got, ref in ((M, assemble_mass(dof)), (K, assemble_stiffness(dof))):
                 assert (got != ref).nnz == 0
 
     def test_energy_audit_builds_no_memo(self, monkeypatch):
-        # the memo is lazy: a run without loads or norms leaves it empty
+        # a run without loads or norms keeps only its operators on the mesh
         from rrsplit import harness
 
         meshes = []
@@ -607,4 +612,29 @@ class TestQuadratureMemo:
 
         monkeypatch.setattr(meshing, "uniform_split_mesh", capture)
         harness.energy_audit(k=2, alpha=10.0, dt=2.0**-6, n_steps=4, mesh_n=8)
-        assert len(meshes) == 1 and not QUADRATURE_KEYS & meshes[0]._cache.keys()
+        assert len(meshes) == 1 and meshes[0]._cache.keys() == {"operators"}
+
+
+def test_load_traced_peak_and_nothing_kept():
+    # slanted level 6, 131072 triangles per subdomain: eight blocks of side midpoints
+    # peak at 4.61 MiB traced (bound 5.5 MiB, 19% above it); the edge-deduplicated
+    # load operator that was memoized on the mesh peaked at 23.3 MiB and kept 8.0 MiB
+    mesh = meshing.slanted_interface_mesh(6)
+    case = get_case("pp_slanted")
+    peaks, kept = [], []
+    for sub, f in (("f", case.f_f), ("s", case.f_s)):
+        dof = build_dofmap(mesh, sub)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            b = assemble_load(dof, f, 0.0)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append((peak - base) / 2**20)
+        kept.append(current - base - b.nbytes)
+    print(f"load-memory: assemble_load on slanted level 6 peaks at "
+          f"{peaks[0]:.2f}/{peaks[1]:.2f} MiB traced (bound 5.5 MiB) and keeps "
+          f"{max(kept)} bytes beside its result")
+    assert max(peaks) < 5.5
+    assert max(kept) < 4096 and mesh._cache == {}

@@ -97,10 +97,17 @@ class TestRunStudy:
         assert all(r is None for r in table.rate_table["L2_final_U"])
         assert len(table.failures) == 4  # both rows, both norms
 
-    def test_pp_uniform_reports_multiplier_gap(self):
-        cfg = StudyConfig(case="pp_uniform", dt_list=[0.25, 0.125])
-        table = run_study(cfg)
-        assert table.notes and "differs from the flux" in table.notes[0]
+    def test_pp_uniform_starts_from_the_flux(self):
+        # with nu_f = 2 the flux nu_f grad(u).n_f is twice grad(w).n_f at t = 0: the
+        # run starts from the flux, whose peak on the interface is 2 pi sqrt(2)/2
+        case = get_case("pp_uniform", nu_f=2.0, nu_s=0.5)
+        cfg = StudyConfig(case=case, dt_list=[0.25, 0.125])
+        assert not run_study(cfg).failures
+        mesh = harness.build_study_mesh(case, 0.125)
+        ops = coupling.CoupledOperators(mesh, cfg.params(0.125))
+        lam0 = coupling.initial_state(case, mesh, ops).lam
+        np.testing.assert_array_equal(lam0, ops.interface_values(case.l_consistent, 0.0))
+        assert np.abs(lam0).max() == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-14)
 
     def test_case_coefficients_reach_the_scheme(self):
         # stepping nu_f = 1 against forcing built for nu_f = 4 plateaus near 0.26
@@ -344,14 +351,16 @@ class TestCli:
         assert "errU=" in captured and "final_energy=" in captured
         assert out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--nu-f", "1e300"), ("--alpha", "1e200")])
-    def test_run_with_non_finite_energy_exits_1(self, flag, value, capsys):
+    # the start multiplier is the flux nu_f grad(u).n_f, so nu_f = 1e300 overflows Z^0
+    @pytest.mark.parametrize("flag, value, step", [("--nu-f", "1e300", 0),
+                                                   ("--alpha", "1e200", 1)])
+    def test_run_with_non_finite_energy_exits_1(self, flag, value, step, capsys):
         code = cli.main(["run", "--case", "pp_uniform", "--dt", "0.25", flag, value])
         captured = capsys.readouterr()
         assert code == 1
         assert "final_energy" not in captured.out
-        assert captured.err.splitlines() == [
-            "rrsplit run: failed at dt=0.25: FloatingPointError('non-finite energy at step 1')"]
+        error = f"FloatingPointError('non-finite energy at step {step}')"
+        assert captured.err.splitlines() == [f"rrsplit run: failed at dt=0.25: {error}"]
 
     def test_convergence_with_non_finite_rows_exits_1(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
