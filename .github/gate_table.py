@@ -5,10 +5,12 @@ Usage, from the root of a checkout: python .github/gate_table.py WORKLOAD...
 Every gate is listed with its value, its recorded reference and the relative
 drift, so the margin to the 1e-10 tolerance shows on the CPU and BLAS kernel
 that ran it; the header also names glibc's mmap threshold, which moves the
-peak RSS below. A second table gives each workload's pass wall seconds and the
-process peak RSS after it (``ru_maxrss``, so a peak carries over to the
-workloads after it), which shows a memory regression. Both tables are
-appended to $GITHUB_STEP_SUMMARY when that is set. Exits 1 if any gate fails.
+peak RSS below. A second table gives each workload's pass wall seconds, its
+set-up seconds (``Pass.setup_s``, from each row's mesh build to its first
+step) and the process peak RSS after it (``ru_maxrss``, so a peak carries
+over to the workloads after it), which shows a memory regression. Both
+tables are appended to $GITHUB_STEP_SUMMARY when that is set. Exits 1 if
+any gate fails.
 """
 
 import os
@@ -34,13 +36,14 @@ def main(names) -> int:
              f"glibc mmap threshold: {mmap}", "",
              "| workload | check | ok | value | reference | relative drift |",
              "| --- | --- | --- | --- | --- | --- |"]
-    costs = ["", "| workload | pass wall s | process peak RSS MiB |", "| --- | --- | --- |"]
+    costs = ["", "| workload | pass wall s | set-up s | process peak RSS MiB |",
+             "| --- | --- | --- | --- |"]
     failed = 0
     for w in names:
         p = workloads.run_pass(w, "paper", 0)
         failed += p.failed
         peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-        costs.append(f"| {w} | {p.wall_s:.2f} | {peak_mib:.1f} |")
+        costs.append(f"| {w} | {p.wall_s:.2f} | {p.setup_s:.3f} | {peak_mib:.1f} |")
         for name, ok, detail in p.checks:
             value, ref, drift = split(detail)
             lines.append(f"| {w} | {name} | {'pass' if ok else 'FAIL'} "

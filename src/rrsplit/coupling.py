@@ -302,9 +302,15 @@ def _check_ops(ops: CoupledOperators, mesh: CoupledMesh, params: SchemeParams | 
 
 def _check_start(params: SchemeParams, mesh: CoupledMesh, ops: CoupledOperators,
                  initial: SchemeState):
-    """Raise ValueError unless ops fit this run and a k = 1 start has q0 = w0;
-    FloatingPointError if the start holds a non-finite value."""
+    """Raise ValueError unless ops fit this run, each start vector is 1-D with its
+    dof or interface count, and a k = 1 start has q0 = w0; FloatingPointError
+    if the start holds a non-finite value."""
     _check_ops(ops, mesh, params)
+    n_f, n_s = ops.dof_f.n_dofs, ops.dof_s.n_dofs
+    for name, n in (("u", n_f), ("w", n_s), ("q", n_s), ("lam", ops.n_if)):
+        shape = np.shape(getattr(initial, name))
+        if shape != (n,):
+            raise ValueError(f"start {name} has shape {shape}, expected {(n,)}")
     _check_finite(initial)
     if params.k == 1 and not np.array_equal(initial.q, initial.w):
         raise ValueError("k=1 requires q0 = w0")

@@ -77,7 +77,9 @@ def build_dofmap(mesh: CoupledMesh, subdomain: str) -> DofMap:
     if subdomain not in ("f", "s"):
         raise ValueError(f"unknown subdomain {subdomain!r}")
     nodes = dissect(getattr(mesh, "grid_" + subdomain))
-    free = nodes[~np.isin(nodes, getattr(mesh, "exterior_dirichlet_" + subdomain))]
+    constrained = np.zeros(mesh.n_nodes, dtype=bool)
+    constrained[getattr(mesh, "exterior_dirichlet_" + subdomain)] = True
+    free = nodes[~constrained[nodes]]
     node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int32 if mesh.n_nodes < 2**31 else np.int64)
     node_to_dof[free] = np.arange(free.size)
     idofs = node_to_dof[mesh.interface_nodes]

@@ -61,7 +61,8 @@ class CoupledMesh:
     each subdomain on the outer boundary of the square (the points where the
     interface meets the boundary belong to both sets). ``grid_f`` and
     ``grid_s`` hold each block's node ids row by row, bottom row first; both
-    include the interface row.
+    include the interface row. ``h_max``, the longest triangle edge, is
+    computed when read.
     """
 
     nodes: np.ndarray
@@ -71,7 +72,6 @@ class CoupledMesh:
     exterior_dirichlet_s: np.ndarray
     interface_nodes: np.ndarray
     interface_segments: np.ndarray
-    h_max: float
     geometry: InterfaceGeometry
     grid_f: np.ndarray
     grid_s: np.ndarray
@@ -82,51 +82,39 @@ class CoupledMesh:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def h_max(self) -> float:
+        return max(_max_edge(self.nodes, tris) for tris in (self.triangles_f, self.triangles_s))
+
 
 def signed_areas(nodes, tris):
     """Signed triangle areas, positive for counterclockwise vertices."""
-    p = nodes[tris]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+    x, y = nodes[:, 0][tris], nodes[:, 1][tris]
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 def _max_edge(nodes, tris):
-    p = nodes[tris]
-    e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    return float(np.sqrt((e**2).sum(axis=1)).max())
+    x, y = nodes[:, 0][tris], nodes[:, 1][tris]
+    dx, dy = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y
+    return float(np.sqrt(dx**2 + dy**2).max())
 
 
-def _split_cells(a, b, c, d, nodes):
-    """Split quad cells (corners a,b,c,d counterclockwise) into CCW triangles.
+def _split_cells(grid, nodes):
+    """Split the quad cells of a node id grid into CCW triangles.
 
-    Each cell is cut along its shorter diagonal (ties take a-c).
+    Each cell's corners a, b, c, d run counterclockwise from its lower left;
+    the cell is cut along its shorter diagonal (ties take a-c).
     """
-    ac = ((nodes[a] - nodes[c]) ** 2).sum(axis=1)
-    bd = ((nodes[b] - nodes[d]) ** 2).sum(axis=1)
+    a, b = grid[:-1, :-1].ravel(), grid[:-1, 1:].ravel()
+    c, d = grid[1:, 1:].ravel(), grid[1:, :-1].ravel()
+    x, y = nodes[:, 0], nodes[:, 1]
+    ac = (x[a] - x[c]) ** 2 + (y[a] - y[c]) ** 2
+    bd = (x[b] - x[d]) ** 2 + (y[b] - y[d]) ** 2
     use_ac = ac <= bd + _TOL
     t1 = np.where(use_ac[:, None], np.stack([a, b, c], axis=1), np.stack([a, b, d], axis=1))
     t2 = np.where(use_ac[:, None], np.stack([a, c, d], axis=1), np.stack([b, c, d], axis=1))
     return np.concatenate([t1, t2], axis=0)
-
-
-def _square_boundary_mask(nodes):
-    x, y = nodes[:, 0], nodes[:, 1]
-    return (
-        (np.abs(x) <= _TOL)
-        | (np.abs(x - 1.0) <= _TOL)
-        | (np.abs(y) <= _TOL)
-        | (np.abs(y - 1.0) <= _TOL)
-    )
-
-
-def _grid_cells(row_ids):
-    """Quad corner ids (a, b, c, d) for all cells of stacked node rows."""
-    a = row_ids[:-1, :-1].ravel()
-    b = row_ids[:-1, 1:].ravel()
-    c = row_ids[1:, 1:].ravel()
-    d = row_ids[1:, :-1].ravel()
-    return a, b, c, d
 
 
 def _two_block_mesh(n_x: int, m_f: int, m_s: int, geometry: InterfaceGeometry) -> CoupledMesh:
@@ -137,21 +125,19 @@ def _two_block_mesh(n_x: int, m_f: int, m_s: int, geometry: InterfaceGeometry) -
     ys = np.concatenate([np.linspace(0.0, y_line, m_f + 1), np.linspace(y_line, 1.0, m_s + 1)[1:]])
     nodes = np.column_stack([np.tile(xs, m_f + m_s + 1), ys.ravel()])
     ids = np.arange(nodes.shape[0]).reshape(ys.shape)
-    tri_f = _split_cells(*_grid_cells(ids[: m_f + 1]), nodes)
-    tri_s = _split_cells(*_grid_cells(ids[m_f:]), nodes)
-    boundary = _square_boundary_mask(nodes)
+    grid_f, grid_s = ids[: m_f + 1], ids[m_f:]
     return CoupledMesh(
         nodes=nodes,
-        triangles_f=tri_f,
-        triangles_s=tri_s,
-        exterior_dirichlet_f=np.unique(tri_f[boundary[tri_f]]),
-        exterior_dirichlet_s=np.unique(tri_s[boundary[tri_s]]),
+        triangles_f=_split_cells(grid_f, nodes),
+        triangles_s=_split_cells(grid_s, nodes),
+        # the outer boundary: a block's outer row and its first and last columns
+        exterior_dirichlet_f=np.unique(np.concatenate([grid_f[0], grid_f[:, 0], grid_f[:, -1]])),
+        exterior_dirichlet_s=np.unique(np.concatenate([grid_s[-1], grid_s[:, 0], grid_s[:, -1]])),
         interface_nodes=ids[m_f],
         interface_segments=np.stack([ids[m_f, :-1], ids[m_f, 1:]], axis=1),
-        h_max=max(_max_edge(nodes, tri_f), _max_edge(nodes, tri_s)),
         geometry=geometry,
-        grid_f=ids[: m_f + 1],
-        grid_s=ids[m_f:],
+        grid_f=grid_f,
+        grid_s=grid_s,
     )
 
 

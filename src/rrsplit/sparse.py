@@ -1,4 +1,4 @@
-"""Sparse assembly from triplets and cached SPD LU factorizations on scipy CSR arrays."""
+"""Sparse assembly from triplets and SPD LU factorizations on scipy CSR arrays."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ def from_triplets(n_rows, n_cols, entries) -> sp.csr_array:
 
 
 class Factorization:
-    """Cached sparse LU factorization; solve() is reusable across right-hand sides."""
+    """SuperLU factorization of one matrix; solve() is reusable across right-hand sides."""
 
     def __init__(self, A):
         # natural order and pivots on the diagonal: the rows and columns are

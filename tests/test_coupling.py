@@ -971,6 +971,20 @@ class TestNonFiniteGuard:
         with pytest.raises(FloatingPointError, match=f"non-finite {field} at step 0"):
             getattr(coupling, stepper)(params, mesh, SourceData(), state, ops)
 
+    @pytest.mark.parametrize("stepper", ["run", "run_monolithic"])
+    @pytest.mark.parametrize("field", ["u", "w", "q", "lam"])
+    def test_start_of_wrong_length_names_field_and_shapes(self, stepper, field):
+        # one entry too many: unchecked, the oracle ran on and run failed inside scipy
+        mesh = meshing.uniform_split_mesh(4)
+        params = SchemeParams(k=2, dt=0.0625, T=0.25)
+        ops = CoupledOperators(mesh, params)
+        state = random_state(ops, np.random.default_rng(5), 2)
+        n = getattr(state, field).size
+        setattr(state, field, np.append(getattr(state, field), 0.0))
+        with pytest.raises(ValueError, match=rf"start {field} has shape \({n + 1},\), "
+                                             rf"expected \({n},\)"):
+            getattr(coupling, stepper)(params, mesh, SourceData(), state, ops)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_energy_overflow_names_its_step(self, k):
         # a finite start whose stored energy overflows to inf, checked without a warning

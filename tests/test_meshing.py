@@ -3,10 +3,11 @@
 import hashlib
 import math
 
+import meshes
 import numpy as np
 import pytest
 
-from rrsplit import meshing
+from rrsplit import fem, meshing
 from rrsplit.meshing import (
     InterfaceGeometry,
     signed_areas,
@@ -42,7 +43,7 @@ def validate(mesh) -> list[str]:
         for node in missing:
             problems.append(f"interface node {node} missing from the {name} triangulation")
 
-    boundary = meshing._square_boundary_mask(mesh.nodes)
+    boundary = meshes.square_boundary_mask(mesh.nodes)
     for name, dirichlet in (
         ("fluid", mesh.exterior_dirichlet_f),
         ("solid", mesh.exterior_dirichlet_s),
@@ -71,13 +72,6 @@ def validate(mesh) -> list[str]:
 SLANTED_HMAX_TARGETS = [0.3125, 0.1574, 0.0794, 0.0398, 0.0199]
 
 
-def tri_areas(mesh, tris):
-    p = mesh.nodes[tris]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
-
-
 class TestUniformSplitMesh:
     def test_interface_nodes_on_three_quarters(self):
         mesh = uniform_split_mesh(4)
@@ -88,8 +82,8 @@ class TestUniformSplitMesh:
 
     def test_fluid_area_is_three_quarters(self):
         mesh = uniform_split_mesh(4)
-        assert tri_areas(mesh, mesh.triangles_f).sum() == pytest.approx(0.75, abs=1e-12)
-        assert tri_areas(mesh, mesh.triangles_s).sum() == pytest.approx(0.25, abs=1e-12)
+        assert signed_areas(mesh.nodes, mesh.triangles_f).sum() == pytest.approx(0.75, abs=1e-12)
+        assert signed_areas(mesh.nodes, mesh.triangles_s).sum() == pytest.approx(0.25, abs=1e-12)
 
     def test_interface_nodes_in_both_triangulations(self):
         mesh = uniform_split_mesh(4)
@@ -180,6 +174,38 @@ def test_mesh_fingerprints(family, size):
                 for a in (mesh.nodes, mesh.triangles_f, mesh.triangles_s, mesh.interface_nodes,
                           mesh.exterior_dirichlet_f, mesh.exterior_dirichlet_s))
     assert got + (mesh.h_max,) == MESH_FINGERPRINTS[family, size]
+
+
+# sha256 prefixes of nodes, triangles_f and triangles_s at sizes past MESH_FINGERPRINTS,
+# recorded while _two_block_mesh still gathered nodes[tris]
+LARGE_MESH_FINGERPRINTS = {
+    ("uniform", 37): ("b11c87b4a100e770", "6c30eb2fbfc8d94b", "389fb5eea7a7b5a7"),
+    ("uniform", 256): ("cc0577cb3c8bfd4c", "351a7990f1a8507b", "0c2eac5ea807c184"),
+    ("slanted", 4): ("7f320071bccfe65d", "1c4ca04a61a2a04b", "eccce1fb25438615"),
+    ("slanted", 6): ("20b3cb5b9c140781", "a2bee5fdbda15604", "be3040c00a689d21"),
+}
+
+
+@pytest.mark.parametrize("family, size", sorted(LARGE_MESH_FINGERPRINTS))
+def test_set_up_matches_gather_reference(family, size):
+    """Column-form geometry, grid-read Dirichlet sets and masked dofmaps, bit for bit."""
+    mesh = uniform_split_mesh(size) if family == "uniform" else slanted_interface_mesh(size)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+                for a in (mesh.nodes, mesh.triangles_f, mesh.triangles_s))
+    assert got == LARGE_MESH_FINGERPRINTS[family, size]
+    for dirichlet, want in zip((mesh.exterior_dirichlet_f, mesh.exterior_dirichlet_s),
+                               meshes.dirichlet_sets(mesh)):
+        assert dirichlet.dtype == want.dtype and np.array_equal(dirichlet, want)
+    assert mesh.h_max == max(meshes.max_edge(mesh.nodes, tris)
+                             for tris in (mesh.triangles_f, mesh.triangles_s))
+    for sub, tris in (("f", mesh.triangles_f), ("s", mesh.triangles_s)):
+        for blk in range(0, len(tris), fem.BLOCK):
+            block = tris[blk:blk + fem.BLOCK]
+            assert (signed_areas(mesh.nodes, block).tobytes()
+                    == meshes.signed_areas(mesh.nodes, block).tobytes())
+        free = fem.build_dofmap(mesh, sub).free_nodes
+        want = meshes.free_nodes(mesh, sub)
+        assert free.dtype == want.dtype and np.array_equal(free, want)
 
 
 class TestInterfaceLength:
