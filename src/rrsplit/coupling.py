@@ -29,7 +29,6 @@ import scipy.sparse as sp
 from scipy import linalg
 
 from . import fem, sparse
-from .fem import DofMap
 from .meshing import CoupledMesh
 
 
@@ -109,7 +108,7 @@ class SchemeState:
     step_index: int
     u: np.ndarray  # fluid dofs
     w: np.ndarray  # solid dofs
-    q: np.ndarray  # solid dofs; the same array as w when k = 1
+    q: np.ndarray  # solid dofs; for k = 1 equal to w, and the same array after a step
     lam: np.ndarray  # every interface node, in trace order
 
 
@@ -144,12 +143,10 @@ class CoupledOperators:
     """
 
     def __init__(self, mesh: CoupledMesh, params: SchemeParams):
-        self.params = params
+        self.mesh, self.params = mesh, params
         shared = _mesh_operators(mesh)
-        *dof_f, self.M_f, self.K_f = shared["f"]
-        *dof_s, self.M_s, self.K_s = shared["s"]
-        self.dof_f: DofMap = DofMap("f", mesh, *dof_f)
-        self.dof_s: DofMap = DofMap("s", mesh, *dof_s)
+        self.dof_f, self.M_f, self.K_f = shared["f"]
+        self.dof_s, self.M_s, self.K_s = shared["s"]
         self.M_if = shared["if"]
         ifc = mesh.nodes[mesh.interface_nodes]
         self.if_x1, self.if_x2 = ifc[:, 0].copy(), ifc[:, 1].copy()
@@ -176,20 +173,16 @@ class CoupledOperators:
 def _mesh_operators(mesh: CoupledMesh) -> dict:
     """The dt-independent operators of a mesh, built on first use and memoized on it.
 
-    Per subdomain ``"f"``/``"s"``: the DofMap fields after subdomain and mesh
-    (node_to_dof, free_nodes, interface_dofs, R), then mass and stiffness, on
-    dofs numbered in their elimination order (``fem.build_dofmap``); ``"if"``:
-    the interface mass. Only arrays and matrices are kept: a cached DofMap
-    points back at the mesh, and that cycle would keep every mesh alive until
-    the garbage collector runs.
+    Per subdomain ``"f"``/``"s"``: (DofMap, mass, stiffness), on dofs numbered
+    in their elimination order (``fem.build_dofmap``); ``"if"``: the interface
+    mass.
     """
     shared = mesh._cache.get("operators")
     if shared is None:
         shared = {}
         for sub in ("f", "s"):
             dof = fem.build_dofmap(mesh, sub)
-            shared[sub] = (dof.node_to_dof, dof.free_nodes, dof.interface_dofs, dof.R,
-                           fem.assemble_mass(dof), fem.assemble_stiffness(dof))
+            shared[sub] = (dof, fem.assemble_mass(dof), fem.assemble_stiffness(dof))
         shared["if"] = fem.assemble_interface_mass(mesh)
         mesh._cache["operators"] = shared
     return shared
@@ -294,7 +287,7 @@ def energy_S(ops: CoupledOperators, state_n: SchemeState, state_next: SchemeStat
 
 def _check_ops(ops: CoupledOperators, mesh: CoupledMesh, params: SchemeParams | None = None):
     """Raise ValueError unless ops were built on this mesh (and for these params)."""
-    if ops.dof_f.mesh is not mesh:
+    if ops.mesh is not mesh:
         raise ValueError("ops were built on another mesh")
     if params is not None and ops.params != params:
         raise ValueError(f"ops were built for {ops.params}, not {params}")
@@ -317,8 +310,12 @@ def _check_start(params: SchemeParams, mesh: CoupledMesh, ops: CoupledOperators,
 
 
 def initial_state(case, mesh: CoupledMesh, ops: CoupledOperators) -> SchemeState:
-    """Interpolants of the exact fields at t = 0."""
+    """Interpolants of the exact fields at t = 0; ValueError unless ops were built on
+    this mesh with the case's k, nu_f and nu_s."""
     _check_ops(ops, mesh)
+    want, got = (case.k, case.nu_f, case.nu_s), (ops.params.k, ops.params.nu_f, ops.params.nu_s)
+    if want != got:
+        raise ValueError(f"case {case.name} has (k, nu_f, nu_s) = {want}, ops have {got}")
     u0 = fem.interpolate(ops.dof_f, case.exact_u, 0.0)
     w0 = fem.interpolate(ops.dof_s, case.exact_w, 0.0)
     if case.k == 1:

@@ -50,11 +50,13 @@ class DofMap:
     ``interface_dofs`` lists the dof of each interface node in trace order,
     -1 where constrained. ``R`` is the 0/1 trace operator (interface nodes x
     dofs): the trace of u is ``R @ u``, the lift of an interface vector v is
-    its adjoint ``R.T @ v``.
+    its adjoint ``R.T @ v``. ``nodes`` is the mesh's node array and
+    ``triangles`` the subdomain's, both by reference, so a DofMap holds what
+    its assembly, loads and norms read without holding the mesh.
     """
 
-    subdomain: str
-    mesh: CoupledMesh
+    nodes: np.ndarray
+    triangles: np.ndarray
     node_to_dof: np.ndarray
     free_nodes: np.ndarray
     interface_dofs: np.ndarray
@@ -63,14 +65,6 @@ class DofMap:
     @property
     def n_dofs(self) -> int:
         return int(self.free_nodes.size)
-
-
-def subdomain_triangles(mesh: CoupledMesh, subdomain: str) -> np.ndarray:
-    if subdomain == "f":
-        return mesh.triangles_f
-    if subdomain == "s":
-        return mesh.triangles_s
-    raise ValueError(f"unknown subdomain {subdomain!r}")
 
 
 def build_dofmap(mesh: CoupledMesh, subdomain: str) -> DofMap:
@@ -85,8 +79,8 @@ def build_dofmap(mesh: CoupledMesh, subdomain: str) -> DofMap:
     idofs = node_to_dof[mesh.interface_nodes]
     carried = np.flatnonzero(idofs >= 0)
     return DofMap(
-        subdomain=subdomain,
-        mesh=mesh,
+        nodes=mesh.nodes,
+        triangles=getattr(mesh, "triangles_" + subdomain),
         node_to_dof=node_to_dof,
         free_nodes=free,
         interface_dofs=idofs,
@@ -135,11 +129,11 @@ def assemble_mass(dofmap: DofMap) -> sp.csr_array:
     the sum over blocks of triangles of S^T diag(area/12) S and S the block's
     0/1 triangle-to-dof incidence.
     """
-    tris, n = subdomain_triangles(dofmap.mesh, dofmap.subdomain), dofmap.n_dofs
+    tris, n = dofmap.triangles, dofmap.n_dofs
     P = sp.csr_array((n, n))
     for blk in _blocks(tris):
         S = _vertex_operator(dofmap.node_to_dof[tris[blk]], n, np.ones((len(tris[blk]), 3)))
-        P = P + _gram(S, signed_areas(dofmap.mesh.nodes, tris[blk]) / 12.0)
+        P = P + _gram(S, signed_areas(dofmap.nodes, tris[blk]) / 12.0)
     M = P + sp.diags_array(P.diagonal())
     M.sort_indices()
     return M
@@ -153,9 +147,9 @@ def assemble_stiffness(dofmap: DofMap) -> sp.csr_array:
     zeros, such as the couplings across the diagonals of a uniform grid, are
     not stored.
     """
-    tris, n = subdomain_triangles(dofmap.mesh, dofmap.subdomain), dofmap.n_dofs
+    tris, n = dofmap.triangles, dofmap.n_dofs
     K = sp.csr_array((n, n))
-    for blk, areas, gx, gy in _gradients(dofmap.mesh.nodes, tris):
+    for blk, areas, gx, gy in _gradients(dofmap.nodes, tris):
         G = _vertex_operator(dofmap.node_to_dof[tris[blk]], n, gx, gy)
         K = K + _gram(G, np.tile(areas, 2))
     K.sort_indices()
@@ -178,7 +172,7 @@ def assemble_load(dofmap: DofMap, f, t: float) -> np.ndarray:
     times f at the midpoints of its two sides. f is evaluated once per block of
     triangles, at each triangle's three side midpoints.
     """
-    nodes, tris = dofmap.mesh.nodes, subdomain_triangles(dofmap.mesh, dofmap.subdomain)
+    nodes, tris = dofmap.nodes, dofmap.triangles
     b = np.zeros(dofmap.n_dofs)
     for blk in _blocks(tris):
         # side j joins vertices j and j + 1 (mod 3); 0.5 * (p + q) is bit-identical to
@@ -195,14 +189,14 @@ def assemble_load(dofmap: DofMap, f, t: float) -> np.ndarray:
 
 def interpolate(dofmap: DofMap, fn, t: float) -> np.ndarray:
     """Nodal interpolant of fn(x, y, t) on the free dofs."""
-    xy = dofmap.mesh.nodes[dofmap.free_nodes]
+    xy = dofmap.nodes[dofmap.free_nodes]
     vals = np.asarray(fn(xy[:, 0], xy[:, 1], t), dtype=float)
     return np.broadcast_to(vals, (dofmap.n_dofs,)).copy()
 
 
 def nodal_values(dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     """Coefficients expanded over all mesh nodes (zero at constrained nodes)."""
-    out = np.zeros(dofmap.mesh.n_nodes)
+    out = np.zeros(len(dofmap.nodes))
     out[dofmap.free_nodes] = u
     return out
 
@@ -221,7 +215,7 @@ def _norm_points(nodes: np.ndarray, tris: np.ndarray) -> list:
 
 def l2_error(dofmap: DofMap, u: np.ndarray, exact, t: float) -> float:
     """L2 norm of (u - exact(., t)) over the dofmap's subdomain (degree-4 quadrature)."""
-    nodes, tris = dofmap.mesh.nodes, subdomain_triangles(dofmap.mesh, dofmap.subdomain)
+    nodes, tris = dofmap.nodes, dofmap.triangles
     uh, acc = nodal_values(dofmap, u), 0.0
     for blk in _blocks(tris):
         ub = uh[tris[blk]]
@@ -248,7 +242,7 @@ def gradient_profile(dofmap: DofMap, exact_gradient, t: float):
     A caller whose gradient is e^{rate t} g(x, y) builds the profile once and
     passes e^{rate t} as the scale at each t.
     """
-    nodes, tris = dofmap.mesh.nodes, subdomain_triangles(dofmap.mesh, dofmap.subdomain)
+    nodes, tris = dofmap.nodes, dofmap.triangles
     areas, m, spread = np.empty(len(tris)), np.empty((2, len(tris))), 0.0
     Gx, Gy = [], []
     for blk, a, gx, gy in _gradients(nodes, tris):

@@ -46,10 +46,6 @@ class InterfaceGeometry:
         n = np.array([0.0 - self.slope, 1.0])
         return n / np.linalg.norm(n)
 
-    def length(self) -> float:
-        """Length of the interface clipped to the unit square."""
-        return math.sqrt(1.0 + self.slope**2)
-
 
 @dataclass
 class CoupledMesh:

@@ -40,7 +40,7 @@ def element_stiffness(areas, grads):
 def element_assembly(dofmap, tris):
     """Mass and stiffness over the dofmap's free dofs from the element kernels: each
     block entry whose two vertices carry a dof is one triplet, duplicates summed."""
-    areas, grads = element_geometry(dofmap.mesh.nodes, tris)
+    areas, grads = element_geometry(dofmap.nodes, tris)
     dof = dofmap.node_to_dof[tris]
     free = dof >= 0
     keep = free[:, :, None] & free[:, None, :]

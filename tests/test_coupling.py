@@ -194,7 +194,8 @@ class TestRateScaledLoads:
             # pp_uniform's f_f cancels to rounding: scale by the size of its terms
             size = max(np.abs(ref).max(),
                        abs(rate) * np.abs(fem.assemble_load(dof, exact, times[0])).max())
-            assert np.abs(got - ref).max() <= 1e-13 * size, (times, dof.subdomain)
+            assert np.abs(got - ref).max() <= 1e-13 * size, (
+                times, dof.triangles is mesh.triangles_f)
 
         for t in (dt, 0.125, 0.25, 1.0):
             check(sources[case.k](t)[3], ops.dof_f, case.f_f, (t,), case.exact_u,
@@ -464,6 +465,15 @@ class TestInitialData:
         xs, ys = mesh.nodes[mesh.interface_nodes].T
         np.testing.assert_allclose(lam0, 1e-3 * xs * (1 - xs) * (1 - 2 * ys), rtol=1e-14)
 
+    @pytest.mark.parametrize("change", [{"k": 2}, {"nu_f": 5.0}, {"nu_s": 0.5}])
+    def test_rejects_ops_for_another_k_or_coefficients(self, change):
+        # the case's data were synthesized for its own k, nu_f and nu_s
+        mesh = meshing.uniform_split_mesh(8)
+        ops = CoupledOperators(mesh, SchemeParams(**{"k": 1, "dt": 0.125, **change}))
+        with pytest.raises(ValueError, match=r"case pp_conforming has \(k, nu_f, nu_s\) = "
+                           r"\(1, 1\.0, 1\.0\), ops have"):
+            initial_state(get_case("pp_conforming"), mesh, ops)
+
     @pytest.mark.parametrize("stepper", ["run", "run_monolithic"])
     def test_k1_rejects_mismatched_q0(self, stepper):
         mesh = meshing.uniform_split_mesh(4)
@@ -675,7 +685,7 @@ class TestSharedDiscretization:
             original = getattr(fem, name)
 
             def counting(dofmap, _name=name, _original=original):
-                assembled.append((_name, dofmap.subdomain))
+                assembled.append((_name, "f" if dofmap.triangles is mesh.triangles_f else "s"))
                 return _original(dofmap)
 
             monkeypatch.setattr(fem, name, counting)
@@ -684,7 +694,11 @@ class TestSharedDiscretization:
         ops2 = CoupledOperators(mesh, SchemeParams(k=2, dt=0.0625, alpha=3.0, T=0.25))
         for name in ("M_f", "K_f", "M_s", "K_s", "M_if"):
             assert getattr(ops1, name) is getattr(ops2, name)
-        assert ops1.dof_f.R is ops2.dof_f.R and ops1.dof_s.R is ops2.dof_s.R
+        assert ops1.dof_f is ops2.dof_f and ops1.dof_s is ops2.dof_s
+        # a DofMap references the mesh's arrays: none is copied into it
+        assert ops1.dof_f.nodes is mesh.nodes and ops1.dof_s.nodes is mesh.nodes
+        assert ops1.dof_f.triangles is mesh.triangles_f
+        assert ops1.dof_s.triangles is mesh.triangles_s
         # the bundles keep no step matrices and no LU; each system builds its own pair
         assert not {"A_s", "A_f", "_solid", "_fluid"} & (vars(ops1).keys() | vars(ops2).keys())
         for ops in (ops1, ops2):
@@ -695,7 +709,7 @@ class TestSharedDiscretization:
                                      ("assemble_stiffness", "f"), ("assemble_stiffness", "s")]
 
     def test_dropped_mesh_is_freed_without_the_collector(self):
-        # a cached DofMap would point back at its mesh; the cycle would outlive the row
+        # a cached DofMap holds the mesh's arrays, not the mesh: no cycle keeps it alive
         case = get_case("ph_uniform")
         gc.disable()
         try:

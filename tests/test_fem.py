@@ -33,13 +33,14 @@ REF_TRI = np.array([[0, 1, 2]])
 def full_dofmap(mesh, subdomain):
     """A DofMap on every node of the subdomain, exterior Dirichlet nodes included: the
     reference for the full-node mass and stiffness identities."""
-    nodes = np.unique(fem.subdomain_triangles(mesh, subdomain))
+    tris = getattr(mesh, "triangles_" + subdomain)
+    nodes = np.unique(tris)
     node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int32)
     node_to_dof[nodes] = np.arange(nodes.size)
     idofs = node_to_dof[mesh.interface_nodes]
     carried = np.flatnonzero(idofs >= 0)
     R = from_triplets(idofs.size, nodes.size, (carried, idofs[carried], np.ones(carried.size)))
-    return fem.DofMap(subdomain, mesh, node_to_dof, nodes, idofs, R)
+    return fem.DofMap(mesh.nodes, tris, node_to_dof, nodes, idofs, R)
 
 
 def record_geometry(monkeypatch):
@@ -233,7 +234,7 @@ class TestLoadOperator:
         # three side midpoints: a side shared by two triangles is evaluated twice
         monkeypatch.setattr(fem, "BLOCK", 7)
         mesh = MESHES[family]()
-        tris = fem.subdomain_triangles(mesh, subdomain)
+        tris = getattr(mesh, "triangles_" + subdomain)
         calls = []
 
         def f(x, y, t):
@@ -247,7 +248,7 @@ class TestLoadOperator:
         px, py = (QUAD_DEG2_BARY @ mesh.nodes[:, c][tris].T for c in (0, 1))
         np.testing.assert_array_equal(np.concatenate([x for x, _ in calls]), px.T)
         np.testing.assert_array_equal(np.concatenate([y for _, y in calls]), py.T)
-        ref = _seed_load(mesh, subdomain, f, 0.1, dof)
+        ref = _seed_load(dof, f, 0.1)
         assert np.abs(b - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -399,7 +400,7 @@ class TestDofMap:
                                ("s", mesh.exterior_dirichlet_s)):
             dof = build_dofmap(mesh, sub)
             order = meshing.dissect(getattr(mesh, "grid_" + sub))
-            free = np.setdiff1d(fem.subdomain_triangles(mesh, sub), dirichlet)
+            free = np.setdiff1d(getattr(mesh, "triangles_" + sub), dirichlet)
             np.testing.assert_array_equal(dof.free_nodes, order[np.isin(order, free)])
             np.testing.assert_array_equal(dof.node_to_dof[dof.free_nodes],
                                           np.arange(dof.n_dofs))
@@ -409,16 +410,16 @@ class TestDofMap:
             build_dofmap(meshing.uniform_split_mesh(4), "x")
 
 
-def _seed_quad(mesh, subdomain, bary):
+def _seed_quad(dofmap, bary):
     # the whole-subdomain, per-point formulas, kept as the reference for the blocked kernels
-    tris = fem.subdomain_triangles(mesh, subdomain)
-    areas, grads = element_geometry(mesh.nodes, tris)
-    pts = np.einsum("qb,tbx->tqx", bary, mesh.nodes[tris])
+    tris = dofmap.triangles
+    areas, grads = element_geometry(dofmap.nodes, tris)
+    pts = np.einsum("qb,tbx->tqx", bary, dofmap.nodes[tris])
     return tris, areas, grads, pts
 
 
-def _seed_load(mesh, subdomain, f, t, dofmap):
-    tris, areas, _, pts = _seed_quad(mesh, subdomain, QUAD_DEG2_BARY)
+def _seed_load(dofmap, f, t):
+    tris, areas, _, pts = _seed_quad(dofmap, QUAD_DEG2_BARY)
     fvals = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1], t), dtype=float),
                             pts.shape[:2])
     be = areas[:, None] * np.einsum("tq,q,qi->ti", fvals, QUAD_DEG2_W, QUAD_DEG2_BARY)
@@ -430,14 +431,14 @@ def _seed_load(mesh, subdomain, f, t, dofmap):
 
 
 def _seed_l2(dof, field, exact, t):
-    tris, areas, _, pts = _seed_quad(dof.mesh, dof.subdomain, fem.QUAD_DEG4_BARY)
+    tris, areas, _, pts = _seed_quad(dof, fem.QUAD_DEG4_BARY)
     uh = np.einsum("qb,tb->tq", fem.QUAD_DEG4_BARY, fem.nodal_values(dof, field)[tris])
     ex = np.broadcast_to(np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float), uh.shape)
     return math.sqrt(np.einsum("t,q,tq->", areas, fem.QUAD_DEG4_W, (uh - ex) ** 2))
 
 
 def _seed_h1(dof, field, exact_gradient, t):
-    tris, areas, grads, pts = _seed_quad(dof.mesh, dof.subdomain, fem.QUAD_DEG4_BARY)
+    tris, areas, grads, pts = _seed_quad(dof, fem.QUAD_DEG4_BARY)
     gh = np.einsum("tbx,tb->tx", grads, fem.nodal_values(dof, field)[tris])
     gx, gy = exact_gradient(pts[..., 0], pts[..., 1], t)
     val = np.einsum("t,q,tq->", areas, fem.QUAD_DEG4_W,
@@ -479,7 +480,7 @@ class TestGradientProfile:
         dof = build_dofmap(mesh, subdomain)
         _, got_areas, m, spread = gradient_profile(
             dof, lambda x, y, t: A @ np.array([x, y]) + c[:, None], 0.0)
-        tris = fem.subdomain_triangles(mesh, subdomain)
+        tris = getattr(mesh, "triangles_" + subdomain)
         areas, _ = element_geometry(mesh.nodes, tris)
         np.testing.assert_allclose(got_areas, areas, rtol=1e-14, atol=0)
         v = mesh.nodes[tris]
@@ -509,7 +510,7 @@ class TestGradientOperator:
         dof = (full_dofmap if include_dirichlet else build_dofmap)(mesh, subdomain)
         u = np.random.default_rng(3).standard_normal(dof.n_dofs)
         G = gradient_profile(dof, lambda x, y, t: (x, y), 0.0)[0]
-        tris = fem.subdomain_triangles(mesh, subdomain)
+        tris = getattr(mesh, "triangles_" + subdomain)
         nt = len(tris)
         assert G.shape == (2 * nt, dof.n_dofs) and G.indices.dtype == np.int32
         # one entry per free vertex in each row: constrained vertices drop out
@@ -540,7 +541,7 @@ class TestQuadratureMemo:
     @pytest.mark.parametrize("subdomain", ["f", "s"])
     def test_agrees_with_per_call_formulas(self, subdomain):
         mesh, dof, exact, grad, f, field = self._setup(subdomain)
-        ref_b = _seed_load(mesh, subdomain, f, 0.2, dof)
+        ref_b = _seed_load(dof, f, 0.2)
         ref_l2 = _seed_l2(dof, field, exact, 0.2)
         ref_h1 = _seed_h1(dof, field, grad, 0.2)
         for _ in range(2):  # a second call repeats the first
@@ -555,12 +556,12 @@ class TestQuadratureMemo:
         # 32768 triangles per subdomain: loads and norms visit them in two blocks
         case = get_case("pp_slanted")
         mesh = meshing.slanted_interface_mesh(5)
-        assert fem.subdomain_triangles(mesh, subdomain).shape[0] > 16384
+        assert getattr(mesh, "triangles_" + subdomain).shape[0] > 16384
         exact, grad, f = ((case.exact_u, case.grad_u, case.f_f) if subdomain == "f"
                           else (case.exact_w, case.grad_w, case.f_s))
         dof = build_dofmap(mesh, subdomain)
         field = interpolate(dof, lambda x, y, t: np.sin(3.0 * x) * y, 0.0)
-        ref_b = _seed_load(mesh, subdomain, f, 0.2, dof)
+        ref_b = _seed_load(dof, f, 0.2)
         assert np.abs(assemble_load(dof, f, 0.2) - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
         assert l2_error(dof, field, exact, 0.2) == pytest.approx(
             _seed_l2(dof, field, exact, 0.2), rel=1e-14)
@@ -624,6 +625,9 @@ def test_load_traced_peak_and_nothing_kept():
     peaks, kept = [], []
     for sub, f in (("f", case.f_f), ("s", case.f_s)):
         dof = build_dofmap(mesh, sub)
+        # an untraced call first: what the first call in a process sets up once is not
+        # counted as kept, so the kept figure does not depend on which tests ran before
+        assemble_load(dof, f, 0.0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

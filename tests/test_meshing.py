@@ -57,7 +57,7 @@ def validate(mesh) -> list[str]:
 
     seg = mesh.nodes[mesh.interface_segments]
     seg_len = float(np.sqrt(((seg[:, 1] - seg[:, 0]) ** 2).sum(axis=1)).sum())
-    length = float(mesh.geometry.length())
+    length = math.hypot(1.0, mesh.geometry.slope)
     if abs(seg_len - length) > TOL:
         problems.append(f"interface segments sum to {seg_len!r}, expected {length!r}")
 

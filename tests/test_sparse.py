@@ -245,7 +245,7 @@ class TestAssembledAgreement:
 
         mesh = meshing.slanted_interface_mesh(1)
         dof = fem.build_dofmap(mesh, subdomain)
-        tris = fem.subdomain_triangles(mesh, subdomain)
+        tris = getattr(mesh, "triangles_" + subdomain)
         areas, grads = element_geometry(mesh.nodes, tris)
         M_ref = np.zeros((dof.n_dofs, dof.n_dofs))
         K_ref = np.zeros_like(M_ref)
@@ -269,7 +269,7 @@ class TestAssembledAgreement:
 
         mesh = meshing.slanted_interface_mesh(5)
         dof = fem.build_dofmap(mesh, subdomain)
-        tris = fem.subdomain_triangles(mesh, subdomain)
+        tris = getattr(mesh, "triangles_" + subdomain)
         assert len(tris) == 2 * fem.BLOCK
         M_ref, K_ref = element_assembly(dof, tris)
         for A, ref in ((fem.assemble_mass(dof), M_ref), (fem.assemble_stiffness(dof), K_ref)):
