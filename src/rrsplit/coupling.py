@@ -21,7 +21,7 @@ system and drops it on return. A run's sources are one function of time,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -110,6 +110,9 @@ class SchemeState:
     w: np.ndarray  # solid dofs
     q: np.ndarray  # solid dofs; for k = 1 equal to w, and the same array after a step
     lam: np.ndarray  # every interface node, in trace order
+    # the level's shared products (``_PRODUCTS``), formed once by ``run`` on the states
+    # it steps with; the states it hands out are bare (None) and read-only
+    products: Optional[dict] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -188,12 +191,49 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
     return shared
 
 
+# The products of a time level that its next step and the ledger both read, by name.
+# "Mq" is also the k = 1 solid history's M_s w^n: for k = 1, q = w.
+_PRODUCTS = {
+    "Mu": lambda ops, state: ops.M_f @ state.u,
+    "Mq": lambda ops, state: ops.M_s @ state.q,
+    "Kw": lambda ops, state: ops.K_s @ state.w,  # read for k = 2 only
+    "u_tr": lambda ops, state: fem.trace_restrict(ops.dof_f, state.u),
+}
+
+
+def _product(ops: CoupledOperators, state: SchemeState, name: str) -> np.ndarray:
+    """One of the level's ``_PRODUCTS``: the one ``run`` formed for the state, or, on a
+    bare state, formed here."""
+    if state.products is not None:
+        return state.products[name]
+    return _PRODUCTS[name](ops, state)
+
+
+def _read_only(state: SchemeState) -> SchemeState:
+    """A bare state on read-only views of the state's arrays; q stays w's view when
+    it was w's array."""
+    u, w, lam = (np.asarray(a).view() for a in (state.u, state.w, state.lam))
+    q = w if state.q is state.w else np.asarray(state.q).view()
+    for a in (u, w, q, lam):
+        a.flags.writeable = False
+    return SchemeState(state.step_index, u, w, q, lam)
+
+
+def _level(ops: CoupledOperators, state: SchemeState) -> SchemeState:
+    """The state as ``run`` steps with it: read-only, with every product its next step
+    and the ledger read formed once (K_s w for k = 2 only)."""
+    level = _read_only(state)
+    level.products = {name: form(ops, level) for name, form in _PRODUCTS.items()
+                      if name != "Kw" or ops.params.k == 2}
+    return level
+
+
 def solid_history(ops: CoupledOperators, state: SchemeState) -> np.ndarray:
     """The solid right-hand side's terms in w^n and q^n, without interface terms."""
-    p, dt, M_s = ops.params, ops.params.dt, ops.M_s
+    p, dt, Mq = ops.params, ops.params.dt, _product(ops, state, "Mq")
     if p.k == 1:
-        return M_s @ state.w / dt
-    return (2.0 / dt) * (M_s @ state.q) - p.nu_s * (ops.K_s @ state.w)
+        return Mq / dt
+    return (2.0 / dt) * Mq - p.nu_s * _product(ops, state, "Kw")
 
 
 def solid_levels(ops: CoupledOperators, state: SchemeState, v: np.ndarray):
@@ -219,8 +259,7 @@ def solid_step(ops: CoupledOperators, state: SchemeState, step_sources, system) 
     function (``SourceData.assemble``), ``system`` is ``_robin_system(ops)``."""
     a, M_if = ops.params.alpha, ops.M_if
     g_D, g_N, load_s, _ = step_sources
-    u_tr = fem.trace_restrict(ops.dof_f, state.u)
-    robin = M_if @ (a * (u_tr + g_D) - state.lam + g_N)
+    robin = M_if @ (a * (_product(ops, state, "u_tr") + g_D) - state.lam + g_N)
     return system[0].solve(solid_history(ops, state) + ops.dof_s.R.T @ robin + load_s)
 
 
@@ -230,7 +269,7 @@ def fluid_step(ops: CoupledOperators, state: SchemeState, v: np.ndarray, step_so
     dt, a = ops.params.dt, ops.params.alpha
     g_D, _, _, load_f = step_sources
     v_tr = fem.trace_restrict(ops.dof_s, v)
-    rhs = ops.M_f @ state.u / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (v_tr - g_D)))
+    rhs = _product(ops, state, "Mu") / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (v_tr - g_D)))
     rhs += load_f
     u_next = system[1].solve(rhs)
     u_tr = fem.trace_restrict(ops.dof_f, u_next)
@@ -254,12 +293,11 @@ def _quad_form(A: sp.csr_array, x: np.ndarray) -> float:
 def energy_Z(ops: CoupledOperators, state: SchemeState) -> float:
     """Stored energy at one time level; the solid strain term is there for k = 2 only."""
     p, dt, a = ops.params, ops.params.dt, ops.params.alpha
-    u_tr = fem.trace_restrict(ops.dof_f, state.u)
-    z = 0.5 * _quad_form(ops.M_s, state.q)
-    z += 0.5 * _quad_form(ops.M_f, state.u)
+    z = 0.5 * float(state.q @ _product(ops, state, "Mq"))
+    z += 0.5 * float(state.u @ _product(ops, state, "Mu"))
     if p.k == 2:
-        z += 0.5 * p.nu_s * _quad_form(ops.K_s, state.w)
-    z += 0.5 * dt * a * _quad_form(ops.M_if, u_tr)
+        z += 0.5 * p.nu_s * float(state.w @ _product(ops, state, "Kw"))
+    z += 0.5 * dt * a * _quad_form(ops.M_if, _product(ops, state, "u_tr"))
     z += 0.5 * (dt / a) * _quad_form(ops.M_if, state.lam)
     return z
 
@@ -280,7 +318,7 @@ def energy_S(ops: CoupledOperators, state_n: SchemeState, state_next: SchemeStat
     else:
         q_half = 0.5 * (state_next.q + state_n.q)
     s += 0.5 * _quad_form(ops.M_f, state_next.u - state_n.u)
-    d = fem.trace_restrict(ops.dof_s, q_half) - fem.trace_restrict(ops.dof_f, state_n.u)
+    d = fem.trace_restrict(ops.dof_s, q_half) - _product(ops, state_n, "u_tr")
     s += 0.5 * dt * a * _quad_form(ops.M_if, d)
     return s
 
@@ -347,21 +385,25 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
         callback: Callable | None = None) -> tuple[SchemeState, EnergyLedger]:
     """Advance n_steps from the initial state; returns final state and energy ledger.
 
-    Raises FloatingPointError at the first step whose state, Z or S is not finite.
+    Each level's shared products are formed once (``_level``), and the next step and
+    the ledger read them. The callback and the return get bare states with read-only
+    arrays; the caller's ``initial`` keeps its own. Raises FloatingPointError at the
+    first step whose state, Z or S is not finite.
     """
     _check_start(params, mesh, ops, initial)
-    state, step_sources = initial, sources.assemble(ops)
+    state, step_sources = _level(ops, initial), sources.assemble(ops)
     system = _robin_system(ops)
     ledger = EnergyLedger(Z=[_finite_energy(energy_Z, ops, state)], S=[])
     for _ in range(params.n_steps):
         new = advance(ops, state, step_sources, system)
         _check_finite(new)
+        new = _level(ops, new)
         ledger.S.append(_finite_energy(energy_S, ops, state, new))
         ledger.Z.append(_finite_energy(energy_Z, ops, new))
         state = new
         if callback is not None:
-            callback(state)
-    return state, ledger
+            callback(replace(state, products=None))
+    return replace(state, products=None), ledger
 
 
 # --- strongly coupled oracle ------------------------------------------------
@@ -383,10 +425,13 @@ def _monolithic_system(ops: CoupledOperators):
     interface dofs, the separator of the two blocks, come last in trace
     order, so the merged numbering is the elimination order.
 
-    Returns (lu, Pf, Ps, F, M_FF in upper banded form, A_s, A_f), with A_s
-    and A_f from ``ops.step_matrices()``. ``run_monolithic`` builds it once
-    per call and drops it on return, so the oracle LU and the step matrices
-    never outlive the run.
+    Returns (lu, Pf, Ps, F, M_FF in upper banded form, I_s, A_s[I_s], near,
+    A_f[near]), with A_s and A_f from ``ops.step_matrices()``: I_s are the
+    solid's interface dofs, the only rows of A_s v the step reads, and near
+    the rows of A_f that touch an interface dof, the only rows of the lifted
+    jump's product that are not zero. Whole rows are kept, so each product
+    sums in the order of the full one. ``run_monolithic`` builds it once per
+    call and drops it on return, so the oracle LU never outlives the run.
     """
     dof_s, dof_f = ops.dof_s, ops.dof_f
     F = np.flatnonzero(dof_s.interface_dofs >= 0)
@@ -406,10 +451,13 @@ def _monolithic_system(ops: CoupledOperators):
     Pf, Ps = merge(dof_f, 0), merge(dof_s, n_fo)
     A_s, A_f = ops.step_matrices()
     K = Pf.T @ A_f @ Pf + Ps.T @ A_s @ Ps
-    del A_s, A_f  # built again after the LU, so that they are not alive beside it
+    I_s = dof_s.interface_dofs[F]
+    near = np.flatnonzero(np.diff(A_f[:, dof_f.interface_dofs[F]].indptr))
+    rows = (I_s, A_s[I_s], near, A_f[near])
+    del A_s, A_f  # only their rows above stay alive beside the LU
     M_FF = ops.M_if[F][:, F]  # tridiagonal
     band = np.stack([np.r_[0.0, M_FF.diagonal(1)], M_FF.diagonal()])
-    return (sparse.factorize(K), Pf, Ps, F, band, *ops.step_matrices())
+    return (sparse.factorize(K), Pf, Ps, F, band, *rows)
 
 
 def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable,
@@ -419,36 +467,38 @@ def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable
     ``sources`` is as in ``advance``; ``system`` is ``_monolithic_system(ops)``.
     """
     dt = ops.params.dt
-    lu, Pf, Ps, F, M_FF, A_s, A_f = system
+    lu, Pf, Ps, F, M_FF, I_s, A_s_rows, near, A_f_rows = system
 
     g_D, g_N, load_s, load_f = sources((state.step_index + 1) * dt)
     rhs_s = solid_history(ops, state) + load_s
     rhs_s += ops.dof_s.R.T @ (ops.M_if @ g_N)
-    rhs_f = ops.M_f @ state.u / dt + load_f
+    rhs_f = _product(ops, state, "Mu") / dt + load_f
 
     # the interface jump v - u, fixed by the constraint, lifted into the fluid dofs
     jump = np.zeros(ops.n_if)
     jump[F] = linalg.solveh_banded(M_FF, (ops.M_if @ g_D)[F], check_finite=False)
     jump_f = ops.dof_f.R.T @ jump
-    z = lu.solve(Pf.T @ (rhs_f + A_f @ jump_f) + Ps.T @ rhs_s)
+    rhs_f[near] += A_f_rows @ jump_f
+    z = lu.solve(Pf.T @ rhs_f + Ps.T @ rhs_s)
     u_next = Pf @ z - jump_f
     v = Ps @ z
     # the multiplier from the solid interface rows A_s v + R_s.T M_if[:, F] lam_F = rhs_s
     lam_full = np.zeros(ops.n_if)
-    resid = fem.trace_restrict(ops.dof_s, rhs_s - A_s @ v)
-    lam_full[F] = linalg.solveh_banded(M_FF, resid[F], check_finite=False)
+    resid = rhs_s[I_s] - A_s_rows @ v
+    lam_full[F] = linalg.solveh_banded(M_FF, resid, check_finite=False)
     return SchemeState(state.step_index + 1, u_next, *solid_levels(ops, state, v), lam_full)
 
 
 def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
                    initial: SchemeState, ops: CoupledOperators,
                    callback: Callable | None = None) -> SchemeState:
-    """Advance the strongly coupled oracle n_steps from the initial state."""
+    """Advance the strongly coupled oracle n_steps from the initial state; the callback
+    and the return get states with read-only arrays."""
     _check_start(params, mesh, ops, initial)
     state, step_sources = initial, sources.assemble(ops)
     system = _monolithic_system(ops)
     for _ in range(params.n_steps):
-        state = monolithic_step(ops, state, step_sources, system)
+        state = _read_only(monolithic_step(ops, state, step_sources, system))
         _check_finite(state)
         if callback is not None:
             callback(state)

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -632,6 +633,92 @@ class TestOracleLimit:
         assert ledger.relative_defect() <= 1e-12
 
 
+class CountingCSR(sp.csr_array):
+    """A CSR array that counts its products with a vector while it is square: the
+    full-size products, not those of a slice of its rows. Scaled copies and sums of
+    it, such as the step matrices, are CountingCSR too."""
+
+    products = [0]
+
+    def _matmul_vector(self, other):
+        if self.shape[0] == self.shape[1]:
+            self.products[0] += 1
+        return super()._matmul_vector(other)
+
+
+class TestSharedProducts:
+    """A level's products are formed once, and the states a run hands out are read-only."""
+
+    @staticmethod
+    def products_per_step(stepper, k):
+        # mesh 16: its step matrices have rows off the interface band, so a slice of
+        # their interface rows is not full-size
+        mesh = meshing.uniform_split_mesh(16)
+        params = SchemeParams(k=k, dt=0.125, alpha=1.7, T=0.5)
+        ops = CoupledOperators(mesh, params)
+        for name in ("M_f", "K_f", "M_s", "K_s"):
+            setattr(ops, name, CountingCSR(getattr(ops, name)))
+        marks = []
+        stepper(params, mesh, SourceData(), random_state(ops, np.random.default_rng(4), k),
+                ops, callback=lambda state: marks.append(CountingCSR.products[0]))
+        per_step = set(np.diff(marks).tolist())
+        assert len(per_step) == 1, per_step
+        return per_step.pop()
+
+    def test_products_per_step(self):
+        # splitting: the step reads M_f u, M_s q and K_s w of its level, the ledger adds
+        # K_f u' and M_f (u' - u) (and K_s w', M_s (q' - q) for k = 1), and the new
+        # level's products are formed once; the oracle forms its level's products and
+        # reads only interface rows of its step matrices
+        got = {(stepper.__name__, k): self.products_per_step(stepper, k)
+               for stepper in (run, run_monolithic) for k in (1, 2)}
+        print(f"step-products: full-size matvecs per step: splitting {got['run', 1]} (k = 1), "
+              f"{got['run', 2]} (k = 2); oracle {got['run_monolithic', 1]} (k = 1), "
+              f"{got['run_monolithic', 2]} (k = 2)")
+        assert got == {("run", 1): 6, ("run", 2): 5,
+                       ("run_monolithic", 1): 2, ("run_monolithic", 2): 3}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_ledger_is_the_energies_of_bare_states(self, k, forced):
+        mesh = meshing.uniform_split_mesh(8)
+        if forced:
+            case = get_case("pp_conforming" if k == 1 else "ph_uniform")
+            params = SchemeParams(k=k, dt=0.0625, alpha=2.0, T=0.25)
+            ops = CoupledOperators(mesh, params)
+            sources, start = SourceData.from_case(case), initial_state(case, mesh, ops)
+        else:
+            params = SchemeParams(k=k, dt=0.0625, alpha=2.0, nu_f=0.8, nu_s=1.3, T=0.25)
+            ops = CoupledOperators(mesh, params)
+            sources, start = SourceData(), random_state(ops, np.random.default_rng(6), k)
+        levels = [start]
+        final, ledger = run(params, mesh, sources, start, ops, callback=levels.append)
+        assert all(s.products is None for s in levels + [final])
+        assert all(getattr(final, name) is getattr(levels[-1], name)
+                   for name in ("u", "w", "q", "lam"))
+        assert ledger.Z == [energy_Z(ops, s) for s in levels]
+        assert ledger.S == [energy_S(ops, s0, s1) for s0, s1 in zip(levels, levels[1:])]
+
+    @pytest.mark.parametrize("stepper", [run, run_monolithic])
+    def test_handed_out_states_are_read_only(self, stepper):
+        mesh = meshing.uniform_split_mesh(4)
+        params = SchemeParams(k=2, dt=0.125, T=0.25)
+        ops = CoupledOperators(mesh, params)
+        start = random_state(ops, np.random.default_rng(8), 2)
+
+        def write(state):
+            state.u[0] = 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            stepper(params, mesh, SourceData(), start, ops, callback=write)
+        out = stepper(params, mesh, SourceData(), start, ops)
+        final = out[0] if stepper is run else out
+        names = ("u", "w", "q", "lam")
+        assert not any(getattr(final, name).flags.writeable for name in names)
+        # the caller's start keeps its own flags
+        assert all(getattr(start, name).flags.writeable for name in names)
+
+
 class TestFactorizations:
     """The Robin LUs and the condensed oracle LU all take the symmetric path."""
 
@@ -700,11 +787,19 @@ class TestSharedDiscretization:
         assert ops1.dof_f.triangles is mesh.triangles_f
         assert ops1.dof_s.triangles is mesh.triangles_s
         # the bundles keep no step matrices and no LU; each system builds its own pair
+        # and keeps the rows of it that the oracle step reads
         assert not {"A_s", "A_f", "_solid", "_fluid"} & (vars(ops1).keys() | vars(ops2).keys())
         for ops in (ops1, ops2):
-            *_, A_s, A_f = coupling._monolithic_system(ops)
-            for got, ref in zip((A_s, A_f), ops.step_matrices()):
+            *_, I_s, A_s_rows, near, A_f_rows = coupling._monolithic_system(ops)
+            A_s, A_f = ops.step_matrices()
+            for got, ref in ((A_s_rows, A_s[I_s]), (A_f_rows, A_f[near])):
                 assert (got != ref).nnz == 0
+            assert np.array_equal(I_s, ops.dof_s.interface_dofs[ops.dof_s.interface_dofs >= 0])
+            # A_f times a field on the interface dofs is zero off the kept rows
+            jump_f = ops.dof_f.R.T @ np.random.default_rng(2).standard_normal(ops.n_if)
+            off = np.ones(ops.dof_f.n_dofs, dtype=bool)
+            off[near] = False
+            assert not (A_f @ jump_f)[off].any() and off.any()
         assert sorted(assembled) == [("assemble_mass", "f"), ("assemble_mass", "s"),
                                      ("assemble_stiffness", "f"), ("assemble_stiffness", "s")]
 

@@ -217,7 +217,8 @@ class TestOrderedFactorization:
         steps = ops.step_matrices()
         systems = [(lu, next(steps) + params.alpha * (dof.R.T @ ops.M_if @ dof.R))
                    for lu, dof in zip(coupling._robin_system(ops), (ops.dof_s, ops.dof_f))]
-        lu, Pf, Ps, *_, A_s, A_f = coupling._monolithic_system(ops)
+        lu, Pf, Ps, *_ = coupling._monolithic_system(ops)
+        A_s, A_f = ops.step_matrices()
         systems.append((lu, Pf.T @ A_f @ Pf + Ps.T @ A_s @ Ps))
         for lu, A in systems:
             mmd = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
