@@ -12,7 +12,9 @@ the fluid step couples to R v, and ``solid_levels`` maps v to the next
 (w, q). The oracle is the splitting's strongly coupled limit,
 R_s v - R_f u = g_D for both k, with its interface multiplier eliminated into
 one SPD system; an exact per-step energy ledger supports the
-stored-plus-dissipated balance audit. Each step reads its parameters from its
+stored-plus-dissipated balance audit. ``run`` forms each time level's mass,
+stiffness and trace products once, and the next step and the ledger both
+read them. Each step reads its parameters from its
 ``CoupledOperators``, which holds no factorization: each run factors its own
 system and drops it on return. A run's sources are one function of time,
 ``SourceData.assemble(ops)``.
@@ -269,7 +271,8 @@ def fluid_step(ops: CoupledOperators, state: SchemeState, v: np.ndarray, step_so
     dt, a = ops.params.dt, ops.params.alpha
     g_D, _, _, load_f = step_sources
     v_tr = fem.trace_restrict(ops.dof_s, v)
-    rhs = _product(ops, state, "Mu") / dt + ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (v_tr - g_D)))
+    rhs = _product(ops, state, "Mu") / dt
+    rhs += ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (v_tr - g_D)))
     rhs += load_f
     u_next = system[1].solve(rhs)
     u_tr = fem.trace_restrict(ops.dof_f, u_next)

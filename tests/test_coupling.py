@@ -633,34 +633,31 @@ class TestOracleLimit:
         assert ledger.relative_defect() <= 1e-12
 
 
-class CountingCSR(sp.csr_array):
-    """A CSR array that counts its products with a vector while it is square: the
-    full-size products, not those of a slice of its rows. Scaled copies and sums of
-    it, such as the step matrices, are CountingCSR too."""
-
-    products = [0]
-
-    def _matmul_vector(self, other):
-        if self.shape[0] == self.shape[1]:
-            self.products[0] += 1
-        return super()._matmul_vector(other)
-
-
 class TestSharedProducts:
     """A level's products are formed once, and the states a run hands out are read-only."""
 
     @staticmethod
     def products_per_step(stepper, k):
+        count = [0]
+
+        class Counting(sp.csr_array):
+            # counts its products with a vector while square: the full-size ones, not
+            # those of a slice of its rows; its scaled copies and sums, such as the
+            # step matrices, are Counting too
+            def _matmul_vector(self, other):
+                count[0] += self.shape[0] == self.shape[1]
+                return super()._matmul_vector(other)
+
         # mesh 16: its step matrices have rows off the interface band, so a slice of
         # their interface rows is not full-size
         mesh = meshing.uniform_split_mesh(16)
         params = SchemeParams(k=k, dt=0.125, alpha=1.7, T=0.5)
         ops = CoupledOperators(mesh, params)
         for name in ("M_f", "K_f", "M_s", "K_s"):
-            setattr(ops, name, CountingCSR(getattr(ops, name)))
+            setattr(ops, name, Counting(getattr(ops, name)))
         marks = []
         stepper(params, mesh, SourceData(), random_state(ops, np.random.default_rng(4), k),
-                ops, callback=lambda state: marks.append(CountingCSR.products[0]))
+                ops, callback=lambda state: marks.append(count[0]))
         per_step = set(np.diff(marks).tolist())
         assert len(per_step) == 1, per_step
         return per_step.pop()
