@@ -114,10 +114,11 @@ def cmd_convergence(args) -> int:
         use_oracle=args.oracle,
     )
     table = harness.run_study(cfg)
-    path = _out_path(args, f"convergence_{case.name}.csv")
-    harness.write_table(table, path)
+    csv, path = harness.table_to_csv(table), _out_path(args, f"convergence_{case.name}.csv")
+    with open(path, "w") as fh:
+        fh.write(csv)
     print(f"wrote {path}")
-    sys.stdout.write(harness.table_to_csv(table))
+    sys.stdout.write(csv)
     for dt, reason in table.failures:
         print(f"flagged row dt={dt:.6g}: {reason}")
     if args.emit_plot:

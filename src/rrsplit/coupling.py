@@ -12,9 +12,11 @@ the fluid step couples to R v, and ``solid_levels`` maps v to the next
 (w, q). The oracle is the splitting's strongly coupled limit,
 R_s v - R_f u = g_D for both k, with its interface multiplier eliminated into
 one SPD system; an exact per-step energy ledger supports the
-stored-plus-dissipated balance audit. ``run`` forms each time level's mass,
-stiffness and trace products once, and the next step and the ledger both
-read them. Each step reads its parameters from its
+stored-plus-dissipated balance audit. Both steppers step on levels
+(``_level``): checked finite, read-only, and carrying the level's mass,
+stiffness and trace products, formed once, which the next step and the ledger
+both read; a public step or energy function called on a bare state forms them
+itself. Each step reads its parameters from its
 ``CoupledOperators``, which holds no factorization: each run factors its own
 system and drops it on return. A run's sources are one function of time,
 ``SourceData.assemble(ops)``.
@@ -51,6 +53,8 @@ class SchemeParams:
         values = (self.dt, self.alpha, self.nu_f, self.nu_s, self.T)
         if not all(math.isfinite(v) and v > 0.0 for v in values):
             raise ValueError("dt, alpha, nu_f, nu_s, T must be finite and positive")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"T={self.T!r} / dt={self.dt!r} overflows a float")
         n = round(self.T / self.dt)
         if n < 1 or abs(n * self.dt - self.T) > 1e-9 * self.dt:
             raise ValueError(f"T={self.T!r} is not a positive integer multiple of dt={self.dt!r}")
@@ -112,9 +116,9 @@ class SchemeState:
     w: np.ndarray  # solid dofs
     q: np.ndarray  # solid dofs; for k = 1 equal to w, and the same array after a step
     lam: np.ndarray  # every interface node, in trace order
-    # the level's shared products (``_PRODUCTS``), formed once by ``run`` on the states
-    # it steps with; the states it hands out are bare (None) and read-only
-    products: Optional[dict] = field(default=None, repr=False, compare=False)
+    # the level's record (``_products``), attached by ``_level`` to the states both
+    # steppers step with; the states they hand out are bare (None) and read-only
+    products: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -193,49 +197,38 @@ def _mesh_operators(mesh: CoupledMesh) -> dict:
     return shared
 
 
-# The products of a time level that its next step and the ledger both read, by name.
-# "Mq" is also the k = 1 solid history's M_s w^n: for k = 1, q = w.
-_PRODUCTS = {
-    "Mu": lambda ops, state: ops.M_f @ state.u,
-    "Mq": lambda ops, state: ops.M_s @ state.q,
-    "Kw": lambda ops, state: ops.K_s @ state.w,  # read for k = 2 only
-    "u_tr": lambda ops, state: fem.trace_restrict(ops.dof_f, state.u),
-}
-
-
-def _product(ops: CoupledOperators, state: SchemeState, name: str) -> np.ndarray:
-    """One of the level's ``_PRODUCTS``: the one ``run`` formed for the state, or, on a
-    bare state, formed here."""
+def _products(ops: CoupledOperators, state: SchemeState) -> tuple:
+    """The level's record (M_f u, M_s q, K_s w or None for k = 1, R_f u): the one
+    ``_level`` attached, or, on a bare state, formed here. For k = 1, M_s q is also the
+    solid history's M_s w^n (q = w)."""
     if state.products is not None:
-        return state.products[name]
-    return _PRODUCTS[name](ops, state)
+        return state.products
+    return (ops.M_f @ state.u, ops.M_s @ state.q,
+            ops.K_s @ state.w if ops.params.k == 2 else None,
+            fem.trace_restrict(ops.dof_f, state.u))
 
 
-def _read_only(state: SchemeState) -> SchemeState:
-    """A bare state on read-only views of the state's arrays; q stays w's view when
-    it was w's array."""
+def _level(ops: CoupledOperators, state: SchemeState) -> SchemeState:
+    """The state as both steppers step with it: FloatingPointError naming its step and
+    first non-finite field, else a state on read-only views of its arrays (q stays w's
+    view when it was w's array) with its record (``_products``) attached."""
+    for name in ("u", "w", "q", "lam"):
+        if not np.isfinite(getattr(state, name)).all():
+            raise FloatingPointError(f"non-finite {name} at step {state.step_index}")
     u, w, lam = (np.asarray(a).view() for a in (state.u, state.w, state.lam))
     q = w if state.q is state.w else np.asarray(state.q).view()
     for a in (u, w, q, lam):
         a.flags.writeable = False
-    return SchemeState(state.step_index, u, w, q, lam)
-
-
-def _level(ops: CoupledOperators, state: SchemeState) -> SchemeState:
-    """The state as ``run`` steps with it: read-only, with every product its next step
-    and the ledger read formed once (K_s w for k = 2 only)."""
-    level = _read_only(state)
-    level.products = {name: form(ops, level) for name, form in _PRODUCTS.items()
-                      if name != "Kw" or ops.params.k == 2}
-    return level
+    level = SchemeState(state.step_index, u, w, q, lam)
+    return replace(level, products=_products(ops, level))
 
 
 def solid_history(ops: CoupledOperators, state: SchemeState) -> np.ndarray:
     """The solid right-hand side's terms in w^n and q^n, without interface terms."""
-    p, dt, Mq = ops.params, ops.params.dt, _product(ops, state, "Mq")
+    p, dt, (_, Mq, Kw, _) = ops.params, ops.params.dt, _products(ops, state)
     if p.k == 1:
         return Mq / dt
-    return (2.0 / dt) * Mq - p.nu_s * _product(ops, state, "Kw")
+    return (2.0 / dt) * Mq - p.nu_s * Kw
 
 
 def solid_levels(ops: CoupledOperators, state: SchemeState, v: np.ndarray):
@@ -261,7 +254,7 @@ def solid_step(ops: CoupledOperators, state: SchemeState, step_sources, system) 
     function (``SourceData.assemble``), ``system`` is ``_robin_system(ops)``."""
     a, M_if = ops.params.alpha, ops.M_if
     g_D, g_N, load_s, _ = step_sources
-    robin = M_if @ (a * (_product(ops, state, "u_tr") + g_D) - state.lam + g_N)
+    robin = M_if @ (a * (_products(ops, state)[3] + g_D) - state.lam + g_N)
     return system[0].solve(solid_history(ops, state) + ops.dof_s.R.T @ robin + load_s)
 
 
@@ -271,7 +264,7 @@ def fluid_step(ops: CoupledOperators, state: SchemeState, v: np.ndarray, step_so
     dt, a = ops.params.dt, ops.params.alpha
     g_D, _, _, load_f = step_sources
     v_tr = fem.trace_restrict(ops.dof_s, v)
-    rhs = _product(ops, state, "Mu") / dt
+    rhs = _products(ops, state)[0] / dt
     rhs += ops.dof_f.R.T @ (ops.M_if @ (state.lam + a * (v_tr - g_D)))
     rhs += load_f
     u_next = system[1].solve(rhs)
@@ -296,11 +289,12 @@ def _quad_form(A: sp.csr_array, x: np.ndarray) -> float:
 def energy_Z(ops: CoupledOperators, state: SchemeState) -> float:
     """Stored energy at one time level; the solid strain term is there for k = 2 only."""
     p, dt, a = ops.params, ops.params.dt, ops.params.alpha
-    z = 0.5 * float(state.q @ _product(ops, state, "Mq"))
-    z += 0.5 * float(state.u @ _product(ops, state, "Mu"))
+    Mu, Mq, Kw, u_tr = _products(ops, state)
+    z = 0.5 * float(state.q @ Mq)
+    z += 0.5 * float(state.u @ Mu)
     if p.k == 2:
-        z += 0.5 * p.nu_s * float(state.w @ _product(ops, state, "Kw"))
-    z += 0.5 * dt * a * _quad_form(ops.M_if, _product(ops, state, "u_tr"))
+        z += 0.5 * p.nu_s * float(state.w @ Kw)
+    z += 0.5 * dt * a * _quad_form(ops.M_if, u_tr)
     z += 0.5 * (dt / a) * _quad_form(ops.M_if, state.lam)
     return z
 
@@ -321,7 +315,7 @@ def energy_S(ops: CoupledOperators, state_n: SchemeState, state_next: SchemeStat
     else:
         q_half = 0.5 * (state_next.q + state_n.q)
     s += 0.5 * _quad_form(ops.M_f, state_next.u - state_n.u)
-    d = fem.trace_restrict(ops.dof_s, q_half) - _product(ops, state_n, "u_tr")
+    d = fem.trace_restrict(ops.dof_s, q_half) - _products(ops, state_n)[3]
     s += 0.5 * dt * a * _quad_form(ops.M_if, d)
     return s
 
@@ -332,22 +326,6 @@ def _check_ops(ops: CoupledOperators, mesh: CoupledMesh, params: SchemeParams | 
         raise ValueError("ops were built on another mesh")
     if params is not None and ops.params != params:
         raise ValueError(f"ops were built for {ops.params}, not {params}")
-
-
-def _check_start(params: SchemeParams, mesh: CoupledMesh, ops: CoupledOperators,
-                 initial: SchemeState):
-    """Raise ValueError unless ops fit this run, each start vector is 1-D with its
-    dof or interface count, and a k = 1 start has q0 = w0; FloatingPointError
-    if the start holds a non-finite value."""
-    _check_ops(ops, mesh, params)
-    n_f, n_s = ops.dof_f.n_dofs, ops.dof_s.n_dofs
-    for name, n in (("u", n_f), ("w", n_s), ("q", n_s), ("lam", ops.n_if)):
-        shape = np.shape(getattr(initial, name))
-        if shape != (n,):
-            raise ValueError(f"start {name} has shape {shape}, expected {(n,)}")
-    _check_finite(initial)
-    if params.k == 1 and not np.array_equal(initial.q, initial.w):
-        raise ValueError("k=1 requires q0 = w0")
 
 
 def initial_state(case, mesh: CoupledMesh, ops: CoupledOperators) -> SchemeState:
@@ -366,11 +344,20 @@ def initial_state(case, mesh: CoupledMesh, ops: CoupledOperators) -> SchemeState
     return SchemeState(0, u0, w0, q0, ops.interface_values(case.exact_l, 0.0))
 
 
-def _check_finite(state: SchemeState) -> None:
-    """Raise FloatingPointError naming the step and the first non-finite field."""
-    for name in ("u", "w", "q", "lam"):
-        if not np.isfinite(getattr(state, name)).all():
-            raise FloatingPointError(f"non-finite {name} at step {state.step_index}")
+def _start(params: SchemeParams, mesh: CoupledMesh, ops: CoupledOperators,
+           initial: SchemeState) -> SchemeState:
+    """The start's level (``_level``); ValueError unless ops fit this run, each start
+    vector is 1-D with its dof or interface count, and a k = 1 start has q0 = w0."""
+    _check_ops(ops, mesh, params)
+    n_f, n_s = ops.dof_f.n_dofs, ops.dof_s.n_dofs
+    for name, n in (("u", n_f), ("w", n_s), ("q", n_s), ("lam", ops.n_if)):
+        shape = np.shape(getattr(initial, name))
+        if shape != (n,):
+            raise ValueError(f"start {name} has shape {shape}, expected {(n,)}")
+    level = _level(ops, initial)  # the finite check first: NaN != NaN
+    if params.k == 1 and not np.array_equal(level.q, level.w):
+        raise ValueError("k=1 requires q0 = w0")
+    return level
 
 
 def _finite_energy(energy: Callable, ops: CoupledOperators, *states) -> float:
@@ -388,19 +375,16 @@ def run(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
         callback: Callable | None = None) -> tuple[SchemeState, EnergyLedger]:
     """Advance n_steps from the initial state; returns final state and energy ledger.
 
-    Each level's shared products are formed once (``_level``), and the next step and
-    the ledger read them. The callback and the return get bare states with read-only
+    Each level's products are formed once (``_level``), and the next step and the
+    ledger read them. The callback and the return get bare states with read-only
     arrays; the caller's ``initial`` keeps its own. Raises FloatingPointError at the
     first step whose state, Z or S is not finite.
     """
-    _check_start(params, mesh, ops, initial)
-    state, step_sources = _level(ops, initial), sources.assemble(ops)
+    state, step_sources = _start(params, mesh, ops, initial), sources.assemble(ops)
     system = _robin_system(ops)
     ledger = EnergyLedger(Z=[_finite_energy(energy_Z, ops, state)], S=[])
     for _ in range(params.n_steps):
-        new = advance(ops, state, step_sources, system)
-        _check_finite(new)
-        new = _level(ops, new)
+        new = _level(ops, advance(ops, state, step_sources, system))
         ledger.S.append(_finite_energy(energy_S, ops, state, new))
         ledger.Z.append(_finite_energy(energy_Z, ops, new))
         state = new
@@ -475,7 +459,7 @@ def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable
     g_D, g_N, load_s, load_f = sources((state.step_index + 1) * dt)
     rhs_s = solid_history(ops, state) + load_s
     rhs_s += ops.dof_s.R.T @ (ops.M_if @ g_N)
-    rhs_f = _product(ops, state, "Mu") / dt + load_f
+    rhs_f = _products(ops, state)[0] / dt + load_f
 
     # the interface jump v - u, fixed by the constraint, lifted into the fluid dofs
     jump = np.zeros(ops.n_if)
@@ -495,17 +479,16 @@ def monolithic_step(ops: CoupledOperators, state: SchemeState, sources: Callable
 def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
                    initial: SchemeState, ops: CoupledOperators,
                    callback: Callable | None = None) -> SchemeState:
-    """Advance the strongly coupled oracle n_steps from the initial state; the callback
-    and the return get states with read-only arrays."""
-    _check_start(params, mesh, ops, initial)
-    state, step_sources = initial, sources.assemble(ops)
+    """Advance the strongly coupled oracle n_steps from the initial state, stepping on
+    levels as ``run`` does; the callback and the return get bare states with read-only
+    arrays."""
+    state, step_sources = _start(params, mesh, ops, initial), sources.assemble(ops)
     system = _monolithic_system(ops)
     for _ in range(params.n_steps):
-        state = _read_only(monolithic_step(ops, state, step_sources, system))
-        _check_finite(state)
+        state = _level(ops, monolithic_step(ops, state, step_sources, system))
         if callback is not None:
-            callback(state)
-    return state
+            callback(replace(state, products=None))
+    return replace(state, products=None)
 
 
 # --- plain-text outputs ------------------------------------------------------

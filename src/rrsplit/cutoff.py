@@ -17,6 +17,7 @@ import numpy as np
 
 GROWTH_BOUND = 4.0
 _N_SAMPLE = 300  # grid points per direction of the range and boundary checks
+_N_PANELS = 12  # x2 panels of the strip rule, plus one per halving of dt below 1
 _GAUSS8_X, _GAUSS8_W = np.polynomial.legendre.leggauss(8)
 _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 
@@ -143,9 +144,9 @@ def _quadrant_integral(dt: float) -> float:
     return float((np.outer(w, np.tile(w, 2)) * (gx**2 + gy**2)).sum())
 
 
-def grad_energy(dt: float, quadrature_level: int = 4) -> float:
+def grad_energy(dt: float) -> float:
     """Squared-gradient integral over the unit square by region-wise quadrature."""
-    n_panels = 4 + 2 * quadrature_level + max(0, int(math.ceil(math.log2(1.0 / dt))))
+    n_panels = _N_PANELS + max(0, int(math.ceil(math.log2(1.0 / dt))))
     return 2.0 * _strip_integral(dt, n_panels) + _quadrant_integral(dt)
 
 

@@ -255,11 +255,6 @@ def table_to_csv(table: ConvergenceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_table(table: ConvergenceTable, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(table_to_csv(table))
-
-
 def emit_plot_script(table: ConvergenceTable, csv_path, script_path) -> None:
     """gnuplot script plotting each error column of the CSV against dt."""
     lines = [

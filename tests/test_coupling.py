@@ -8,6 +8,7 @@ sparse assembly and the stepper share no code with the oracle.
 import gc
 import hashlib
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -675,9 +676,9 @@ class TestSharedProducts:
         assert got == {("run", 1): 6, ("run", 2): 5,
                        ("run_monolithic", 1): 2, ("run_monolithic", 2): 3}
 
-    @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_ledger_is_the_energies_of_bare_states(self, k, forced):
+    @staticmethod
+    def collected_run(stepper, k, forced):
+        """(ops, sources, start, the stepper's return, the states its callback got)."""
         mesh = meshing.uniform_split_mesh(8)
         if forced:
             case = get_case("pp_conforming" if k == 1 else "ph_uniform")
@@ -689,12 +690,30 @@ class TestSharedProducts:
             ops = CoupledOperators(mesh, params)
             sources, start = SourceData(), random_state(ops, np.random.default_rng(6), k)
         levels = [start]
-        final, ledger = run(params, mesh, sources, start, ops, callback=levels.append)
+        out = stepper(params, mesh, sources, start, ops, callback=levels.append)
+        final = out[0] if stepper is run else out
         assert all(s.products is None for s in levels + [final])
         assert all(getattr(final, name) is getattr(levels[-1], name)
                    for name in ("u", "w", "q", "lam"))
+        return ops, sources, start, out, levels
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_ledger_is_the_energies_of_bare_states(self, k, forced):
+        ops, _, _, (_, ledger), levels = self.collected_run(run, k, forced)
         assert ledger.Z == [energy_Z(ops, s) for s in levels]
         assert ledger.S == [energy_S(ops, s0, s1) for s0, s1 in zip(levels, levels[1:])]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_oracle_levels_are_its_steps_of_bare_states(self, k, forced):
+        ops, sources, state, _, levels = self.collected_run(run_monolithic, k, forced)
+        step_sources, system = sources.assemble(ops), coupling._monolithic_system(ops)
+        for level in levels[1:]:
+            state = monolithic_step(ops, state, step_sources, system)
+            assert state.step_index == level.step_index
+            for name in ("u", "w", "q", "lam"):
+                assert getattr(level, name).tobytes() == getattr(state, name).tobytes(), name
 
     @pytest.mark.parametrize("stepper", [run, run_monolithic])
     def test_handed_out_states_are_read_only(self, stepper):
@@ -1134,6 +1153,12 @@ class TestParams:
         # the mismatch counts relative to dt, and a run takes at least one step
         for dt, T in ((0.15, 0.25), (0.5, 1e-13), (2.0**-40, 3 * 2.0**-40 + 4e-13)):
             with pytest.raises(ValueError, match="positive integer multiple"):
+                SchemeParams(k=1, dt=dt, T=T)
+
+    def test_overflowing_step_count_rejected(self):
+        # T / dt overflows to inf, which round() cannot take
+        for dt, T in ((0.25, 1e308), (1e-300, 1e10)):
+            with pytest.raises(ValueError, match=re.escape(f"T={T!r} / dt={dt!r} overflows")):
                 SchemeParams(k=1, dt=dt, T=T)
 
     def test_positive_parameters(self):

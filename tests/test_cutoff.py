@@ -8,6 +8,8 @@ import pytest
 from rrsplit.cutoff import (
     AssumptionReport,
     _labels,
+    _quadrant_integral,
+    _strip_integral,
     closed_form_grad_energy,
     grad_energy,
     grad_phi,
@@ -168,8 +170,10 @@ class TestGradEnergy:
             assert ratio <= 4.0
 
     def test_quadrature_levels_cauchy(self):
+        # the panel rule at 11, 15 and 19 panels; grad_energy takes 15 at dt = 1/8
         dt = 0.125
-        vals = [grad_energy(dt, quadrature_level=lvl) for lvl in (2, 4, 6)]
+        vals = [2.0 * _strip_integral(dt, n) + _quadrant_integral(dt) for n in (11, 15, 19)]
+        assert vals[1] == grad_energy(dt)
         assert abs(vals[1] - vals[0]) < 1e-4
         assert abs(vals[2] - vals[1]) < 1e-4
 

@@ -308,6 +308,16 @@ class TestCli:
             assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["run", "--case", "pp_conforming", "--dt", "0.25"],
+        ["convergence", "--case", "pp_conforming", "--dt-max", "0.25", "--dt-min", "0.125"],
+    ])
+    def test_overflowing_step_count_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--t-final", "1e308", "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert "T=1e+308 / dt=0.25 overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["mesh-dump", "--case", "pp_conforming", "--dt", "-1"],
         ["mesh-dump", "--case", "pp_slanted", "--dt", "0.3"],
         ["mesh-dump", "--case", "pp_slanted", "--dt", "0"],
