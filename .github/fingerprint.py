@@ -17,20 +17,64 @@ sides. The groups:
   same inputs;
 - ``energy_audit/k1``, ``energy_audit/k2``: the Z and S ledgers of two
   zero-source audits;
-- ``study/pp_slanted``: the errors of a three-row pp_slanted study.
+- ``study/pp_slanted``: the errors of a three-row pp_slanted study;
+- ``cli/<name>``: the exit code, stdout, stderr and every written file of
+  one ``cli.main`` invocation (``CLI_RUNS``): each subcommand, ``--out``,
+  ``--emit-plot``, ``RRSPLIT_OUT_DIR``, a failed ``run`` and a step without
+  a study mesh. Each runs in a fresh temporary directory with relative
+  paths, so no digest depends on where it ran.
 
 The output is appended to $GITHUB_STEP_SUMMARY when that is set.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-sys.path[:0] = ["src"]
-from rrsplit import coupling, harness, meshing  # noqa: E402
+sys.path[:0] = [os.path.abspath("src")]
+from rrsplit import cli, coupling, harness, meshing  # noqa: E402
 from rrsplit.cases import CASE_NAMES, get_case  # noqa: E402
+
+
+# name -> (argv, RRSPLIT_OUT_DIR or None)
+CLI_RUNS = {
+    "convergence": (["convergence", "--case", "pp_slanted", "--dt-max", "0.25",
+                     "--dt-min", "0.125", "--out", "table.csv", "--emit-plot"], None),
+    "convergence-oracle": (["convergence", "--case", "ph_uniform", "--dt-max", "0.25",
+                            "--dt-min", "0.125", "--oracle"], "out"),
+    "run": (["run", "--case", "pp_conforming", "--dt", "0.125", "--out", "state.txt"], None),
+    "run-failed": (["run", "--case", "pp_uniform", "--dt", "0.25", "--nu-f", "1e300"], None),
+    "run-no-mesh": (["run", "--case", "pp_slanted", "--dt", "0.05"], None),
+    "energy-audit": (["energy-audit", "--k", "2", "--dt", "0.2", "--steps", "5", "--seed", "3",
+                      "--out", "energy.csv"], None),
+    "cutoff-verify": (["cutoff-verify", "--dt-max", "0.25", "--dt-min", "0.0625"], None),
+    "mesh-dump": (["mesh-dump", "--case", "pp_slanted", "--dt", "0.125"], "out"),
+}
+
+
+def cli_digest(argv, out_dir) -> str:
+    """SHA-256 of one ``cli.main`` run's exit code, stdout, stderr and written files."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("RRSPLIT_OUT_DIR", None)
+        if out_dir is not None:
+            os.mkdir(out_dir)
+            os.environ["RRSPLIT_OUT_DIR"] = out_dir
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        files = sorted((str(p), p.read_bytes()) for p in Path().rglob("*") if p.is_file())
+    return hashlib.sha256(repr((code, out.getvalue(), err.getvalue(), files)).encode()).hexdigest()
 
 
 def digest(arrays) -> str:
@@ -55,21 +99,22 @@ def groups():
         sources = coupling.SourceData.from_case(case)
         state0 = coupling.initial_state(case, mesh, ops)
         final, ledger = coupling.run(params, mesh, sources, state0, ops)
-        yield f"run/{name}", state_arrays(final) + [ledger.Z, ledger.S]
+        yield f"run/{name}", digest(state_arrays(final) + [ledger.Z, ledger.S])
         oracle = coupling.run_monolithic(params, mesh, sources, state0, ops)
-        yield f"run_monolithic/{name}", state_arrays(oracle)
+        yield f"run_monolithic/{name}", digest(state_arrays(oracle))
     for k in (1, 2):
         rep = harness.energy_audit(k=k, alpha=2.0, dt=0.05, n_steps=12, mesh_n=12, seed=3,
                                    nu_f=2.0, nu_s=0.5)
-        yield f"energy_audit/k{k}", [rep["ledger"].Z, rep["ledger"].S]
+        yield f"energy_audit/k{k}", digest([rep["ledger"].Z, rep["ledger"].S])
     table = harness.run_study(harness.StudyConfig("pp_slanted", (0.25, 0.125, 0.0625)))
-    yield "study/pp_slanted", [table.errors[n] for n in table.norms]
+    yield "study/pp_slanted", digest([table.errors[n] for n in table.norms])
+    for name, (argv, out_dir) in CLI_RUNS.items():
+        yield f"cli/{name}", cli_digest(argv, out_dir)
 
 
 def main() -> int:
     lines, overall = [], hashlib.sha256()
-    for name, arrays in groups():
-        d = digest(arrays)
+    for name, d in groups():
         overall.update(d.encode())
         lines.append(f"{d}  {name}")
     lines.append(f"{overall.hexdigest()}  overall")

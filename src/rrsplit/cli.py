@@ -1,4 +1,7 @@
-"""Command-line runner for convergence studies, audits, and diagnostics."""
+"""Command-line runner for convergence studies, audits, and diagnostics.
+
+The only module that writes files or turns a failure into an exit code.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ import math
 import os
 import sys
 
-from . import coupling, cutoff, harness, meshing
+from . import cutoff, harness
 from .cases import CASE_NAMES, get_case
 
 
@@ -37,9 +40,39 @@ def _read_config(path) -> dict:
 
 
 def _out_path(args, default_name: str) -> str:
-    if args.out:
-        return args.out
-    return os.path.join(harness.default_output_dir(), default_name)
+    return args.out or os.path.join(os.environ.get("RRSPLIT_OUT_DIR", "."), default_name)
+
+
+def _write(path, lines) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _checkpoint_lines(state):
+    """Plain-text checkpoint: step index, then each coefficient vector."""
+    yield f"step {state.step_index}"
+    for tag, vec in (("u", state.u), ("w", state.w), ("q", state.q), ("lambda", state.lam)):
+        yield tag + " " + " ".join(map(repr, vec.tolist()))
+
+
+def _energy_lines(ledger):
+    """Per-step energy bookkeeping: n, Z, S, Z_plus_cumS."""
+    balance = ledger.balance()
+    yield "n,Z,S,Z_plus_cumS"
+    for n, z in enumerate(ledger.Z):
+        s = ledger.S[n - 1] if n >= 1 else 0.0
+        yield f"{n},{z:.17g},{s:.17g},{balance[n]:.17g}"
+
+
+def _mesh_lines(mesh):
+    """Plain-text mesh: one record per line, index then fields, space separated."""
+    for tag, fields, records in (("nodes", "x y", mesh.nodes),
+                                 ("triangles_f", "n0 n1 n2", mesh.triangles_f),
+                                 ("triangles_s", "n0 n1 n2", mesh.triangles_s),
+                                 ("interface_segments", "n0 n1", mesh.interface_segments)):
+        yield f"# {tag}: id {fields}"
+        for i, record in enumerate(records.tolist()):
+            yield " ".join(map(repr, (i, *record)))
 
 
 def _config_parser() -> argparse.ArgumentParser:
@@ -115,15 +148,14 @@ def cmd_convergence(args) -> int:
     )
     table = harness.run_study(cfg)
     csv, path = harness.table_to_csv(table), _out_path(args, f"convergence_{case.name}.csv")
-    with open(path, "w") as fh:
-        fh.write(csv)
+    _write(path, csv.splitlines())
     print(f"wrote {path}")
     sys.stdout.write(csv)
     for dt, reason in table.failures:
         print(f"flagged row dt={dt:.6g}: {reason}")
     if args.emit_plot:
         script = os.path.splitext(path)[0] + ".gp"
-        harness.emit_plot_script(table, path, script)
+        _write(script, harness.plot_script(table, os.path.basename(path)).splitlines())
         print(f"wrote {script}")
     return 1 if table.failures else 0
 
@@ -132,13 +164,7 @@ def cmd_run(args) -> int:
     case = get_case(args.case, nu_f=args.nu_f, nu_s=args.nu_s)
     cfg = harness.StudyConfig(case=case, dt_list=(args.dt,), final_time=args.t_final,
                               alpha=args.alpha, use_oracle=args.oracle)
-    try:
-        final, ledger, errors = harness.run_row(cfg, args.dt, ("L2_final_U", "L2_final_W"))
-    except harness.ROW_FAILURES as exc:
-        if type(exc) is ValueError:  # bad input, such as a step without a study mesh
-            raise
-        print(f"rrsplit run: failed at dt={args.dt:.6g}: {exc!r}", file=sys.stderr)
-        return 1
+    final, ledger, errors = harness.run_row(cfg, args.dt, ("L2_final_U", "L2_final_W"))
     print(f"errU={errors['L2_final_U']:.6g}")
     print(f"errW={errors['L2_final_W']:.6g}")
     if not args.oracle:
@@ -146,29 +172,23 @@ def cmd_run(args) -> int:
         # report the stored energy instead (see energy-audit for the identity)
         print(f"final_energy={ledger.Z[-1]:.6g}")
     if args.out:
-        coupling.dump_checkpoint(final, args.out)
+        _write(args.out, _checkpoint_lines(final))
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_energy_audit(args) -> int:
-    try:
-        report = harness.energy_audit(
-            k=args.k, alpha=args.alpha, dt=args.dt, n_steps=args.steps, seed=args.seed,
-            nu_f=args.nu_f, nu_s=args.nu_s,
-        )
-    except harness.ROW_FAILURES as exc:
-        if type(exc) is ValueError:  # bad input, such as a non-positive dt
-            raise
-        print(f"rrsplit energy-audit: failed: {exc!r}", file=sys.stderr)
-        return 1
+    report = harness.energy_audit(
+        k=args.k, alpha=args.alpha, dt=args.dt, n_steps=args.steps, seed=args.seed,
+        nu_f=args.nu_f, nu_s=args.nu_s,
+    )
     print(
         f"k={args.k} alpha={args.alpha} dt={args.dt} steps={args.steps} "
         f"defect={report['max_relative_defect']:.3e} "
         f"{'PASS' if report['passed'] else 'FAIL'}"
     )
     if args.out:
-        coupling.write_energy_csv(report["ledger"], args.out)
+        _write(args.out, _energy_lines(report["ledger"]))
         print(f"wrote {args.out}")
     return 0 if report["passed"] else 1
 
@@ -177,8 +197,7 @@ def cmd_cutoff_verify(args) -> int:
     reports = [cutoff.verify_assumptions(dt) for dt in _dyadic_list(args.dt_max, args.dt_min)]
     csv = harness.cutoff_report(reports)
     path = _out_path(args, "cutoff_report.csv")
-    with open(path, "w") as fh:
-        fh.write(csv)
+    _write(path, csv.splitlines())
     sys.stdout.write(csv)
     print(f"wrote {path}")
     return 0 if all(rep.passed for rep in reports) else 1
@@ -188,7 +207,7 @@ def cmd_mesh_dump(args) -> int:
     case = get_case(args.case)
     mesh = harness.build_study_mesh(case, args.dt)
     path = _out_path(args, f"mesh_{case.name}.txt")
-    meshing.dump_mesh(mesh, path)
+    _write(path, _mesh_lines(mesh))
     print(f"wrote {path} ({mesh.n_nodes} nodes, h_max={mesh.h_max:.6g})")
     return 0
 
@@ -225,17 +244,17 @@ def main(argv=None) -> int:
                              f"(choose from {', '.join(map(str, a.choices))})")
             a.required, a.default = False, value
     args = parser.parse_args(argv)
+    handler = {"convergence": cmd_convergence, "run": cmd_run, "energy-audit": cmd_energy_audit,
+               "cutoff-verify": cmd_cutoff_verify, "mesh-dump": cmd_mesh_dump}[args.command]
     try:
-        handler = {
-            "convergence": cmd_convergence,
-            "run": cmd_run,
-            "energy-audit": cmd_energy_audit,
-            "cutoff-verify": cmd_cutoff_verify,
-            "mesh-dump": cmd_mesh_dump,
-        }[args.command]
         return handler(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except harness.ROW_FAILURES as exc:
+        # bad input, such as a step without a study mesh, exits 2; not isinstance:
+        # np.linalg.LinAlgError subclasses ValueError, and a failed run exits 1
+        if type(exc) is ValueError:
+            parser.error(str(exc))
+        print(f"rrsplit {args.command}: failed: {exc!r}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,6 +35,8 @@ from scipy import linalg
 from . import fem, sparse
 from .meshing import CoupledMesh
 
+_MAX_STEPS = 2**20  # far above any study (at most 512 steps): more is a slip in T or dt
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -55,6 +57,9 @@ class SchemeParams:
             raise ValueError("dt, alpha, nu_f, nu_s, T must be finite and positive")
         if not math.isfinite(self.T / self.dt):
             raise ValueError(f"T={self.T!r} / dt={self.dt!r} overflows a float")
+        if self.T / self.dt > _MAX_STEPS:
+            raise ValueError(f"T={self.T!r} / dt={self.dt!r} is {self.T / self.dt:.6g} steps, "
+                             f"above the bound of {_MAX_STEPS}")
         n = round(self.T / self.dt)
         if n < 1 or abs(n * self.dt - self.T) > 1e-9 * self.dt:
             raise ValueError(f"T={self.T!r} is not a positive integer multiple of dt={self.dt!r}")
@@ -489,29 +494,3 @@ def run_monolithic(params: SchemeParams, mesh: CoupledMesh, sources: SourceData,
         if callback is not None:
             callback(replace(state, products=None))
     return replace(state, products=None)
-
-
-# --- plain-text outputs ------------------------------------------------------
-
-
-def dump_checkpoint(state: SchemeState, path) -> None:
-    """Plain-text checkpoint: step index, then each coefficient vector."""
-    with open(path, "w") as fh:
-        fh.write(f"step {state.step_index}\n")
-        for tag, vec in (
-            ("u", state.u),
-            ("w", state.w),
-            ("q", state.q),
-            ("lambda", state.lam),
-        ):
-            fh.write(tag + " " + " ".join(map(repr, vec.tolist())) + "\n")
-
-
-def write_energy_csv(ledger: EnergyLedger, path) -> None:
-    """Per-step energy bookkeeping: n, Z, S, Z_plus_cumS."""
-    balance = ledger.balance()
-    with open(path, "w") as fh:
-        fh.write("n,Z,S,Z_plus_cumS\n")
-        for n, z in enumerate(ledger.Z):
-            s = ledger.S[n - 1] if n >= 1 else 0.0
-            fh.write(f"{n},{z:.17g},{s:.17g},{balance[n]:.17g}\n")

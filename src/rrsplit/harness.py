@@ -1,4 +1,4 @@
-"""Convergence studies, energy audits, cut-off reports, and their CSV output.
+"""Convergence studies, energy audits, cut-off reports, and their CSV and plot text.
 
 A study sweeps dyadic time steps with the mesh tied to the step size
 (h = dt on the horizontal-interface family, one refinement level per
@@ -10,7 +10,6 @@ and reports rates log2(e(2 dt) / e(dt)) between adjacent rows.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +39,6 @@ _NORMS = {
 # RuntimeError) or a non-finite state. Anything else is a programming error
 # and propagates.
 ROW_FAILURES = (ValueError, RuntimeError, np.linalg.LinAlgError, FloatingPointError)
-
-
-def default_output_dir() -> str:
-    return os.environ.get("RRSPLIT_OUT_DIR", ".")
 
 
 @dataclass
@@ -100,8 +95,8 @@ def build_study_mesh(case: ManufacturedCase, dt: float):
     """Mesh matched to a time step: h = dt (horizontal) or one level per halving (slanted).
 
     The slanted family needs dt = 2^-(level + 2) exactly, level in [0, 10];
-    the horizontal family needs 1/dt an integer >= 2 (to within 1e-9).
-    Any other dt raises ValueError.
+    the horizontal family needs 1/dt an integer in [2, 4096] (to within 1e-9),
+    4096 being the finest slanted size. Any other dt raises ValueError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt={dt!r} must be finite and positive")
@@ -110,6 +105,8 @@ def build_study_mesh(case: ManufacturedCase, dt: float):
         if not (0 <= level <= 10 and dt == 2.0 ** -(level + 2)):
             raise ValueError(f"dt={dt!r} is not 2^-(level+2) for a slanted level in [0, 10]")
         return meshing.slanted_interface_mesh(level)
+    if 1.0 / dt > 4096.5:  # before round(), which an infinite 1/dt overflows, and any allocation
+        raise ValueError(f"dt={dt!r} is finer than the finest study mesh, 1/4096")
     n = round(1.0 / dt)
     if n < 2 or abs(1.0 / dt - n) > 1e-9:
         raise ValueError(f"dt={dt!r} is not 1/n for an integer n >= 2")
@@ -255,19 +252,10 @@ def table_to_csv(table: ConvergenceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_script(table: ConvergenceTable, csv_path, script_path) -> None:
-    """gnuplot script plotting each error column of the CSV against dt."""
-    lines = [
-        "set logscale xy",
-        'set datafile separator ","',
-        "set key outside",
-        f'set xlabel "dt"',
-        f'set ylabel "error"',
-    ]
-    plots = []
-    for j, n in enumerate(table.norms):
-        col = 2 + 2 * j
-        plots.append(f"'{os.path.basename(csv_path)}' using 1:{col} with linespoints title '{_NORMS[n][0]}'")
-    lines.append("plot " + ", \\\n     ".join(plots))
-    with open(script_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def plot_script(table: ConvergenceTable, csv_name: str) -> str:
+    """gnuplot script plotting each error column of the CSV ``csv_name`` against dt."""
+    plots = [f"'{csv_name}' using 1:{2 + 2 * j} with linespoints title '{_NORMS[n][0]}'"
+             for j, n in enumerate(table.norms)]
+    lines = ["set logscale xy", 'set datafile separator ","', "set key outside",
+             'set xlabel "dt"', 'set ylabel "error"', "plot " + ", \\\n     ".join(plots)]
+    return "\n".join(lines) + "\n"

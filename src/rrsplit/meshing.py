@@ -161,8 +161,8 @@ def uniform_split_mesh(n: int) -> CoupledMesh:
     and the upper one ceil(n/4) rows above, so a node row lands exactly on
     the interface for any n while h stays close to 1/n.
     """
-    if n < 2:
-        raise ValueError("uniform_split_mesh requires n >= 2")
+    if not 2 <= n <= 4096:  # the slanted family's finest size, 4 * 2**10 at level 10
+        raise ValueError("uniform_split_mesh requires 2 <= n <= 4096")
     return _two_block_mesh(n, math.ceil(3 * n / 4), math.ceil(n / 4), InterfaceGeometry.horizontal())
 
 
@@ -178,18 +178,3 @@ def slanted_interface_mesh(level: int) -> CoupledMesh:
         raise ValueError("slanted_interface_mesh level must be in [0, 10]")
     m = 4 * 2**level
     return _two_block_mesh(m, m, m, InterfaceGeometry.slanted())
-
-
-def dump_mesh(mesh: CoupledMesh, path) -> None:
-    """Plain-text dump: one record per line, index then fields, space separated."""
-    with open(path, "w") as fh:
-        fh.write("# nodes: id x y\n")
-        for i, (x, y) in enumerate(mesh.nodes.tolist()):
-            fh.write(f"{i} {x!r} {y!r}\n")
-        for tag, tris in (("triangles_f", mesh.triangles_f), ("triangles_s", mesh.triangles_s)):
-            fh.write(f"# {tag}: id n0 n1 n2\n")
-            for i, (a, b, c) in enumerate(tris):
-                fh.write(f"{i} {a} {b} {c}\n")
-        fh.write("# interface_segments: id n0 n1\n")
-        for i, (a, b) in enumerate(mesh.interface_segments):
-            fh.write(f"{i} {a} {b}\n")

@@ -1161,6 +1161,15 @@ class TestParams:
             with pytest.raises(ValueError, match=re.escape(f"T={T!r} / dt={dt!r} overflows")):
                 SchemeParams(k=1, dt=dt, T=T)
 
+    def test_step_count_above_the_bound_rejected(self):
+        # a slip in T or dt must not start a run that never ends
+        bound = coupling._MAX_STEPS
+        assert SchemeParams(k=1, dt=0.25, T=0.25 * bound).n_steps == bound
+        for dt, T in ((0.25, 0.25 * (bound + 1)), (0.25, 1e300), (1e-300, 1e-290)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"T={T!r} / dt={dt!r} is {T / dt:.6g} steps, above the bound of {bound}")):
+                SchemeParams(k=1, dt=dt, T=T)
+
     def test_positive_parameters(self):
         bad = [{"alpha": -1.0}, {"alpha": math.nan}, {"alpha": math.inf}, {"nu_f": math.nan},
                {"nu_s": -math.inf}, {"dt": math.nan}, {"T": math.inf}, {"T": math.nan}]
@@ -1183,35 +1192,3 @@ class TestAgainstReferenceTable:
                        initial_state(case, mesh, ops), ops)
         err = fem.l2_error(ops.dof_f, final.u, case.exact_u, 0.25)
         assert 1.01e-06 / 3.0 <= err <= 1.01e-06 * 3.0
-
-
-class TestOutputs:
-    def test_checkpoint_dump(self, tmp_path):
-        mesh = meshing.uniform_split_mesh(3)
-        params = SchemeParams(k=1, dt=0.25, T=0.25)
-        ops = CoupledOperators(mesh, params)
-        case = get_case("pp_conforming")
-        final, _ = run(params, mesh, SourceData.from_case(case),
-                       initial_state(case, mesh, ops), ops)
-        path = tmp_path / "state.txt"
-        coupling.dump_checkpoint(final, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step 1"
-        assert [l.split()[0] for l in lines[1:]] == ["u", "w", "q", "lambda"]
-        # plain float tokens that read back bit for bit
-        for line, vec in zip(lines[1:], (final.u, final.w, final.q, final.lam)):
-            assert np.array([float(v) for v in line.split()[1:]]).tobytes() == vec.tobytes()
-
-    def test_energy_csv(self, tmp_path):
-        mesh = meshing.uniform_split_mesh(3)
-        params = SchemeParams(k=1, dt=0.25, T=0.5)
-        ops = CoupledOperators(mesh, params)
-        state = random_state(ops, np.random.default_rng(0), 1)
-        _, ledger = run(params, mesh, SourceData(), state, ops)
-        path = tmp_path / "energy.csv"
-        coupling.write_energy_csv(ledger, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,Z,S,Z_plus_cumS"
-        assert len(lines) == 4  # header + 3 levels
-        final = [float(v) for v in lines[-1].split(",")]
-        assert final[3] == pytest.approx(ledger.Z[0], rel=1e-12)

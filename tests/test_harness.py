@@ -70,6 +70,17 @@ class TestBuildStudyMesh:
         assert mesh.geometry.kind == "slanted"
         assert 0.15 <= mesh.h_max <= 0.47
 
+    def test_horizontal_size_bound(self, monkeypatch):
+        # 1/dt is at most the slanted family's finest size, checked before anything is built
+        sizes = []
+        monkeypatch.setattr(meshing, "uniform_split_mesh", sizes.append)
+        case = get_case("pp_conforming")
+        harness.build_study_mesh(case, 2.0**-12)
+        for dt in (1 / 4097, 1e-6, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(f"dt={dt!r} is finer than")):
+                harness.build_study_mesh(case, dt)
+        assert sizes == [4096]
+
 
 class TestRunStudy:
     def test_conforming_smoke_rates(self):
@@ -236,6 +247,10 @@ class TestCsvOutput:
         assert table.dts == [0.25, 0.125]
 
 
+def unreachable(*args, **kwargs):
+    raise AssertionError("reached a call the input should have stopped before")
+
+
 class TestCli:
     def test_missing_required_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -322,15 +337,56 @@ class TestCli:
         ["mesh-dump", "--case", "pp_slanted", "--dt", "0.3"],
         ["mesh-dump", "--case", "pp_slanted", "--dt", "0"],
         ["mesh-dump", "--case", "pp_conforming", "--dt", "0"],
+        ["mesh-dump", "--case", "pp_conforming", "--dt", "1e-6"],
+        ["run", "--case", "pp_conforming", "--dt", "1e-6"],
         ["run", "--case", "pp_slanted", "--dt", "0.05"],
         ["cutoff-verify", "--dt-max", "0.5", "--dt-min", "0.25"],
     ])
-    def test_dt_without_a_study_mesh_exit_2(self, argv, tmp_path, capsys):
+    def test_dt_without_a_study_mesh_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(meshing, "_two_block_mesh", unreachable)  # nothing is allocated
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(tmp_path / "out.txt")])
         assert exc.value.code == 2
         assert "dt=" in capsys.readouterr().err
         assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--case", "pp_conforming", "--dt", "0.25",
+         "--t-final", repr(0.25 * (coupling._MAX_STEPS + 1))],
+        ["run", "--case", "pp_conforming", "--dt", "0.25", "--t-final", "1e300"],
+        ["convergence", "--case", "pp_conforming", "--dt-max", "0.25", "--dt-min", "0.125",
+         "--t-final", "1e300"],
+        ["energy-audit", "--dt", "0.25", "--steps", str(coupling._MAX_STEPS + 1)],
+        ["energy-audit", "--steps", "1000000000000"],
+    ])
+    def test_step_count_above_the_bound_exit_2(self, argv, capsys, monkeypatch):
+        # a guard: a run that started here would not end
+        monkeypatch.setattr(coupling, "run", unreachable)
+        monkeypatch.setattr(coupling, "run_monolithic", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"above the bound of {coupling._MAX_STEPS}" in err and "T=" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, entry", [
+        (["run", "--case", "pp_conforming", "--dt", "0.25"], "run_row"),
+        (["energy-audit"], "energy_audit"),
+    ])
+    def test_linalg_error_exits_1(self, argv, entry, capsys, monkeypatch):
+        # np.linalg.LinAlgError subclasses ValueError, yet a failed run is not bad input
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+
+        monkeypatch.setattr(harness, entry, failing)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"rrsplit {argv[0]}: failed")
+        assert line.endswith(": LinAlgError('2-th leading minor not positive definite')")
 
     def test_convergence_writes_csv_and_plot(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -370,7 +426,7 @@ class TestCli:
         assert code == 1
         assert "final_energy" not in captured.out
         error = f"FloatingPointError('non-finite energy at step {step}')"
-        assert captured.err.splitlines() == [f"rrsplit run: failed at dt=0.25: {error}"]
+        assert captured.err.splitlines() == [f"rrsplit run: failed: {error}"]
 
     def test_convergence_with_non_finite_rows_exits_1(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -506,3 +562,49 @@ class TestCli:
         code = cli.main(["mesh-dump", "--case", "pp_conforming", "--dt", "0.25"])
         assert code == 0
         assert (tmp_path / "mesh_pp_conforming.txt").exists()
+
+
+class TestCliOutputs:
+    def test_checkpoint_dump(self, tmp_path):
+        mesh = meshing.uniform_split_mesh(3)
+        params = coupling.SchemeParams(k=1, dt=0.25, T=0.25)
+        ops = coupling.CoupledOperators(mesh, params)
+        case = get_case("pp_conforming")
+        final, _ = coupling.run(params, mesh, coupling.SourceData.from_case(case),
+                                coupling.initial_state(case, mesh, ops), ops)
+        path = tmp_path / "state.txt"
+        cli._write(path, cli._checkpoint_lines(final))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step 1"
+        assert [l.split()[0] for l in lines[1:]] == ["u", "w", "q", "lambda"]
+        # plain float tokens that read back bit for bit
+        for line, vec in zip(lines[1:], (final.u, final.w, final.q, final.lam)):
+            assert np.array([float(v) for v in line.split()[1:]]).tobytes() == vec.tobytes()
+
+    def test_energy_csv(self, tmp_path):
+        # two zero-source steps from a seeded random state on mesh 3
+        ledger = energy_audit(k=1, alpha=1.0, dt=0.25, n_steps=2, mesh_n=3)["ledger"]
+        path = tmp_path / "energy.csv"
+        cli._write(path, cli._energy_lines(ledger))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "n,Z,S,Z_plus_cumS"
+        assert len(lines) == 4  # header + 3 levels
+        final = [float(v) for v in lines[-1].split(",")]
+        assert final[3] == pytest.approx(ledger.Z[0], rel=1e-12)
+
+    def test_mesh_dump_round_trips_counts(self, tmp_path):
+        mesh = meshing.uniform_split_mesh(3)
+        path = tmp_path / "mesh.txt"
+        cli._write(path, cli._mesh_lines(mesh))
+        lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+        expected = mesh.n_nodes + len(mesh.triangles_f) + len(mesh.triangles_s) + len(
+            mesh.interface_segments
+        )
+        assert len(lines) == expected
+        # plain tokens that read back bit for bit, records in dump order
+        values = [[float(v) for v in l.split()[1:]] for l in lines]
+        start = 0
+        for arr in (mesh.nodes, mesh.triangles_f, mesh.triangles_s, mesh.interface_segments):
+            got = np.array(values[start:start + len(arr)]).astype(arr.dtype)
+            assert got.tobytes() == arr.tobytes()
+            start += len(arr)

@@ -113,6 +113,16 @@ class TestUniformSplitMesh:
         with pytest.raises(ValueError):
             uniform_split_mesh(1)
 
+    def test_n_above_the_finest_slanted_size(self, monkeypatch):
+        # rejected before anything is allocated
+        def unreachable(*args):
+            raise AssertionError("the mesh was built")
+
+        monkeypatch.setattr(meshing, "_two_block_mesh", unreachable)
+        for n in (4097, 10**6):
+            with pytest.raises(ValueError, match="2 <= n <= 4096"):
+                uniform_split_mesh(n)
+
 
 class TestSlantedInterfaceMesh:
     @pytest.mark.parametrize("level,target", list(enumerate(SLANTED_HMAX_TARGETS)))
@@ -262,21 +272,3 @@ class TestGeometry:
         n = InterfaceGeometry.slanted().normal_f()
         assert np.linalg.norm(n) == pytest.approx(1.0)
         np.testing.assert_allclose(n, np.array([-1.0, 2.0]) / math.sqrt(5.0))
-
-
-def test_mesh_dump_round_trips_counts(tmp_path):
-    mesh = uniform_split_mesh(3)
-    path = tmp_path / "mesh.txt"
-    meshing.dump_mesh(mesh, path)
-    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
-    expected = mesh.n_nodes + len(mesh.triangles_f) + len(mesh.triangles_s) + len(
-        mesh.interface_segments
-    )
-    assert len(lines) == expected
-    # plain tokens that read back bit for bit, records in dump order
-    values = [[float(v) for v in l.split()[1:]] for l in lines]
-    start = 0
-    for arr in (mesh.nodes, mesh.triangles_f, mesh.triangles_s, mesh.interface_segments):
-        got = np.array(values[start:start + len(arr)]).astype(arr.dtype)
-        assert got.tobytes() == arr.tobytes()
-        start += len(arr)
