@@ -18,6 +18,10 @@ sides. The groups:
 - ``energy_audit/k1``, ``energy_audit/k2``: the Z and S ledgers of two
   zero-source audits;
 - ``study/pp_slanted``: the errors of a three-row pp_slanted study;
+- ``cutoff``: ``cutoff.phi`` and ``cutoff.grad_phi`` on the verifier's
+  300 x 300 grid and on the seams x1 = 1/2, x1 = d and x1 = 1 - d
+  (d = 1 - (1-dt) x2), and every field of ``cutoff.verify_assumptions``'s
+  report, for dt = 2^-2 .. 2^-10, 0.1, 0.3 and 1e-5;
 - ``cli/<name>``: the exit code, stdout, stderr and every written file of
   one ``cli.main`` invocation (``CLI_RUNS``): each subcommand, ``--out``,
   ``--emit-plot``, ``RRSPLIT_OUT_DIR``, a failed ``run`` and a step without
@@ -28,6 +32,7 @@ The output is appended to $GITHUB_STEP_SUMMARY when that is set.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -39,7 +44,7 @@ from unittest import mock
 import numpy as np
 
 sys.path[:0] = [os.path.abspath("src")]
-from rrsplit import cli, coupling, harness, meshing  # noqa: E402
+from rrsplit import cli, coupling, cutoff, harness, meshing  # noqa: E402
 from rrsplit.cases import CASE_NAMES, get_case  # noqa: E402
 
 
@@ -88,6 +93,17 @@ def state_arrays(state):
     return [state.u, state.w, state.q, state.lam]
 
 
+def cutoff_arrays():
+    xs = np.linspace(0.0, 1.0, 300)  # the verifier's grid
+    X1, X2 = np.meshgrid(xs, xs)
+    for dt in [2.0**-j for j in range(2, 11)] + [0.1, 0.3, 1e-5]:
+        d = 1.0 - (1.0 - dt) * xs
+        for x1, x2 in ((X1, X2), (np.full_like(xs, 0.5), xs), (d, xs), (1.0 - d, xs)):
+            yield cutoff.phi(x1, x2, dt)
+            yield from cutoff.grad_phi(x1, x2, dt)
+        yield dataclasses.astuple(cutoff.verify_assumptions(dt))
+
+
 def groups():
     for name in CASE_NAMES:
         case = get_case(name, nu_f=2.0, nu_s=0.5)
@@ -108,6 +124,7 @@ def groups():
         yield f"energy_audit/k{k}", digest([rep["ledger"].Z, rep["ledger"].S])
     table = harness.run_study(harness.StudyConfig("pp_slanted", (0.25, 0.125, 0.0625)))
     yield "study/pp_slanted", digest([table.errors[n] for n in table.norms])
+    yield "cutoff", digest(cutoff_arrays())
     for name, (argv, out_dir) in CLI_RUNS.items():
         yield f"cli/{name}", cli_digest(argv, out_dir)
 

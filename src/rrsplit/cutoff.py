@@ -1,11 +1,13 @@
 """Time-step-dependent cut-off function on the unit square with the top edge special.
 
 The function equals 1 on most of the top edge, vanishes on the other three
-edges, and its squared gradient integrates to O(1 + log(1/dt)). The square
-is tiled by five regions: two lower quadrants K4/K5, two slanted strips
-K1/K3 hugging the side walls of the upper half (bounded by the lines
+edges, and its squared gradient integrates to O(1 + log(1/dt)). The paper
+tiles the square by five regions: two lower quadrants K4/K5, two slanted
+strips K1/K3 hugging the side walls of the upper half (bounded by the lines
 x1 = 1 - (1-dt) x2 and its mirror, on which the strip branches equal 1),
-and the remainder K2 where the function is identically 1.
+and the remainder K2 where the function is identically 1. With
+m = min(x1, 1 - x1) and d = 1 - (1-dt) x2 they are two closed forms:
+min(1, m/d) above x2 = 1/2 (the 1 is K2) and 4 x2 m (1-dt) below it.
 """
 
 from __future__ import annotations
@@ -22,65 +24,40 @@ _GAUSS8_X, _GAUSS8_W = np.polynomial.legendre.leggauss(8)
 _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 
 
-def _labels(x1, x2, dt: float) -> np.ndarray:
-    """Region index (0..4 for K1..K5); priority K1 > K3 > K4 > K5 > K2."""
+def _distances(x1, x2, dt: float):
+    """x1, x2 as arrays, m = min(x1, 1 - x1), d = 1 - (1-dt) x2 and c = 1 - dt."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if np.any((x1 < -1e-12) | (x1 > 1 + 1e-12) | (x2 < -1e-12) | (x2 > 1 + 1e-12)):
         raise ValueError("point outside the unit square")
-    d = 1.0 - (1.0 - dt) * x2
-    upper = x2 > 0.5
-    k1 = upper & (x1 <= d) & (x1 <= 0.5)
-    k3 = upper & ~k1 & (1.0 - x1 <= d) & (x1 > 0.5)
-    k4 = ~upper & (x1 >= 0.5)
-    k5 = ~upper & ~k4
-    out = np.full(np.broadcast(x1, x2).shape, 1, dtype=np.int64)  # default K2
-    for idx, mask in ((0, k1), (2, k3), (3, k4), (4, k5)):
-        out[mask] = idx
-    return out
+    c = 1.0 - dt
+    return x1, x2, np.minimum(x1, 1.0 - x1), 1.0 - c * x2, c
 
 
 def phi(x1, x2, dt: float):
-    """The five-branch cut-off value.
+    """The cut-off value: min(1, m/d) above x2 = 1/2, 4 x2 m (1-dt) below.
 
-    Every branch lies in [0, 1], so no clamp is needed: x1 <= d on K1,
-    1 - x1 <= d on K3, and the K4/K5 products are at most 1 - dt.
+    The min is the plateau K2, not a clamp: m/d is the K1/K3 ramp wherever
+    m <= d. Every value lies in [0, 1]; the lower products are at most 1 - dt.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    idx = _labels(x1, x2, dt)
-    d = 1.0 - (1.0 - dt) * x2
-    c = 1.0 - dt
-    branches = [
-        x1 / d,                      # K1
-        np.ones_like(d),             # K2
-        (1.0 - x1) / d,              # K3
-        4.0 * x2 * (1.0 - x1) * c,   # K4
-        4.0 * x1 * x2 * c,           # K5
-    ]
-    out = np.select([idx == i for i in range(5)], branches)
+    x1, x2, m, d, c = _distances(x1, x2, dt)
+    out = np.where(x2 > 0.5, np.minimum(1.0, m / d), 4.0 * x2 * m * c)
     return out if out.shape else float(out)
 
 
 def grad_phi(x1, x2, dt: float):
-    """Analytic per-branch gradient; region boundaries take the _labels priority."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    idx = _labels(x1, x2, dt)
-    d = 1.0 - (1.0 - dt) * x2
-    c = 1.0 - dt
-    zero = np.zeros_like(d)
-    gx = np.select(
-        [idx == i for i in range(5)],
-        [1.0 / d, zero, -1.0 / d, -4.0 * x2 * c, 4.0 * x2 * c],
-    )
-    gy = np.select(
-        [idx == i for i in range(5)],
-        [x1 * c / d**2, zero, (1.0 - x1) * c / d**2, 4.0 * (1.0 - x1) * c, 4.0 * x1 * c],
-    )
-    if gx.shape:
-        return gx, gy
-    return float(gx), float(gy)
+    """Analytic gradient of each piece.
+
+    On the seams the left strip K1 wins at x1 = 1/2 above x2 = 1/2 and the
+    right quadrant K4 below it, and the strips win over the plateau at m = d.
+    """
+    x1, x2, m, d, c = _distances(x1, x2, dt)
+    upper = x2 > 0.5
+    sign = np.where(np.where(upper, x1 <= 0.5, x1 < 0.5), 1.0, -1.0)
+    strip = m <= d
+    gx = np.where(upper, np.where(strip, sign / d, 0.0), sign * 4.0 * x2 * c)
+    gy = np.where(upper, np.where(strip, m * c / d**2, 0.0), 4.0 * m * c)
+    return (gx, gy) if gx.shape else (float(gx), float(gy))
 
 
 def trace_not_one_measure(dt: float) -> float:
@@ -169,10 +146,11 @@ class AssumptionReport:
 def verify_assumptions(dt: float) -> AssumptionReport:
     """Check the four cut-off requirements; returns measured values per item.
 
-    The construction needs 0 < dt < 1/2; any other dt raises ValueError.
+    The construction needs 0 < dt < 1/2, and 1 - dt must round below 1
+    (dt > 2^-54) or the top-edge ramps vanish; any other dt raises ValueError.
     """
-    if not 0.0 < dt < 0.5:
-        raise ValueError(f"cut-off needs 0 < dt < 1/2, got dt={dt!r}")
+    if not 0.0 < dt < 0.5 or 1.0 - dt == 1.0:
+        raise ValueError(f"cut-off needs 0 < dt < 1/2 and 1 - dt < 1 in doubles, got dt={dt!r}")
     xs = np.linspace(0.0, 1.0, _N_SAMPLE)
     X1, X2 = np.meshgrid(xs, xs)
     vals = phi(X1, X2, dt)

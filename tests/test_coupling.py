@@ -535,6 +535,22 @@ class TestMonolithic:
         norm = fem.l2_error(ops.dof_f, np.zeros(ops.dof_f.n_dofs), case.exact_u, 0.25)
         assert err < 0.05 * norm
 
+    @pytest.mark.parametrize("name", ["pp_conforming", "ph_uniform", "pp_slanted"])
+    def test_oracle_reads_no_alpha(self, name):
+        # the strongly coupled step has no Robin term, so one oracle run serves an alpha sweep
+        case = get_case(name, nu_f=2.0, nu_s=0.5)
+        mesh = (meshing.slanted_interface_mesh(1) if case.geometry.kind == "slanted"
+                else meshing.uniform_split_mesh(8))
+        finals = []
+        for alpha in (0.1, 1.0, 100.0):
+            params = SchemeParams(k=case.k, dt=2**-3, alpha=alpha, nu_f=case.nu_f,
+                                  nu_s=case.nu_s)
+            ops = CoupledOperators(mesh, params)
+            final = run_monolithic(params, mesh, SourceData.from_case(case),
+                                   initial_state(case, mesh, ops), ops)
+            finals.append([a.tobytes() for a in (final.u, final.w, final.q, final.lam)])
+        assert finals[0] == finals[1] == finals[2]
+
 
 class TestOracleLimit:
     """The oracle is the strongly coupled limit of the splitting, for both k."""

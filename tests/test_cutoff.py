@@ -7,7 +7,6 @@ import pytest
 
 from rrsplit.cutoff import (
     AssumptionReport,
-    _labels,
     _quadrant_integral,
     _strip_integral,
     closed_form_grad_energy,
@@ -18,44 +17,68 @@ from rrsplit.cutoff import (
     verify_assumptions,
 )
 
-REGIONS = ("K1", "K2", "K3", "K4", "K5")
+
+def branches(x1, x2, dt):
+    """(phi, d phi/dx1, d phi/dx2) of each of the five branches K1..K5 at one point."""
+    c, d = 1.0 - dt, 1.0 - (1.0 - dt) * x2
+    return [
+        (x1 / d, 1.0 / d, x1 * c / d**2),
+        (1.0, 0.0, 0.0),
+        ((1.0 - x1) / d, -1.0 / d, (1.0 - x1) * c / d**2),
+        (4.0 * x2 * (1.0 - x1) * c, -4.0 * x2 * c, 4.0 * (1.0 - x1) * c),
+        (4.0 * x1 * x2 * c, 4.0 * x2 * c, 4.0 * x1 * c),
+    ]
 
 
-def region(x1, x2, dt):
-    """Label of the region that phi and grad_phi use at one point."""
-    return REGIONS[int(_labels(x1, x2, dt))]
+def values(x1, x2, dt):
+    return (phi(x1, x2, dt), *grad_phi(x1, x2, dt))
 
 
 class TestClassify:
+    # each region's formula at one point, as value and gradient
     def test_middle_of_top_is_k2(self):
         dt = 0.25
-        assert region(0.5, 0.9, dt) == "K2"  # 1 - 0.75*0.9 = 0.325 < 0.5
+        assert values(0.5, 0.9, dt) == branches(0.5, 0.9, dt)[1]  # 1 - 0.75*0.9 = 0.325 < 0.5
 
     def test_left_strip_at_top_is_k1(self):
         dt = 0.25
-        assert region(0.1, 1.0, dt) == "K1"  # 0.1 <= dt
+        assert values(0.1, 1.0, dt) == branches(0.1, 1.0, dt)[0]  # 0.1 <= dt
 
     def test_lower_left_quadrant_is_k5(self):
-        assert region(0.25, 0.25, 0.25) == "K5"
-
-    def test_priority_on_shared_edges(self):
-        dt = 0.25
-        assert region(0.5, 0.25, dt) == "K4"  # K4 wins over K5 at x1 = 1/2
+        assert values(0.25, 0.25, 0.25) == branches(0.25, 0.25, 0.25)[4]
 
     def test_membership_predicate(self):
         dt = 0.25
-        assert region(0.3, 0.3, dt) == region(0.25, 0.25, dt)
-        assert region(0.9, 0.9, dt) != region(0.25, 0.25, dt)
+        assert values(0.3, 0.3, dt) == branches(0.3, 0.3, dt)[4]
+        assert values(0.9, 0.9, dt) == branches(0.9, 0.9, dt)[2] != branches(0.9, 0.9, dt)[4]
+        assert values(0.75, 0.25, dt) == branches(0.75, 0.25, dt)[3]
+
+    def test_priority_on_shared_edges(self):
+        dt = 0.25
+        # x1 = 1/2: the right quadrant K4 wins below x2 = 1/2, the left strip K1 above
+        assert values(0.5, 0.25, dt) == branches(0.5, 0.25, dt)[3]
+        assert values(0.5, 0.6, dt) == branches(0.5, 0.6, dt)[0]  # d = 0.55
+        # x2 = 1/2: the quadrants win over the strips
+        assert values(0.25, 0.5, dt) == branches(0.25, 0.5, dt)[4]
+        # m = d: the strips win over the plateau (d = 0.4375 exactly at x2 = 3/4)
+        assert values(0.4375, 0.75, dt) == branches(0.4375, 0.75, dt)[0]
+        assert values(0.5625, 0.75, dt) == branches(0.5625, 0.75, dt)[2]
 
     def test_outside_square_rejected(self):
-        with pytest.raises(ValueError):
-            _labels(1.5, 0.5, 0.25)
+        for f in (phi, grad_phi):
+            with pytest.raises(ValueError, match="outside the unit square"):
+                f(1.5, 0.5, 0.25)
+            with pytest.raises(ValueError, match="outside the unit square"):
+                f(np.array([0.5, 0.5]), np.array([0.5, -0.1]), 0.25)
 
     def test_regions_tile_the_square(self):
+        # every point takes the value and gradient of one of the five branches
         dt = 0.125
         rng = np.random.default_rng(4)
         pts = rng.random((500, 2))
-        assert set(_labels(pts[:, 0], pts[:, 1], dt).tolist()) <= set(range(5))
+        vals = np.column_stack([phi(pts[:, 0], pts[:, 1], dt), *grad_phi(pts[:, 0], pts[:, 1], dt)])
+        for (x1, x2), v in zip(pts, vals):
+            assert tuple(v) in branches(x1, x2, dt)
 
 
 class TestPhi:
@@ -117,13 +140,9 @@ class TestGradPhi:
         checked = 0
         while checked < 1000:
             x1, x2 = rng.random(2) * (1 - 4 * h) + 2 * h
-            # keep the whole stencil inside a single region
-            labels = {
-                region(x1 + s1 * h, x2 + s2 * h, dt)
-                for s1 in (-1, 0, 1)
-                for s2 in (-1, 0, 1)
-            }
-            if len(labels) != 1:
+            # keep the whole stencil off the seams x2 = 1/2, x1 = 1/2 and m = d
+            m, d = min(x1, 1.0 - x1), 1.0 - (1.0 - dt) * x2
+            if min(abs(x2 - 0.5), abs(x1 - 0.5), abs(m - d)) <= 3 * h:
                 continue
             gx, gy = grad_phi(x1, x2, dt)
             fdx = (phi(x1 + h, x2, dt) - phi(x1 - h, x2, dt)) / (2 * h)
@@ -191,7 +210,7 @@ class TestVerifyAssumptions:
 
     def test_large_dt_flagged(self):
         # the construction needs 0 < dt < 1/2: no report, and the message names dt
-        for dt in (0.5, 0.6, 0.0, math.nan):
+        for dt in (0.5, 0.6, 0.0, math.nan, 2.0**-54, 2.0**-200):
             with pytest.raises(ValueError, match=f"dt={dt!r}"):
                 verify_assumptions(dt)
 

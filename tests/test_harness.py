@@ -4,6 +4,7 @@ import argparse
 import math
 import os
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -471,6 +472,19 @@ class TestCli:
                          "--out", str(tmp_path / "cutoff.csv")])
         assert code == 0
         assert checked == [0.25, 0.125, 0.0625]
+
+    def test_cutoff_verify_below_double_resolution_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 1 - dt rounds to 1 from dt = 2^-54 on: bad input, not a failed assumption
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("RRSPLIT_OUT_DIR", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["cutoff-verify", "--dt-max", "0.25",
+                          "--dt-min", "1.3877787807814457e-17"])
+        assert exc.value.code == 2
+        assert f"dt={2.0**-54!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_flag_table_matches_the_parser(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
