@@ -197,8 +197,8 @@ def cmd_cutoff_verify(args) -> int:
     reports = [cutoff.verify_assumptions(dt) for dt in _dyadic_list(args.dt_max, args.dt_min)]
     csv = harness.cutoff_report(reports)
     path = _out_path(args, "cutoff_report.csv")
-    _write(path, csv.splitlines())
     sys.stdout.write(csv)
+    _write(path, csv.splitlines())
     print(f"wrote {path}")
     return 0 if all(rep.passed for rep in reports) else 1
 
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     if path is not None:
         try:
             defaults = _read_config(path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
         if bad := set(defaults) - {a.dest for a in flags}:
             parser.error(f"unknown config keys: {sorted(bad)}")
@@ -255,6 +255,11 @@ def main(argv=None) -> int:
             parser.error(str(exc))
         print(f"rrsplit {args.command}: failed: {exc!r}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output path in a missing or unwritable directory
+        if exc.filename is None:  # not a file: a closed stdout pipe, say
+            raise
+        print(f"rrsplit {args.command}: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

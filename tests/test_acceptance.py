@@ -8,20 +8,12 @@ their final rates.
 import math
 
 import numpy as np
-import pytest
 
 from rrsplit import coupling, cutoff, fem, meshing
 from rrsplit.cases import CASE_NAMES, get_case, residual_checks, residual_oracle, sample_points
-from rrsplit.coupling import (
-    CoupledOperators,
-    SchemeParams,
-    SourceData,
-    advance,
-    initial_state,
-    run,
-    run_monolithic,
-)
+from rrsplit.coupling import CoupledOperators, SchemeParams, SourceData, advance, initial_state
 from rrsplit.harness import StudyConfig, energy_audit, run_study
+from runs import oracle_gap
 
 
 def report(num, ok, detail):
@@ -186,18 +178,8 @@ class TestCriterion7ResidualOracle:
 
 class TestCriterion8OracleComparison:
     def test_splitting_vs_monolithic_gap_halves(self):
-        case = get_case("pp_conforming")
-        mesh = meshing.uniform_split_mesh(32)
-        diffs = []
-        for dt in (2.0**-5, 2.0**-6, 2.0**-7):
-            params = SchemeParams(k=1, dt=dt, T=0.25)
-            ops = CoupledOperators(mesh, params)
-            s0 = initial_state(case, mesh, ops)
-            src = SourceData.from_case(case)
-            loose, _ = run(params, mesh, src, s0, ops)
-            strong = run_monolithic(params, mesh, src, s0, ops)
-            d = loose.u - strong.u
-            diffs.append(float(np.sqrt(d @ (ops.M_f @ d))))
+        case, mesh = get_case("pp_conforming"), meshing.uniform_split_mesh(32)
+        diffs = [oracle_gap(case, mesh, dt) for dt in (2.0**-5, 2.0**-6, 2.0**-7)]
         ratios = [a / b for a, b in zip(diffs, diffs[1:])]
         ok = all(1.6 <= r <= 2.6 for r in ratios)
         report(8, ok, "splitting-vs-coupled gap ratios "

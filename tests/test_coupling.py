@@ -1,8 +1,9 @@
 """Tests for the splitting stepper, energy ledger, and the coupled oracle.
 
-The solid and fluid solves are checked against dense reference systems
-assembled from scratch in this file (explicit per-triangle loops), so the
-sparse assembly and the stepper share no code with the oracle.
+The solid and fluid solves are checked against dense reference systems:
+mass and stiffness from the per-triangle kernels of ``tests/elements.py``,
+interface mass and traces built entry by entry in this file, so the sparse
+assembly and the stepper share no code with the reference.
 """
 
 import gc
@@ -19,6 +20,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elements import element_assembly
 from rrsplit import coupling, fem, meshing, sparse
 from rrsplit.cases import CASE_NAMES, get_case
 from rrsplit.coupling import (
@@ -37,35 +39,26 @@ from rrsplit.coupling import (
     solid_levels,
     solid_step,
 )
+from runs import case_run, oracle_gap
 
 
 # --- dense reference assembly (independent of rrsplit.fem internals) ---------
 
 
 def dense_subdomain(mesh, sub):
-    tris = mesh.triangles_f if sub == "f" else mesh.triangles_s
+    """Dense mass and stiffness of one subdomain, from the element kernels."""
     dof = fem.build_dofmap(mesh, sub)
-    nd = dof.n_dofs
-    M = np.zeros((nd, nd))
-    K = np.zeros((nd, nd))
-    for tri in tris:
-        p = mesh.nodes[tri]
-        area = 0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                      - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
-        Me = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-        b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
-        c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
-        Ke = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-        for i in range(3):
-            di = dof.node_to_dof[tri[i]]
-            if di < 0:
-                continue
-            for j in range(3):
-                dj = dof.node_to_dof[tri[j]]
-                if dj >= 0:
-                    M[di, dj] += Me[i, j]
-                    K[di, dj] += Ke[i, j]
-    return dof, M, K
+    return tuple(A.toarray() for A in element_assembly(dof, dof.triangles))
+
+
+def dense_trace(mesh, sub):
+    """The 0/1 map from a subdomain's dofs to the interface nodes, in trace order."""
+    dof = fem.build_dofmap(mesh, sub)
+    R = np.zeros((mesh.interface_nodes.size, dof.n_dofs))
+    for k, d in enumerate(dof.interface_dofs):
+        if d >= 0:
+            R[k, d] = 1.0
+    return R
 
 
 def dense_interface(mesh):
@@ -78,20 +71,11 @@ def dense_interface(mesh):
     return Mi
 
 
-def dense_trace(dof, n_if):
-    R = np.zeros((n_if, dof.n_dofs))
-    for k, d in enumerate(dof.interface_dofs):
-        if d >= 0:
-            R[k, d] = 1.0
-    return R
-
-
 def dense_solid_step(mesh, params, state, gD, gN):
     """The solid step in w-form, solved densely: (w^{n+1}, q^{n+1})."""
-    dof_s, M_s, K_s = dense_subdomain(mesh, "s")
-    dof_f = fem.build_dofmap(mesh, "f")
+    M_s, K_s = dense_subdomain(mesh, "s")
+    R_s, R_f = dense_trace(mesh, "s"), dense_trace(mesh, "f")
     Mi = dense_interface(mesh)
-    R_s, R_f = dense_trace(dof_s, Mi.shape[0]), dense_trace(dof_f, Mi.shape[0])
     a, dt, nus = params.alpha, params.dt, params.nu_s
     robin = Mi @ (a * (R_f @ state.u + gD) - state.lam + gN)
     if params.k == 1:
@@ -109,10 +93,9 @@ def dense_solid_step(mesh, params, state, gD, gN):
 
 def dense_fluid_step(mesh, params, state, w1, gD):
     """The fluid step and interface update for the solid level w1, solved densely: (u, lam)."""
-    dof_s = fem.build_dofmap(mesh, "s")
-    dof_f, M_f, K_f = dense_subdomain(mesh, "f")
+    M_f, K_f = dense_subdomain(mesh, "f")
+    R_s, R_f = dense_trace(mesh, "s"), dense_trace(mesh, "f")
     Mi = dense_interface(mesh)
-    R_s, R_f = dense_trace(dof_s, Mi.shape[0]), dense_trace(dof_f, Mi.shape[0])
     a, dt = params.alpha, params.dt
     w_dot = R_s @ w1 if params.k == 1 else R_s @ (w1 - state.w) / dt
     A = M_f / dt + params.nu_f * K_f + a * R_f.T @ Mi @ R_f
@@ -288,17 +271,15 @@ class TestStepsAgainstDenseReference:
         new = monolithic_step(ops, state, self.sources.assemble(ops),
                               coupling._monolithic_system(ops))
 
-        dof_s, M_s, K_s = dense_subdomain(self.mesh, "s")
-        dof_f, M_f, K_f = dense_subdomain(self.mesh, "f")
+        (M_s, K_s), (M_f, K_f) = (dense_subdomain(self.mesh, sub) for sub in "sf")
+        R_s, R_f = dense_trace(self.mesh, "s"), dense_trace(self.mesh, "f")
         Mi = dense_interface(self.mesh)
-        R_s = dense_trace(dof_s, Mi.shape[0])
-        R_f = dense_trace(dof_f, Mi.shape[0])
         xs, ys = self.mesh.nodes[self.mesh.interface_nodes].T
         gD = self.sources.g_D(xs, ys, t1)
         gN = self.sources.g_N(xs, ys, t1)
         assert gD[-1] != 0.0  # the endpoint value reaches the constraint through Mi
         dt, nus = params.dt, params.nu_s
-        free = np.flatnonzero((dof_s.interface_dofs >= 0) & (dof_f.interface_dofs >= 0))
+        free = np.flatnonzero(R_s.any(axis=1) & R_f.any(axis=1))
         B_s = R_s.T @ Mi[:, free]
         B_f = -R_f.T @ Mi[:, free]
         A_f = M_f / dt + params.nu_f * K_f
@@ -370,11 +351,8 @@ class TestSchemeIdentities:
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_k1_q_is_w(self):
-        mesh = meshing.uniform_split_mesh(4)
-        params = SchemeParams(k=1, dt=0.125, T=0.25)
-        ops = CoupledOperators(mesh, params)
-        case = get_case("pp_conforming")
-        final, _ = run(params, mesh, SourceData.from_case(case), initial_state(case, mesh, ops), ops)
+        case, mesh = get_case("pp_conforming"), meshing.uniform_split_mesh(4)
+        (final, _), _ = case_run(run, case, mesh, 0.125)
         assert final.q is final.w
 
 
@@ -489,48 +467,25 @@ class TestInitialData:
 
 class TestMonolithic:
     def test_difference_to_splitting_halves(self):
-        case = get_case("pp_conforming")
-        mesh = meshing.uniform_split_mesh(16)
-        diffs = []
-        for dt in (2**-5, 2**-6, 2**-7):
-            params = SchemeParams(k=1, dt=dt, T=0.25)
-            ops = CoupledOperators(mesh, params)
-            s0 = initial_state(case, mesh, ops)
-            src = SourceData.from_case(case)
-            loose, _ = run(params, mesh, src, s0, ops)
-            strong = run_monolithic(params, mesh, src, s0, ops)
-            d = loose.u - strong.u
-            diffs.append(float(np.sqrt(d @ (ops.M_f @ d))))
+        case, mesh = get_case("pp_conforming"), meshing.uniform_split_mesh(16)
+        diffs = [oracle_gap(case, mesh, dt) for dt in (2**-5, 2**-6, 2**-7)]
         for a, b in zip(diffs, diffs[1:]):
             assert 1.6 <= a / b <= 2.6
 
     def test_time_self_convergence_first_order(self):
         # against a tiny-dt reference on a fixed mesh, the implicit stepper is O(dt)
-        case = get_case("pp_conforming")
-        mesh = meshing.uniform_split_mesh(8)
-        src = SourceData.from_case(case)
-
-        def final_u(dt):
-            params = SchemeParams(k=1, dt=dt, T=0.25)
-            ops = CoupledOperators(mesh, params)
-            return run_monolithic(params, mesh, src, initial_state(case, mesh, ops), ops), ops
-
-        (ref, ops) = final_u(2**-9)
+        case, mesh = get_case("pp_conforming"), meshing.uniform_split_mesh(8)
+        ref, ops = case_run(run_monolithic, case, mesh, 2**-9)
         errs = []
         for dt in (2**-3, 2**-4, 2**-5):
-            cur, _ = final_u(dt)
-            d = cur.u - ref.u
+            d = case_run(run_monolithic, case, mesh, dt)[0].u - ref.u
             errs.append(float(np.sqrt(d @ (ops.M_f @ d))))
         for a, b in zip(errs, errs[1:]):
             assert 1.7 <= a / b <= 2.4
 
     def test_k2_monolithic_tracks_exact(self):
         case = get_case("ph_uniform")
-        mesh = meshing.uniform_split_mesh(16)
-        params = SchemeParams(k=2, dt=2**-4, T=0.25)
-        ops = CoupledOperators(mesh, params)
-        final = run_monolithic(params, mesh, SourceData.from_case(case),
-                               initial_state(case, mesh, ops), ops)
+        final, ops = case_run(run_monolithic, case, meshing.uniform_split_mesh(16), 2**-4)
         err = fem.l2_error(ops.dof_f, final.u, case.exact_u, 0.25)
         norm = fem.l2_error(ops.dof_f, np.zeros(ops.dof_f.n_dofs), case.exact_u, 0.25)
         assert err < 0.05 * norm
@@ -543,11 +498,7 @@ class TestMonolithic:
                 else meshing.uniform_split_mesh(8))
         finals = []
         for alpha in (0.1, 1.0, 100.0):
-            params = SchemeParams(k=case.k, dt=2**-3, alpha=alpha, nu_f=case.nu_f,
-                                  nu_s=case.nu_s)
-            ops = CoupledOperators(mesh, params)
-            final = run_monolithic(params, mesh, SourceData.from_case(case),
-                                   initial_state(case, mesh, ops), ops)
+            final, _ = case_run(run_monolithic, case, mesh, 2**-3, alpha=alpha)
             finals.append([a.tobytes() for a in (final.u, final.w, final.q, final.lam)])
         assert finals[0] == finals[1] == finals[2]
 
@@ -842,14 +793,10 @@ class TestSharedDiscretization:
         try:
             mesh = meshing.uniform_split_mesh(4)
             ref = weakref.ref(mesh)
-            params = SchemeParams(k=2, dt=0.125, T=0.25)
-            ops = CoupledOperators(mesh, params)
-            src = SourceData.from_case(case)
-            s0 = initial_state(case, mesh, ops)
-            loose, _ = run(params, mesh, src, s0, ops)
-            strong = run_monolithic(params, mesh, src, s0, ops)
+            (loose, _), ops = case_run(run, case, mesh, 0.125)
+            strong = case_run(run_monolithic, case, mesh, 0.125)[0]
             fem.l2_error(ops.dof_f, loose.u - strong.u, case.exact_u, 0.25)
-            del mesh, ops, s0
+            del mesh, ops
             assert ref() is None
         finally:
             gc.enable()
@@ -946,10 +893,7 @@ def test_final_state_fingerprints(case_name, stepper):
     case = get_case(case_name)
     mesh = (meshing.slanted_interface_mesh(2) if case_name == "pp_slanted"
             else meshing.uniform_split_mesh(16))
-    params = SchemeParams(k=case.k, dt=1.0 / 16, alpha=2.0)
-    ops = CoupledOperators(mesh, params)
-    out = getattr(coupling, stepper)(params, mesh, SourceData.from_case(case),
-                                     initial_state(case, mesh, ops), ops)
+    out, ops = case_run(getattr(coupling, stepper), case, mesh, 1.0 / 16, alpha=2.0)
     final, ledger = out if stepper == "run" else (out, None)
     expected = FINGERPRINTS[case_name, stepper]
     for name, ids in (("u", ops.dof_f.free_nodes), ("w", ops.dof_s.free_nodes),
@@ -1201,10 +1145,6 @@ class TestAgainstReferenceTable:
     def test_k2_error_near_reference_at_eighth(self):
         # reference value 1.01e-06 at dt = 1/8 with h = dt; stay within x3
         case = get_case("ph_uniform")
-        mesh = meshing.uniform_split_mesh(8)
-        params = SchemeParams(k=2, dt=0.125, T=0.25)
-        ops = CoupledOperators(mesh, params)
-        final, _ = run(params, mesh, SourceData.from_case(case),
-                       initial_state(case, mesh, ops), ops)
+        (final, _), ops = case_run(run, case, meshing.uniform_split_mesh(8), 0.125)
         err = fem.l2_error(ops.dof_f, final.u, case.exact_u, 0.25)
         assert 1.01e-06 / 3.0 <= err <= 1.01e-06 * 3.0

@@ -2,8 +2,8 @@
 
 import argparse
 import math
-import os
 import re
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +14,7 @@ import pytest
 from rrsplit import cli, coupling, cutoff, harness, meshing, sparse
 from rrsplit.cases import get_case
 from rrsplit.harness import StudyConfig, energy_audit, rates, run_study, table_to_csv
+from runs import case_run
 
 
 class TestRates:
@@ -253,6 +254,14 @@ def unreachable(*args, **kwargs):
 
 
 class TestCli:
+    BASE_ARGV = {
+        "convergence": ["--case", "pp_conforming", "--dt-max", "0.25", "--dt-min", "0.125"],
+        "run": ["--case", "pp_conforming", "--dt", "0.25"],
+        "energy-audit": [],
+        "cutoff-verify": ["--dt-max", "0.25", "--dt-min", "0.125"],
+        "mesh-dump": ["--case", "pp_conforming", "--dt", "0.25"],
+    }
+
     def test_missing_required_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["convergence", "--dt-max", "0.25", "--dt-min", "0.125"])
@@ -283,13 +292,6 @@ class TestCli:
             assert "--dt-max / --dt-min" in capsys.readouterr().err
 
     def test_flag_the_subcommand_ignores_exit_2(self, capsys):
-        base = {
-            "convergence": ["--case", "pp_conforming", "--dt-max", "0.25", "--dt-min", "0.125"],
-            "run": ["--case", "pp_conforming", "--dt", "0.25"],
-            "energy-audit": [],
-            "cutoff-verify": ["--dt-max", "0.25", "--dt-min", "0.125"],
-            "mesh-dump": ["--case", "pp_conforming", "--dt", "0.25"],
-        }
         ignored = {
             "convergence": ["--seed", "--k"],
             "run": ["--seed", "--k"],
@@ -300,7 +302,7 @@ class TestCli:
         for command, flags in ignored.items():
             for flag in flags:
                 with pytest.raises(SystemExit) as exc:
-                    cli.main([command, *base[command], flag, "1"])
+                    cli.main([command, *self.BASE_ARGV[command], flag, "1"])
                 assert exc.value.code == 2
                 assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -525,6 +527,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--config" in err and "Traceback" not in err
 
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "study.cfg"
+        cfgfile.write_bytes(b"\xff\xfecase=pp_conforming\n")  # a UTF-16 byte order mark
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfgfile), "run", "--case", "pp_conforming", "--dt", "0.25"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and "Traceback" not in err
+
+    # run and energy-audit write only to --out; the others default under RRSPLIT_OUT_DIR
+    @pytest.mark.parametrize("command, out", [(c, True) for c in BASE_ARGV] + [
+        (c, False) for c in ("convergence", "cutoff-verify", "mesh-dump")])
+    def test_output_in_a_missing_directory_exit_2(self, command, out, tmp_path, capsys,
+                                                  monkeypatch):
+        missing = tmp_path / "missing"
+        monkeypatch.setenv("RRSPLIT_OUT_DIR", str(missing))
+        out = ["--out", str(missing / "out")] if out else []
+        assert cli.main([command, *self.BASE_ARGV[command], *out]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"rrsplit {command}: cannot write output: ")
+        assert str(missing) in line and not missing.exists()
+        if command == "cutoff-verify":  # its table is printed before the write
+            assert captured.out.startswith("dt,grad_energy,")
+
+    def test_closed_stdout_is_not_an_output_path(self, tmp_path, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            cli.main(["cutoff-verify", *self.BASE_ARGV["cutoff-verify"],
+                      "--out", str(tmp_path / "report.csv")])
+
     def test_config_false_emit_plot_writes_no_script(self, tmp_path, capsys):
         cfgfile = tmp_path / "study.cfg"
         cfgfile.write_text("emit_plot=false\n")
@@ -580,12 +617,8 @@ class TestCli:
 
 class TestCliOutputs:
     def test_checkpoint_dump(self, tmp_path):
-        mesh = meshing.uniform_split_mesh(3)
-        params = coupling.SchemeParams(k=1, dt=0.25, T=0.25)
-        ops = coupling.CoupledOperators(mesh, params)
-        case = get_case("pp_conforming")
-        final, _ = coupling.run(params, mesh, coupling.SourceData.from_case(case),
-                                coupling.initial_state(case, mesh, ops), ops)
+        (final, _), _ = case_run(coupling.run, get_case("pp_conforming"),
+                                 meshing.uniform_split_mesh(3), 0.25)
         path = tmp_path / "state.txt"
         cli._write(path, cli._checkpoint_lines(final))
         lines = path.read_text().splitlines()
